@@ -305,7 +305,7 @@ let fault_arg =
           "Arm deterministic fault injection for testing the \
            fault-tolerance paths: comma-separated $(i,SITE@HIT), \
            $(i,SITE@HIT:raise) or $(i,SITE@HIT:delay MS) specs, e.g. \
-           $(b,io.write\\@1) or $(b,pool.task\\@3:delay 50).  Defaults to \
+           $(b,io.write@1) or $(b,pool.task@3:delay 50).  Defaults to \
            the $(b,DQ_FAULT) environment variable.")
 
 let deadline_arg =
@@ -642,7 +642,8 @@ let repair_cmd =
           ~doc:
             "Continue from a $(b,--checkpoint) snapshot taken on the same \
              input, ruleset and configuration.  The finished repair is \
-             byte-identical to the checkpointing run left uninterrupted.")
+             byte-identical to an uninterrupted run, with or without \
+             $(b,--checkpoint).")
   in
   let deadline_passes =
     Arg.(

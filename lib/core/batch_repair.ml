@@ -9,10 +9,6 @@ module Progress = Dq_obs.Progress
 module Fault = Dq_fault.Fault
 module Deadline = Dq_fault.Deadline
 
-let src = Logs.Src.create "dataqual.batch_repair" ~doc:"BATCHREPAIR steps"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let m_steps = Metrics.counter "batch.resolve_steps"
 
 let m_merges = Metrics.counter "batch.merges"
@@ -56,14 +52,11 @@ type plan = { cost : float; action : action }
 
 type state = {
   rel : Relation.t; (* working copy; values untouched until write-back *)
-  canonical : bool;
-  (* Checkpoint/resume mode.  A resumed run rebuilds its hash tables from
-     a snapshot and so cannot share their iteration history with the run
-     that wrote it; in canonical mode every decision that would otherwise
-     depend on hash-table order (offer order, partner choice, float-sum
-     order, instantiation order) is routed through a sorted, history-free
-     path instead.  Off by default: the default mode stays byte-identical
-     to what it produced before checkpointing existed. *)
+  (* No decision depends on hash-table iteration order: partner choice,
+     float sums, medoid scans and instantiation run through sorted or
+     member-ordered paths, and the queue's total tie-break makes offer
+     order irrelevant.  A resumed run, whose tables are rebuilt from a
+     snapshot with a different history, therefore replays exactly. *)
   sigma : Cfd.t array;
   lhs_of : int array array; (* cfd id -> LHS positions *)
   lhs_pats_of : Pattern.t array array;
@@ -95,10 +88,11 @@ type state = {
      pairs of one group, and greedy repair is order-sensitive on ties. *)
   enqueued : (int * int, float) Hashtbl.t; (* pair -> its queued priority *)
   findv : (int * int, int list Vkey.Table.t) Hashtbl.t; (* lazy FINDV indices *)
-  class_weights : (int, (Value.t, float) Hashtbl.t) Hashtbl.t;
-  (* class root -> aggregate weight of members per distinct original value;
-     built lazily, folded together on union.  Lets class costs and medoids
-     be computed in O(distinct values) instead of O(members). *)
+  class_weights : (int, (Value.t * float) list) Hashtbl.t;
+  (* class root -> (distinct original value, aggregate weight of the
+     members holding it), sorted by value; built lazily, dropped on union.
+     Lets class costs and medoids be computed in O(distinct values)
+     instead of O(members). *)
   mutable merges : int;
   mutable rhs_fixes : int;
   mutable lhs_fixes : int;
@@ -206,22 +200,26 @@ let with_change st cells mutate =
           (Eqclass.members st.eq root, Eqclass.effective st.eq root))
     cells;
   mutate ();
-  let changed = Hashtbl.create 8 in
-  let prov = ref [] in
+  (* The affected classes are disjoint, so each changed cell appears once. *)
+  let changed = ref [] in
   Hashtbl.iter
     (fun root (members, before) ->
       let after = Eqclass.effective st.eq root in
       if not (Value.equal before after) then
         List.iter
-          (fun (tid, attr) ->
-            Hashtbl.replace changed ((tid * st.arity) + attr) (tid, attr);
-            prov := (tid, attr, before, after) :: !prov)
+          (fun (tid, attr) -> changed := (tid, attr, before, after) :: !changed)
           members)
     classes;
   (* Every cell whose effective value changed gets a trail entry.  The
      entries of one mutation are sorted by (tid, attr) so the trail is a
      canonical function of the decision sequence, not of hash-table
      iteration order. *)
+  let changed =
+    List.sort
+      (fun (t1, a1, _, _) (t2, a2, _, _) ->
+        match compare t1 t2 with 0 -> compare a1 a2 | c -> c)
+      !changed
+  in
   let schema = Relation.schema st.rel in
   List.iter
     (fun (tid, attr, old_value, new_value) ->
@@ -236,46 +234,30 @@ let with_change st cells mutate =
           cost_delta = st.ctx_cost;
           pass = st.ctx_pass;
         })
-    (List.sort
-       (fun (t1, a1, _, _) (t2, a2, _, _) ->
-         match compare t1 t2 with 0 -> compare a1 a2 | c -> c)
-       !prov);
+    changed;
   let reindex = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ (tid, attr) ->
+  List.iter
+    (fun (tid, attr, _, _) ->
       List.iter
         (fun cid -> Hashtbl.replace reindex (cid, tid) ())
         st.attr_lhs_wild.(attr))
     changed;
   (* The values already changed, but stored bucket keys record where each
-     tuple was filed, so removal by the recorded key still works. *)
-  if st.canonical then begin
-    (* Sorted visit order: the re-offers this triggers land in the queue
-       in an order that is a pure function of the decision sequence, so a
-       resumed run (whose hash tables have a different history) replays
-       them identically. *)
-    let reindex =
-      List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) reindex [])
-    in
-    let changed =
-      List.sort compare (Hashtbl.fold (fun _ ta acc -> ta :: acc) changed [])
-    in
-    List.iter (fun (cid, tid) -> bucket_remove st cid tid) reindex;
-    List.iter (fun (cid, tid) -> bucket_insert st cid tid) reindex;
-    List.iter (fun (tid, attr) -> mark_dirty st tid attr) changed
-  end
-  else begin
-    Hashtbl.iter (fun (cid, tid) () -> bucket_remove st cid tid) reindex;
-    Hashtbl.iter (fun (cid, tid) () -> bucket_insert st cid tid) reindex;
-    Hashtbl.iter (fun _ (tid, attr) -> mark_dirty st tid attr) changed
-  end
+     tuple was filed, so removal by the recorded key still works.  Visit
+     order is free: bucket contents are sets, and the queue's total
+     tie-break pops the same sequence whatever order the offers land in. *)
+  Hashtbl.iter (fun (cid, tid) () -> bucket_remove st cid tid) reindex;
+  Hashtbl.iter (fun (cid, tid) () -> bucket_insert st cid tid) reindex;
+  List.iter (fun (tid, attr, _, _) -> mark_dirty st tid attr) changed
 
-(* Aggregate weight of the class's members per distinct original value;
-   cached per root and folded on union. *)
+(* Value-sorted (original value, aggregate member weight) pairs of the
+   class, cached per root.  Weights accumulate in member order and are
+   listed in value order — the orders a resumed run reproduces exactly,
+   independent of any table's insertion history. *)
 let class_weights st c =
   let root = Eqclass.find st.eq c in
   match Hashtbl.find_opt st.class_weights root with
-  | Some table -> table
+  | Some pairs -> pairs
   | None ->
     let table = Hashtbl.create 8 in
     List.iter
@@ -289,78 +271,22 @@ let class_weights st c =
           | None -> Hashtbl.add table v w
         end)
       (Eqclass.members st.eq root);
-    Hashtbl.add st.class_weights root table;
-    table
-
-(* Value-sorted (value, weight) pairs of a weight table: the canonical
-   iteration order for float sums and candidate scans, independent of the
-   table's insertion history. *)
-let weight_pairs_sorted table =
-  Hashtbl.fold (fun v w acc -> (v, w) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
+    let pairs =
+      Hashtbl.fold (fun v w acc -> (v, w) :: acc) table []
+      |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
+    in
+    Hashtbl.add st.class_weights root pairs;
+    pairs
 
 (* Cost(t, B, v): weighted cost of moving every member of the class to [v],
    measured from the members' original values (Section 4.2).  Computed from
-   the per-value weight table: sum_u W_u * sim(u, v). *)
-let class_cost st c v =
-  let table = class_weights st c in
-  if st.canonical then
-    List.fold_left
-      (fun acc (u, w_u) -> acc +. (w_u *. Cost.similarity u v))
-      0. (weight_pairs_sorted table)
-  else
-    Hashtbl.fold
-      (fun u w_u acc -> acc +. (w_u *. Cost.similarity u v))
-      table 0.
+   the per-value weights: sum_u W_u * sim(u, v). *)
+let pairs_cost pairs v =
+  List.fold_left
+    (fun acc (u, w_u) -> acc +. (w_u *. Cost.similarity u v))
+    0. pairs
 
-(* The weighted-medoid original value over one or two classes' weight
-   tables: the value the union's instantiation would pick. *)
-let medoid_of_tables ~canonical tables =
-  if canonical then begin
-    let pairs =
-      List.concat_map weight_pairs_sorted tables
-      |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
-    in
-    let cost v =
-      List.fold_left
-        (fun acc (u, w_u) -> acc +. (w_u *. Cost.similarity u v))
-        0. pairs
-    in
-    let best = ref None in
-    List.iter
-      (fun (v, _) ->
-        let c = cost v in
-        match !best with
-        | Some (bv, bc) when bc < c || (bc = c && Value.compare bv v <= 0) ->
-          ()
-        | _ -> best := Some (v, c))
-      pairs;
-    Option.map fst !best
-  end
-  else begin
-    let cost v =
-      List.fold_left
-        (fun acc table ->
-          Hashtbl.fold
-            (fun u w_u acc -> acc +. (w_u *. Cost.similarity u v))
-            table acc)
-        0. tables
-    in
-    let best = ref None in
-    List.iter
-      (fun table ->
-        Hashtbl.iter
-          (fun v _ ->
-            let c = cost v in
-            match !best with
-            | Some (bv, bc)
-              when bc < c || (bc = c && Value.compare bv v <= 0) ->
-              ()
-            | _ -> best := Some (v, c))
-          table)
-      tables;
-    Option.map fst !best
-  end
+let class_cost st c v = pairs_cost (class_weights st c) v
 
 (* FINDV's relation-backed value source: tuples agreeing with [t] on
    X ∪ {A} \ {B}.  The index is built once per (clause, LHS position) from
@@ -563,41 +489,20 @@ let verify_and_plan st cid tid =
             match Vkey.Table.find_opt st.buckets.(cid) key with
             | None -> None
             | Some set ->
-              if st.canonical then begin
-                (* smallest conflicting tid: a pure function of the
-                   bucket's contents, replayable after a resume *)
-                let best = ref None in
-                Hashtbl.iter
-                  (fun tid' () ->
-                    if tid' <> tid then
-                      let v' = eff st tid' rhs in
-                      if (not (Value.is_null v')) && not (Value.equal v v')
-                      then
-                        match !best with
-                        | Some b when b <= tid' -> ()
-                        | _ -> best := Some tid')
-                  set;
-                !best
-              end
-              else begin
-                (* first conflicting bucket-mate; early exit keeps big
-                   groups cheap (hash order is deterministic for a given
-                   history) *)
-                let found = ref None in
-                try
-                  Hashtbl.iter
-                    (fun tid' () ->
-                      if tid' <> tid then
-                        let v' = eff st tid' rhs in
-                        if (not (Value.is_null v')) && not (Value.equal v v')
-                        then begin
-                          found := Some tid';
-                          raise Exit
-                        end)
-                    set;
-                  None
-                with Exit -> !found
-              end
+              (* smallest conflicting tid: a pure function of the
+                 bucket's contents, replayable after a resume *)
+              let best = ref None in
+              Hashtbl.iter
+                (fun tid' () ->
+                  if tid' <> tid then
+                    let v' = eff st tid' rhs in
+                    if (not (Value.is_null v')) && not (Value.equal v v')
+                    then
+                      match !best with
+                      | Some b when b <= tid' -> ()
+                      | _ -> best := Some tid')
+                set;
+              !best
           in
           match partner with
           | None -> None
@@ -699,10 +604,20 @@ let pick_next st =
   pop ()
 
 (* The weighted-medoid value of a class: the member original value that
-   minimises the class's change cost — what instantiation will pick.  [None]
-   when every member was originally null. *)
+   minimises the class's change cost — what instantiation will pick.  Ties
+   go to the smallest value.  [None] when every member was originally
+   null. *)
 let best_constant st root =
-  medoid_of_tables ~canonical:st.canonical [ class_weights st root ]
+  let pairs = class_weights st root in
+  let best = ref None in
+  List.iter
+    (fun (v, _) ->
+      let c = pairs_cost pairs v in
+      match !best with
+      | Some (_, bc) when bc <= c -> ()
+      | _ -> best := Some (v, c))
+    pairs;
+  Option.map fst !best
 
 let apply st = function
   | Set_rhs { cell; value } ->
@@ -719,53 +634,19 @@ let apply st = function
       "batch.merge"
     @@ fun () ->
     with_change st [ cell1; cell2 ] (fun () ->
-        if st.canonical then begin
-          (* Drop the cached weight tables and let [class_weights] rebuild
-             from the merged member list: per-value weight sums are then
-             always accumulated in member order — the one order a resumed
-             run reproduces exactly. *)
-          let r1 = Eqclass.find st.eq cell1
-          and r2 = Eqclass.find st.eq cell2 in
-          let root = Eqclass.union st.eq cell1 cell2 in
-          Hashtbl.remove st.class_weights r1;
-          Hashtbl.remove st.class_weights r2;
-          Hashtbl.remove st.class_weights root;
-          if Eqclass.target st.eq root = Eqclass.Unfixed then
-            match
-              medoid_of_tables ~canonical:true [ class_weights st root ]
-            with
-            | Some v -> Eqclass.set_repr st.eq root v
-            | None -> ()
-        end
-        else begin
-          let t1 = class_weights st cell1 and t2 = class_weights st cell2 in
-          let r1 = Eqclass.find st.eq cell1
-          and r2 = Eqclass.find st.eq cell2 in
-          let root = Eqclass.union st.eq cell1 cell2 in
-          (* Fold the smaller weight table into the larger and rebind it to
-             the surviving root. *)
-          let big, small =
-            if Hashtbl.length t1 >= Hashtbl.length t2 then (t1, t2)
-            else (t2, t1)
-          in
-          Hashtbl.iter
-            (fun v w ->
-              match Hashtbl.find_opt big v with
-              | Some acc -> Hashtbl.replace big v (acc +. w)
-              | None -> Hashtbl.add big v w)
-            small;
-          Hashtbl.remove st.class_weights r1;
-          Hashtbl.remove st.class_weights r2;
-          Hashtbl.replace st.class_weights root big;
-          (* Keep the representative aligned with the value the merged
-             class is headed for, so effective-value checks (and the
-             pattern rows they trigger) see the likely outcome rather than
-             whichever side's representative survived the union. *)
-          if Eqclass.target st.eq root = Eqclass.Unfixed then
-            match medoid_of_tables ~canonical:false [ big ] with
-            | Some v -> Eqclass.set_repr st.eq root v
-            | None -> ()
-        end);
+        (* Drop both cached weight tables; [class_weights] rebuilds the
+           union's from its member list. *)
+        Hashtbl.remove st.class_weights (Eqclass.find st.eq cell1);
+        Hashtbl.remove st.class_weights (Eqclass.find st.eq cell2);
+        let root = Eqclass.union st.eq cell1 cell2 in
+        (* Keep the representative aligned with the value the merged class
+           is headed for, so effective-value checks (and the pattern rows
+           they trigger) see the likely outcome rather than whichever
+           side's representative survived the union. *)
+        if Eqclass.target st.eq root = Eqclass.Unfixed then
+          match best_constant st root with
+          | Some v -> Eqclass.set_repr st.eq root v
+          | None -> ());
     st.merges <- st.merges + 1;
     Metrics.incr m_merges
   | Set_lhs { cell; target } ->
@@ -780,13 +661,11 @@ let apply st = function
 let instantiate st =
   let changed = ref false in
   (* Collect the roots first (targets never change which cells are roots,
-     so the snapshot is exact); canonical mode then sorts them, because
-     [iter_roots] order reflects registration history. *)
+     so the snapshot is exact), then sort them, because [iter_roots] order
+     reflects registration history. *)
   let roots = ref [] in
   Eqclass.iter_roots (fun root -> roots := root :: !roots) st.eq;
-  let roots =
-    if st.canonical then List.sort compare !roots else List.rev !roots
-  in
+  let roots = List.sort compare !roots in
   st.instantiate_visits <- st.instantiate_visits + List.length roots;
   List.iter
     (fun root ->
@@ -812,7 +691,7 @@ let instantiate st =
     roots;
   !changed
 
-let init_state ?eq rel sigma ~use_dependency_graph ~canonical =
+let init_state ?eq rel sigma ~use_dependency_graph =
   let schema = Relation.schema rel in
   let arity = Schema.arity schema in
   let n = Array.length sigma in
@@ -877,7 +756,6 @@ let init_state ?eq rel sigma ~use_dependency_graph ~canonical =
   let st =
     {
       rel;
-      canonical;
       sigma;
       lhs_of;
       lhs_pats_of;
@@ -937,14 +815,13 @@ let rebuild_buckets st =
     st.sigma
 
 (* Wildcard clauses: offer every member of any bucket holding two distinct
-   effective RHS values.  In canonical mode the offers of each clause are
-   collected and sorted first, because bucket-table iteration order is a
-   function of insertion history that a resumed run cannot reproduce. *)
+   effective RHS values.  Bucket-table iteration order is a function of
+   insertion history, but the queue's total tie-break makes the offer
+   order irrelevant. *)
 let offer_wild_violations st ~offer =
   Array.iteri
     (fun cid cfd ->
-      if not (Cfd.is_constant cfd) then begin
-        let pending = if st.canonical then Some (ref []) else None in
+      if not (Cfd.is_constant cfd) then
         Vkey.Table.iter
           (fun _key set ->
             let distinct = Hashtbl.create 4 in
@@ -954,16 +831,8 @@ let offer_wild_violations st ~offer =
                 if not (Value.is_null v) then Hashtbl.replace distinct v ())
               set;
             if Hashtbl.length distinct >= 2 then
-              match pending with
-              | Some acc ->
-                Hashtbl.iter (fun tid () -> acc := tid :: !acc) set
-              | None -> Hashtbl.iter (fun tid () -> offer cid tid) set)
-          st.buckets.(cid);
-        match pending with
-        | Some acc ->
-          List.iter (fun tid -> offer cid tid) (List.sort_uniq compare !acc)
-        | None -> ()
-      end)
+              Hashtbl.iter (fun tid () -> offer cid tid) set)
+          st.buckets.(cid))
     st.sigma
 
 (* Offer every live violation under the current effective values: constant
@@ -1064,13 +933,6 @@ let repair_single ?pool ?(use_dependency_graph = true)
   @@ fun () ->
   let started = Unix.gettimeofday () in
   let phases = ref [] in
-  (* Checkpointing or resuming switches the engine into canonical mode: a
-     resumed run rebuilds its hash tables from a snapshot and cannot share
-     their iteration history with the run that wrote it, so every decision
-     that could depend on that history runs through a sorted path instead.
-     Without either flag the engine behaves — byte for byte — as it did
-     before checkpointing existed. *)
-  let canonical = checkpoint <> None || resume <> None in
   let invalid =
     match checkpoint with
     | Some { every; _ } when every < 1 ->
@@ -1081,8 +943,8 @@ let repair_single ?pool ?(use_dependency_graph = true)
   | Some e -> Error e
   | None -> (
     let fp =
-      if canonical then Checkpoint.fingerprint db sigma ~use_dependency_graph
-      else 0
+      if checkpoint = None && resume = None then 0
+      else Checkpoint.fingerprint db sigma ~use_dependency_graph
     in
     match resume with
     | Some cp when cp.Checkpoint.kind <> Checkpoint.batch_kind ->
@@ -1110,7 +972,7 @@ let repair_single ?pool ?(use_dependency_graph = true)
       in
       let st =
         timed phases "init" m_t_init (fun () ->
-            init_state ?eq rel sigma ~use_dependency_graph ~canonical)
+            init_state ?eq rel sigma ~use_dependency_graph)
       in
       let steps = ref 0 in
       let rescans = ref 0 in
@@ -1167,83 +1029,29 @@ let repair_single ?pool ?(use_dependency_graph = true)
           Error (Dq_error.Internal "Batch_repair.repair: step budget exceeded")
         else if !steps land 1023 = 0 && Deadline.wall_expired deadline then
           Ok `Cut
-        else begin
-      match pick_next st with
-      | Some (cid, tid, plan) ->
-        Log.debug (fun m ->
-            let describe = function
-              | Set_rhs { cell; value } ->
-                let ctid, cattr = Eqclass.tid_attr st.eq cell in
-                Format.asprintf "set_rhs (%d,%s) := %a" ctid
-                  (Schema.attribute (Relation.schema st.rel) cattr)
-                  Value.pp value
-              | Merge { cell1; cell2 } ->
-                let t1, a1 = Eqclass.tid_attr st.eq cell1 in
-                let t2, a2 = Eqclass.tid_attr st.eq cell2 in
-                Format.asprintf "merge (%d,%d) ~ (%d,%d)" t1 a1 t2 a2
-              | Set_lhs { cell; target } ->
-                let ctid, cattr = Eqclass.tid_attr st.eq cell in
-                Format.asprintf "set_lhs (%d,%s) := %a" ctid
-                  (Schema.attribute (Relation.schema st.rel) cattr)
-                  Eqclass.pp_target target
-            in
-            m "step %d: %s tid=%d cost=%.4f %s" !steps
-              (Cfd.name st.sigma.(cid))
-              tid plan.cost (describe plan.action));
-        st.ctx_clause <- Some (Cfd.name st.sigma.(cid));
-        st.ctx_cost <- plan.cost;
-        st.ctx_pass <- !steps;
-        apply st plan.action;
-        (* A wildcard-clause plan resolves the conflict with one partner;
-           the tuple may still conflict with others in its group, so the
-           pair goes straight back in the queue until it verifies clean. *)
-        offer st cid tid;
-        incr steps;
-        Metrics.incr m_steps;
-        Progress.emit (fun () ->
-            Printf.sprintf
-              "batch_repair: pass %d | step %d | %d unresolved | %.0f steps/s"
-              !pass_no !steps (Heap.length st.queue)
-              (float_of_int !steps
-              /. Float.max 1e-9 (Unix.gettimeofday () -. started)));
-      if Sys.getenv_opt "DATAQUAL_PARANOID" <> None then begin
-        (* Expensive invariant check: every live violation must be queued. *)
-        Array.iteri
-          (fun cid cfd ->
-            if not (Cfd.is_constant cfd) then
-              Vkey.Table.iter
-                (fun _ set ->
-                  Hashtbl.iter
-                    (fun tid () ->
-                      let v = eff st tid (Cfd.rhs cfd) in
-                      if not (Value.is_null v) then
-                        Hashtbl.iter
-                          (fun tid' () ->
-                            let v' = eff st tid' (Cfd.rhs cfd) in
-                            if
-                              tid' <> tid
-                              && (not (Value.is_null v'))
-                              && (not (Value.equal v v'))
-                              && (not (Hashtbl.mem st.enqueued (cid, tid)))
-                              && not (Hashtbl.mem st.enqueued (cid, tid'))
-                            then
-                              Log.err (fun m ->
-                                  m
-                                    "step %d: live pair (%s, %d~%d) not \
-                                     queued after %s"
-                                    !steps
-                                    (Cfd.name st.sigma.(cid))
-                                    tid tid'
-                                    (Format.asprintf "%a" Cfd.pp
-                                       st.sigma.(cid))))
-                          set)
-                    set)
-                st.buckets.(cid))
-          st.sigma
-      end;
-        drain ()
-      | None -> Ok `Drained
-    end
+        else
+          match pick_next st with
+          | None -> Ok `Drained
+          | Some (cid, tid, plan) ->
+            st.ctx_clause <- Some (Cfd.name st.sigma.(cid));
+            st.ctx_cost <- plan.cost;
+            st.ctx_pass <- !steps;
+            apply st plan.action;
+            (* A wildcard-clause plan resolves the conflict with one
+               partner; the tuple may still conflict with others in its
+               group, so the pair goes straight back in the queue until it
+               verifies clean. *)
+            offer st cid tid;
+            incr steps;
+            Metrics.incr m_steps;
+            Progress.emit (fun () ->
+                Printf.sprintf
+                  "batch_repair: pass %d | step %d | %d unresolved | %.0f \
+                   steps/s"
+                  !pass_no !steps (Heap.length st.queue)
+                  (float_of_int !steps
+                  /. Float.max 1e-9 (Unix.gettimeofday () -. started)));
+            drain ()
       in
       (* A deadline cut: record why and how far the run got, then
          instantiate once so the written-back targets are complete — the
@@ -1314,11 +1122,7 @@ let repair_single ?pool ?(use_dependency_graph = true)
               Error
                 (Dq_error.Internal
                    "Batch_repair.repair: rescans not converging")
-            else begin
-              Log.debug (fun m ->
-                  m "quiescence rescan re-offered %d violation pairs" missed);
-              drive ()
-            end
+            else drive ()
           end
           else Ok ()
         end

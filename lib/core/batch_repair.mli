@@ -106,16 +106,14 @@ val repair :
     relation and ruleset must be the ones the checkpoint was taken from
     (enforced by fingerprint; mismatch is [Error (Invalid_input _)]).
 
-    Either option switches the engine into {e canonical mode}: every
-    decision that could depend on hash-table iteration history (offer
-    order, conflict-partner choice, float-summation order, instantiation
-    order) runs through a value-sorted path instead, so a run killed at
-    any point and resumed from its last checkpoint produces output
-    byte-identical to the same run left uninterrupted {e with the same
-    options}.  Canonical mode may pick different (equally valid,
-    equally costed) repairs than the default mode; without [checkpoint]
-    or [resume] the engine is byte-identical to what it produced before
-    these options existed.
+    Neither option changes a decision.  No decision of the engine
+    depends on hash-table iteration history: the conflict partner is the
+    smallest conflicting tid, float sums and medoid scans run in value
+    order, merged classes rebuild their weights in member order,
+    instantiation visits roots in sorted order, and the queue's total
+    tie-break makes offer order irrelevant.  So a run killed at any point
+    and resumed from its last checkpoint produces output byte-identical
+    to a plain run without [checkpoint] or [resume].
 
     {2 Shard partition}
 

@@ -250,9 +250,12 @@ let test_batch_deadline_zero () =
 
 (* ---- batch repair: checkpoint / resume -------------------------------- *)
 
-(* Uninterrupted canonical run (checkpointing arms canonical mode), the
-   baseline every kill-and-resume comparison is against. *)
-let canonical_run ?pool rel sigma path =
+(* A plain run — no checkpoint, no resume, no deadline — is the baseline
+   every kill-and-resume comparison is against. *)
+let plain_run ?pool rel sigma =
+  batch_key (Helpers.ok (Batch_repair.repair ?pool rel sigma))
+
+let checkpointing_run ?pool rel sigma path =
   Helpers.ok
     (Batch_repair.repair ?pool
        ~checkpoint:{ Batch_repair.path; every = 1 }
@@ -268,9 +271,7 @@ let test_kill_resume_identity () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs @@ fun pool ->
-      let full =
-        in_temp_file (fun p -> batch_key (canonical_run ~pool rel sigma p))
-      in
+      let full = plain_run ~pool rel sigma in
       in_temp_file @@ fun path ->
       (* Kill the run at the first pass boundary via the repair.pass
          fault site, which fires just {e after} the boundary's
@@ -299,37 +300,42 @@ let test_kill_resume_identity () =
                 rel sigma))
       in
       Alcotest.(check bool)
-        (Printf.sprintf "kill+resume = uninterrupted (jobs=%d)" jobs)
+        (Printf.sprintf "kill+resume = plain run (jobs=%d)" jobs)
         true (resumed = full))
     [ 1; 4 ]
 
 let test_deadline_cut_resume_identity () =
   (* Same prefix property via deadlines instead of faults: cut at pass k,
-     resume from the checkpoint, land on the uninterrupted bytes. *)
+     resume from the checkpoint, land on the plain run's bytes. *)
   let rel, sigma = dirty_fixture 250 in
-  let full = in_temp_file (fun p -> batch_key (canonical_run rel sigma p)) in
-  in_temp_file @@ fun path ->
-  let _cut =
-    Helpers.ok
-      (Batch_repair.repair
-         ~deadline:(Deadline.after_passes 1)
-         ~checkpoint:{ Batch_repair.path; every = 1 }
-         rel sigma)
-  in
-  let cp =
-    match Checkpoint.load path with
-    | Ok cp -> cp
-    | Error msg -> Alcotest.failf "checkpoint unreadable: %s" msg
-  in
-  let resumed =
-    batch_key
-      (Helpers.ok
-         (Batch_repair.repair ~resume:cp
-            ~checkpoint:{ Batch_repair.path; every = 1 }
-            rel sigma))
-  in
-  Alcotest.(check bool) "deadline cut + resume = uninterrupted" true
-    (resumed = full)
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs @@ fun pool ->
+      let full = plain_run ~pool rel sigma in
+      in_temp_file @@ fun path ->
+      let _cut =
+        Helpers.ok
+          (Batch_repair.repair ~pool
+             ~deadline:(Deadline.after_passes 1)
+             ~checkpoint:{ Batch_repair.path; every = 1 }
+             rel sigma)
+      in
+      let cp =
+        match Checkpoint.load path with
+        | Ok cp -> cp
+        | Error msg -> Alcotest.failf "checkpoint unreadable: %s" msg
+      in
+      let resumed =
+        batch_key
+          (Helpers.ok
+             (Batch_repair.repair ~pool ~resume:cp
+                ~checkpoint:{ Batch_repair.path; every = 1 }
+                rel sigma))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "deadline cut + resume = plain run (jobs=%d)" jobs)
+        true (resumed = full))
+    [ 1; 4 ]
 
 let test_checkpoint_load_errors () =
   (match Checkpoint.load "/no/such/file.ckpt" with
@@ -352,7 +358,7 @@ let test_checkpoint_load_errors () =
 let test_resume_fingerprint_mismatch () =
   let rel, sigma = dirty_fixture 120 in
   in_temp_file @@ fun path ->
-  let _ = canonical_run rel sigma path in
+  let _ = checkpointing_run rel sigma path in
   let cp =
     match Checkpoint.load path with
     | Ok cp -> cp
@@ -364,23 +370,24 @@ let test_resume_fingerprint_mismatch () =
   | Error e -> Alcotest.failf "wrong error: %s" (Dq_error.to_string e)
   | Ok _ -> Alcotest.fail "mismatched inputs must be rejected"
 
-let test_default_mode_unchanged () =
-  (* The zero-overhead gate: without checkpoint/resume/deadline the
-     engine must produce the very bytes it produced before the fault
-     layer existed — canonical mode must not leak into the default
-     path.  Compare default mode against itself across job counts and
-     confirm it differs-or-equals canonical only through explicit
-     opt-in (the repairs may legitimately coincide; what matters is
-     default = default). *)
+let test_checkpointing_unchanged () =
+  (* Checkpointing only observes: an uninterrupted checkpointing run
+     makes the same decisions as a plain run, at every job count. *)
   let rel, sigma = dirty_fixture 250 in
-  let plain = batch_key (Helpers.ok (Batch_repair.repair rel sigma)) in
+  let plain = plain_run rel sigma in
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs @@ fun pool ->
       Alcotest.(check bool)
-        (Printf.sprintf "default mode stable (jobs=%d)" jobs)
+        (Printf.sprintf "plain run stable (jobs=%d)" jobs)
         true
-        (batch_key (Helpers.ok (Batch_repair.repair ~pool rel sigma)) = plain))
+        (plain_run ~pool rel sigma = plain);
+      Alcotest.(check bool)
+        (Printf.sprintf "checkpointing run = plain run (jobs=%d)" jobs)
+        true
+        (in_temp_file (fun p ->
+             batch_key (checkpointing_run ~pool rel sigma p))
+        = plain))
     job_counts
 
 (* ---- incremental repair: deadlines ------------------------------------ *)
@@ -465,8 +472,8 @@ let suite =
       test_checkpoint_load_errors;
     Alcotest.test_case "checkpoint: fingerprint mismatch rejected" `Quick
       test_resume_fingerprint_mismatch;
-    Alcotest.test_case "default mode byte-stable" `Slow
-      test_default_mode_unchanged;
+    Alcotest.test_case "batch: checkpointing = plain run" `Slow
+      test_checkpointing_unchanged;
     Alcotest.test_case "inc: deadline degrades, keeps all tuples" `Quick
       test_inc_deadline_degrades;
     Alcotest.test_case "inc: zero budget fails outright" `Quick

@@ -29,7 +29,8 @@ let allowlist =
     "discovery.ml";
     (* candidate fold feeds a sort *)
     "batch_repair.ml";
-    (* audited per-site: sorted or canonical-mode-gated *)
+    (* audited per-site: sorted, a min/exists scan, or offers that the
+       queue's total tie-break makes order-free *)
     "eqclass.ml";
     (* root folds feed sorts *)
   ]
