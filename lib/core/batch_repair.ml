@@ -50,6 +50,21 @@ type action =
 
 type plan = { cost : float; action : action }
 
+module Value_table = Hashtbl.Make (Value)
+
+(* The tuples of one wildcard-RHS clause that share an effective LHS key,
+   with the multiset of their non-null effective RHS values.  The counts
+   answer "does some other member disagree on the RHS?" without visiting
+   the members. *)
+type bucket = {
+  tids : (int, unit) Hashtbl.t;
+  rhs_counts : int Value_table.t;
+  (* non-null value -> members holding it; a value leaves the table when
+     its count drops to zero, so the length is the number of distinct
+     values *)
+  mutable rhs_total : int; (* members with a non-null RHS *)
+}
+
 type state = {
   rel : Relation.t; (* working copy; values untouched until write-back *)
   (* No decision depends on hash-table iteration order: partner choice,
@@ -62,8 +77,10 @@ type state = {
   lhs_pats_of : Pattern.t array array;
   eq : Eqclass.t;
   arity : int;
-  buckets : (int, unit) Hashtbl.t Vkey.Table.t array; (* wild cfds only *)
-  bucket_key : (int, Vkey.t) Hashtbl.t array; (* tid -> its current key *)
+  wild : int list; (* wildcard-RHS clause ids, ascending *)
+  buckets : bucket Vkey.Table.t array; (* wild cfds only *)
+  filed : (int, bucket * Value.t) Hashtbl.t array;
+  (* tid -> the bucket it is filed in and the RHS value counted there *)
   attr_cfds_plain : int list array;
   (* attr -> clauses mentioning it whose LHS patterns are all wildcards *)
   attr_cfds_anchored : (int * Value.t, int list) Hashtbl.t array;
@@ -72,7 +89,9 @@ type state = {
      only match such a clause if its effective value at the anchor equals
      the constant, so lookups by the tuple's own values prune the
      (potentially thousands of) pattern rows to the handful that apply. *)
-  attr_lhs_wild : int list array; (* attr -> wildcard-RHS clauses with attr in LHS *)
+  attr_wild : int list array;
+  (* attr -> wildcard-RHS clauses mentioning attr: a change to it moves the
+     tuple between buckets (LHS) or changes its bucket's counts (RHS) *)
   const_plain : int list; (* constant-RHS clauses with all-wildcard LHS *)
   const_anchored : (int * Value.t, int list) Hashtbl.t;
   (* (anchor position, anchor constant) -> constant-RHS clauses, for the
@@ -161,28 +180,59 @@ let mark_dirty st tid attr =
    key, maintained incrementally as targets change. *)
 
 let bucket_remove st cid tid =
-  match Hashtbl.find_opt st.bucket_key.(cid) tid with
+  match Hashtbl.find_opt st.filed.(cid) tid with
   | None -> ()
-  | Some key -> (
-    Hashtbl.remove st.bucket_key.(cid) tid;
-    match Vkey.Table.find_opt st.buckets.(cid) key with
-    | Some set -> Hashtbl.remove set tid
-    | None -> ())
+  | Some (b, v) ->
+    Hashtbl.remove st.filed.(cid) tid;
+    Hashtbl.remove b.tids tid;
+    if not (Value.is_null v) then begin
+      b.rhs_total <- b.rhs_total - 1;
+      match Value_table.find b.rhs_counts v with
+      | 1 -> Value_table.remove b.rhs_counts v
+      | n -> Value_table.replace b.rhs_counts v (n - 1)
+    end
 
 let bucket_insert st cid tid =
   if eff_matches_lhs st cid tid then begin
     let key = eff_key st cid tid in
-    Hashtbl.replace st.bucket_key.(cid) tid key;
-    let set =
+    let b =
       match Vkey.Table.find_opt st.buckets.(cid) key with
-      | Some set -> set
+      | Some b -> b
       | None ->
-        let set = Hashtbl.create 4 in
-        Vkey.Table.add st.buckets.(cid) key set;
-        set
+        let b =
+          {
+            tids = Hashtbl.create 4;
+            rhs_counts = Value_table.create 4;
+            rhs_total = 0;
+          }
+        in
+        Vkey.Table.add st.buckets.(cid) key b;
+        b
     in
-    Hashtbl.replace set tid ()
+    let v = eff st tid (Cfd.rhs st.sigma.(cid)) in
+    Hashtbl.replace st.filed.(cid) tid (b, v);
+    Hashtbl.replace b.tids tid ();
+    if not (Value.is_null v) then begin
+      b.rhs_total <- b.rhs_total + 1;
+      let n = Option.value ~default:0 (Value_table.find_opt b.rhs_counts v) in
+      Value_table.replace b.rhs_counts v (n + 1)
+    end
   end
+
+(* Whether a member of [b] other than [tid] holds a non-null RHS value
+   other than [v] (itself non-null), read from the counts. *)
+let conflicts st cid b tid v =
+  let differ =
+    b.rhs_total - Option.value ~default:0 (Value_table.find_opt b.rhs_counts v)
+  in
+  let self =
+    match Hashtbl.find_opt st.filed.(cid) tid with
+    | Some (b', v') when b' == b && not (Value.is_null v' || Value.equal v' v)
+      ->
+      1
+    | _ -> 0
+  in
+  differ > self
 
 (* Run a mutation of the equivalence classes containing [cells], keeping
    buckets and dirty sets in sync.  Only members of classes whose
@@ -240,12 +290,13 @@ let with_change st cells mutate =
     (fun (tid, attr, _, _) ->
       List.iter
         (fun cid -> Hashtbl.replace reindex (cid, tid) ())
-        st.attr_lhs_wild.(attr))
+        st.attr_wild.(attr))
     changed;
-  (* The values already changed, but stored bucket keys record where each
-     tuple was filed, so removal by the recorded key still works.  Visit
-     order is free: bucket contents are sets, and the queue's total
-     tie-break pops the same sequence whatever order the offers land in. *)
+  (* The values already changed, but each filing records the bucket and
+     the counted RHS value, so removal still undoes exactly what insertion
+     did.  Visit order is free: bucket contents are sets, counts commute,
+     and the queue's total tie-break pops the same sequence whatever order
+     the offers land in. *)
   Hashtbl.iter (fun (cid, tid) () -> bucket_remove st cid tid) reindex;
   Hashtbl.iter (fun (cid, tid) () -> bucket_insert st cid tid) reindex;
   List.iter (fun (tid, attr, _, _) -> mark_dirty st tid attr) changed
@@ -369,21 +420,8 @@ let vio_estimate st tid attr v =
           if not (Value.is_null rv) then begin
             let key = Array.map (eff' tid) lhs in
             match Vkey.Table.find_opt st.buckets.(cid) key with
-            | None -> ()
-            | Some set ->
-              let conflicting =
-                try
-                  Hashtbl.iter
-                    (fun tid' () ->
-                      if tid' <> tid then
-                        let rv' = eff' tid' (Cfd.rhs cfd) in
-                        if (not (Value.is_null rv')) && not (Value.equal rv rv')
-                        then raise Exit)
-                    set;
-                  false
-                with Exit -> true
-              in
-              if conflicting then incr count
+            | Some b when conflicts st cid b tid rv -> incr count
+            | Some _ | None -> ()
           end
       end)
     (clauses_touching st (eff' tid) attr);
@@ -479,30 +517,26 @@ let verify_and_plan st cid tid =
             lhs_fix_plan st cid tid ~resolves
       end
     | Pattern.Wild -> (
-      match Hashtbl.find_opt st.bucket_key.(cid) tid with
+      match Hashtbl.find_opt st.filed.(cid) tid with
       | None -> None (* effective LHS no longer matches the pattern *)
-      | Some key -> (
+      | Some (b, _) -> (
         let v = eff st tid rhs in
-        if Value.is_null v then None
+        if Value.is_null v || not (conflicts st cid b tid v) then None
         else
           let partner =
-            match Vkey.Table.find_opt st.buckets.(cid) key with
-            | None -> None
-            | Some set ->
-              (* smallest conflicting tid: a pure function of the
-                 bucket's contents, replayable after a resume *)
-              let best = ref None in
-              Hashtbl.iter
-                (fun tid' () ->
-                  if tid' <> tid then
-                    let v' = eff st tid' rhs in
-                    if (not (Value.is_null v')) && not (Value.equal v v')
-                    then
-                      match !best with
-                      | Some b when b <= tid' -> ()
-                      | _ -> best := Some tid')
-                set;
-              !best
+            (* smallest conflicting tid: a pure function of the bucket's
+               contents, replayable after a resume *)
+            let best = ref None in
+            Hashtbl.iter
+              (fun tid' () ->
+                if tid' <> tid then
+                  let v' = eff st tid' rhs in
+                  if (not (Value.is_null v')) && not (Value.equal v v') then
+                    match !best with
+                    | Some b when b <= tid' -> ()
+                    | _ -> best := Some tid')
+              b.tids;
+            !best
           in
           match partner with
           | None -> None
@@ -606,18 +640,23 @@ let pick_next st =
 (* The weighted-medoid value of a class: the member original value that
    minimises the class's change cost — what instantiation will pick.  Ties
    go to the smallest value.  [None] when every member was originally
-   null. *)
+   null.  A one-member class has a single candidate, its own value. *)
 let best_constant st root =
-  let pairs = class_weights st root in
-  let best = ref None in
-  List.iter
-    (fun (v, _) ->
-      let c = pairs_cost pairs v in
-      match !best with
-      | Some (_, bc) when bc <= c -> ()
-      | _ -> best := Some (v, c))
-    pairs;
-  Option.map fst !best
+  match Eqclass.members st.eq root with
+  | [ (tid, attr) ] ->
+    let v = Tuple.get (tuple st tid) attr in
+    if Value.is_null v then None else Some v
+  | _ ->
+    let pairs = class_weights st root in
+    let best = ref None in
+    List.iter
+      (fun (v, _) ->
+        let c = pairs_cost pairs v in
+        match !best with
+        | Some (_, bc) when bc <= c -> ()
+        | _ -> best := Some (v, c))
+      pairs;
+    Option.map fst !best
 
 let apply st = function
   | Set_rhs { cell; value } ->
@@ -660,15 +699,9 @@ let apply st = function
    their effective value, so they need no bucket or dirty maintenance. *)
 let instantiate st =
   let changed = ref false in
-  (* Collect the roots first (targets never change which cells are roots,
-     so the snapshot is exact), then sort them, because [iter_roots] order
-     reflects registration history. *)
-  let roots = ref [] in
-  Eqclass.iter_roots (fun root -> roots := root :: !roots) st.eq;
-  let roots = List.sort compare !roots in
-  st.instantiate_visits <- st.instantiate_visits + List.length roots;
-  List.iter
+  Eqclass.iter_roots
     (fun root ->
+      st.instantiate_visits <- st.instantiate_visits + 1;
       if Eqclass.target st.eq root = Eqclass.Unfixed then
         match best_constant st root with
         | None ->
@@ -688,7 +721,7 @@ let instantiate st =
                 Eqclass.set_target st.eq root (Eqclass.Const best));
             changed := true
           end)
-    roots;
+    st.eq;
   !changed
 
 let init_state ?eq rel sigma ~use_dependency_graph =
@@ -701,7 +734,8 @@ let init_state ?eq rel sigma ~use_dependency_graph =
   let attr_cfds_anchored =
     Array.init arity (fun _ -> Hashtbl.create 64)
   in
-  let attr_lhs_wild = Array.make arity [] in
+  let attr_wild = Array.make arity [] in
+  let wild = ref [] in
   let const_plain = ref [] in
   let const_anchored = Hashtbl.create 256 in
   Array.iteri
@@ -737,10 +771,12 @@ let init_state ?eq rel sigma ~use_dependency_graph =
           in
           Hashtbl.replace const_anchored key (cid :: prev)
       end
-      else
-        Array.iter
-          (fun attr -> attr_lhs_wild.(attr) <- cid :: attr_lhs_wild.(attr))
-          lhs_of.(cid))
+      else begin
+        wild := cid :: !wild;
+        List.iter
+          (fun attr -> attr_wild.(attr) <- cid :: attr_wild.(attr))
+          (Cfd.attrs cfd)
+      end)
     sigma;
   let strata =
     if use_dependency_graph then Depgraph.strata schema sigma
@@ -761,11 +797,12 @@ let init_state ?eq rel sigma ~use_dependency_graph =
       lhs_pats_of;
       eq;
       arity;
+      wild = List.rev !wild;
       buckets = Array.map (fun _ -> Vkey.Table.create 256) sigma;
-      bucket_key = Array.map (fun _ -> Hashtbl.create 256) sigma;
+      filed = Array.map (fun _ -> Hashtbl.create 256) sigma;
       attr_cfds_plain;
       attr_cfds_anchored;
-      attr_lhs_wild;
+      attr_wild;
       const_plain = !const_plain;
       const_anchored;
       strata;
@@ -794,46 +831,34 @@ let init_state ?eq rel sigma ~use_dependency_graph =
       for attr = 0 to arity - 1 do
         ignore (cellof st tid attr)
       done;
-      Array.iteri
-        (fun cid cfd ->
-          if not (Cfd.is_constant cfd) then bucket_insert st cid tid)
-        sigma)
+      List.iter (fun cid -> bucket_insert st cid tid) st.wild)
     rel;
   st
 
-(* Rebuild every wildcard clause's bucket structure from the current
-   effective values — the ground truth the incremental maintenance must
-   agree with. *)
+(* Rebuild every wildcard clause's buckets, RHS counts included, from the
+   current effective values — the ground truth the incremental maintenance
+   must agree with. *)
 let rebuild_buckets st =
-  Array.iteri
-    (fun cid cfd ->
-      if not (Cfd.is_constant cfd) then begin
-        Vkey.Table.reset st.buckets.(cid);
-        Hashtbl.reset st.bucket_key.(cid);
-        Relation.iter (fun t -> bucket_insert st cid (Tuple.tid t)) st.rel
-      end)
-    st.sigma
+  List.iter
+    (fun cid ->
+      Vkey.Table.reset st.buckets.(cid);
+      Hashtbl.reset st.filed.(cid);
+      Relation.iter (fun t -> bucket_insert st cid (Tuple.tid t)) st.rel)
+    st.wild
 
 (* Wildcard clauses: offer every member of any bucket holding two distinct
    effective RHS values.  Bucket-table iteration order is a function of
    insertion history, but the queue's total tie-break makes the offer
    order irrelevant. *)
 let offer_wild_violations st ~offer =
-  Array.iteri
-    (fun cid cfd ->
-      if not (Cfd.is_constant cfd) then
-        Vkey.Table.iter
-          (fun _key set ->
-            let distinct = Hashtbl.create 4 in
-            Hashtbl.iter
-              (fun tid () ->
-                let v = eff st tid (Cfd.rhs cfd) in
-                if not (Value.is_null v) then Hashtbl.replace distinct v ())
-              set;
-            if Hashtbl.length distinct >= 2 then
-              Hashtbl.iter (fun tid () -> offer cid tid) set)
-          st.buckets.(cid))
-    st.sigma
+  List.iter
+    (fun cid ->
+      Vkey.Table.iter
+        (fun _key b ->
+          if Value_table.length b.rhs_counts >= 2 then
+            Hashtbl.iter (fun tid () -> offer cid tid) b.tids)
+        st.buckets.(cid))
+    st.wild
 
 (* Offer every live violation under the current effective values: constant
    clauses by direct checks, wildcard clauses from conflicting buckets.

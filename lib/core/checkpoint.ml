@@ -165,11 +165,23 @@ let eq_to_json (s : Eqclass.snapshot) =
       ("classes", Json.List (List.map class_to_json s.snap_classes));
     ]
 
+(* What [Eqclass.restore] needs: cells inside the array it indexes, and
+   each class's root among its own members. *)
+let class_in_range arity (c : Eqclass.class_state) =
+  List.for_all
+    (fun (tid, attr) -> tid >= 0 && attr >= 0 && attr < arity)
+    c.cls_members
+  && List.exists
+       (fun (tid, attr) -> (tid * arity) + attr = c.cls_root)
+       c.cls_members
+
 let eq_of_json json =
   let* snap_arity = int_field "arity" json in
   let* classes = list_field "classes" json in
   let* snap_classes = map_result class_of_json classes in
-  Ok { Eqclass.snap_arity; snap_classes }
+  if snap_arity > 0 && List.for_all (class_in_range snap_arity) snap_classes
+  then Ok { Eqclass.snap_arity; snap_classes }
+  else Error "equivalence class cells out of range"
 
 (* ---- provenance trail ------------------------------------------------- *)
 

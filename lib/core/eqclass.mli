@@ -14,7 +14,18 @@
     value of the cell that created the class's root — stands in for the
     eventual target when checking violations; see {!effective}.  Separating
     "which cells must agree" from "on what value" is what lets the
-    algorithm defer poor local decisions (Section 4.1). *)
+    algorithm defer poor local decisions (Section 4.1).
+
+    {b Representation.}  A cell [(t, A)] has the id [t × arity + A], and
+    the structure is two flat arrays indexed by cell id: a union–find
+    [parent] array and, at each root, a record with the class's target,
+    representative, rank, size and member list.  Finding a cell's class is
+    a few array reads, with no hashing.  The arrays grow by doubling to
+    cover the largest cell registered so far, so they take about two words
+    per cell up to [(max tid + 1) × arity], plus one record and one member
+    entry per registered cell.  That is proportional to the relation
+    because every loader numbers tids densely from 0; sparse, very large
+    tids would waste the gaps. *)
 
 open Dq_relation
 
@@ -30,13 +41,16 @@ val create : arity:int -> original:(tid:int -> attr:int -> Value.t) -> t
 
 val cell : t -> tid:int -> attr:int -> int
 (** Encode a cell id.  Registers the cell (as a singleton class) on first
-    use.  @raise Invalid_argument if [attr] is outside [0, arity). *)
+    use.  @raise Invalid_argument if [attr] is outside [0, arity) or [tid]
+    is negative. *)
 
 val tid_attr : t -> int -> int * int
 (** Decode a cell id back to [(tid, attr)]. *)
 
 val find : t -> int -> int
-(** Root cell of the class (with path compression). *)
+(** Root cell of the class (with path compression).  Registers a cell id
+    not seen before, like {!cell}; every query below does the same.
+    @raise Invalid_argument on a negative cell id. *)
 
 val same_class : t -> int -> int -> bool
 
@@ -70,7 +84,9 @@ val n_cells : t -> int
 val n_classes : t -> int
 
 val iter_roots : (int -> unit) -> t -> unit
-(** Iterate over the current class roots (order unspecified). *)
+(** Iterate over the class roots present at the call, in ascending
+    cell-id order.  The roots are collected before [f] first runs, so [f]
+    may merge classes or register cells. *)
 
 val set_repr : t -> int -> Value.t -> unit
 (** Update the representative of the cell's class.  Only meaningful while
@@ -99,8 +115,7 @@ type class_state = {
 type snapshot = { snap_arity : int; snap_classes : class_state list }
 
 val snapshot : t -> snapshot
-(** Classes sorted by root cell id: a pure function of the partition,
-    not of hash-table history. *)
+(** Classes in ascending root order, as {!iter_roots} visits them. *)
 
 val restore :
   original:(tid:int -> attr:int -> Value.t) -> snapshot -> t

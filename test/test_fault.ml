@@ -353,7 +353,30 @@ let test_checkpoint_load_errors () =
         Alcotest.(check bool)
           "mentions version" true
           (String.length msg > 0)
-      | Ok _ -> Alcotest.fail "future version must be an Error")
+      | Ok _ -> Alcotest.fail "future version must be an Error");
+  (* A class cell outside the relation's cell range is refused at load,
+     before anything could index by it. *)
+  let rel, sigma = dirty_fixture 40 in
+  in_temp_file (fun path ->
+      ignore (checkpointing_run rel sigma path);
+      let cp =
+        match Checkpoint.load path with
+        | Ok cp -> cp
+        | Error msg -> Alcotest.failf "checkpoint unreadable: %s" msg
+      in
+      let eq = cp.Checkpoint.eq in
+      let bad =
+        match eq.Eqclass.snap_classes with
+        | c :: rest ->
+          { c with Eqclass.cls_members = (-1, 0) :: c.Eqclass.cls_members }
+          :: rest
+        | [] -> Alcotest.fail "empty snapshot"
+      in
+      Checkpoint.save path
+        { cp with Checkpoint.eq = { eq with Eqclass.snap_classes = bad } };
+      match Checkpoint.load path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a negative cell must be an Error")
 
 let test_resume_fingerprint_mismatch () =
   let rel, sigma = dirty_fixture 120 in
