@@ -39,10 +39,113 @@ let row_subsumed_by (a : Cfd.Tableau.row) (b : Cfd.Tableau.row) =
   && List.for_all2 Pattern.subsumes a.lhs b.lhs
   && List.for_all2 Pattern.equal a.rhs b.rhs
 
-let patterns_compatible p q =
-  match (p, q) with
-  | Pattern.Wild, _ | _, Pattern.Wild -> true
-  | Pattern.Const a, Pattern.Const b -> Value.equal a b
+(* E002's pairs: [(i, v_i, j, v_j)] with [i < j] for every two constant-RHS
+   clauses over one embedded FD whose LHS patterns can match a common tuple
+   but whose RHS constants [v_i], [v_j] differ.  Two such clauses match a
+   common tuple exactly when they agree on every LHS position both fix to
+   a constant.  So each embedded FD's clauses are bucketed by the set of
+   positions they fix (an FD has few such sets), and for every pair of
+   buckets one side is hashed by its constants on the positions both fix
+   and probed with the other.  A hash entry keeps its clauses by RHS
+   constant, so a probe walks only partners it reports.  Groups and
+   buckets are kept in Σ order; the caller sorts the diagnostics.
+   [lhs_consts] is aligned with the key's sorted LHS positions, with [Null]
+   for a wildcard (no pattern constant is [Null]). *)
+type e002_row = { idx : int; lhs_consts : Value.t array; rhs_const : Value.t }
+
+type e002_bucket = { fixed : int list; mutable rows : e002_row list }
+
+let conflicting_constants sigma =
+  (* embedded FD key -> (bucket table, buckets in reverse first-seen order) *)
+  let groups = Hashtbl.create 16 and order = ref [] in
+  Array.iteri
+    (fun idx c ->
+      match Cfd.rhs_pattern c with
+      | Pattern.Wild -> ()
+      | Pattern.Const rhs_const ->
+        let key = Cfd.embedded_fd_key c in
+        let by_fixed, buckets =
+          match Hashtbl.find_opt groups key with
+          | Some g -> g
+          | None ->
+            let g = (Hashtbl.create 4, ref []) in
+            Hashtbl.add groups key g;
+            order := g :: !order;
+            g
+        in
+        let by_pos =
+          Array.map2
+            (fun p pat ->
+              (p, match pat with Pattern.Const v -> v | Pattern.Wild -> Value.Null))
+            (Cfd.lhs c) (Cfd.lhs_patterns c)
+        in
+        Array.sort (fun (p, _) (q, _) -> Int.compare p q) by_pos;
+        let lhs_consts = Array.map snd by_pos in
+        let fixed =
+          List.filter
+            (fun s -> not (Value.is_null lhs_consts.(s)))
+            (List.init (Array.length lhs_consts) Fun.id)
+        in
+        let b =
+          match Hashtbl.find_opt by_fixed fixed with
+          | Some b -> b
+          | None ->
+            let b = { fixed; rows = [] } in
+            Hashtbl.add by_fixed fixed b;
+            buckets := b :: !buckets;
+            b
+        in
+        b.rows <- { idx; lhs_consts; rhs_const } :: b.rows)
+    sigma;
+  let out = ref [] in
+  let report (i, vi) (j, vj) =
+    out := (if i < j then (i, vi, j, vj) else (j, vj, i, vi)) :: !out
+  in
+  let pair_buckets b1 b2 =
+    let shared = List.filter (fun s -> List.mem s b2.fixed) b1.fixed in
+    let key r = Array.of_list (List.map (fun s -> r.lhs_consts.(s)) shared) in
+    (* key -> (RHS constant, clause indices) list *)
+    let table = Vkey.Table.create 16 in
+    let add r =
+      let k = key r in
+      let entries = Option.value ~default:[] (Vkey.Table.find_opt table k) in
+      match List.find_opt (fun (v, _) -> Value.equal v r.rhs_const) entries with
+      | Some (_, idxs) -> idxs := r.idx :: !idxs
+      | None -> Vkey.Table.replace table k ((r.rhs_const, ref [ r.idx ]) :: entries)
+    in
+    let probe r =
+      match Vkey.Table.find_opt table (key r) with
+      | None -> ()
+      | Some entries ->
+        List.iter
+          (fun (v, idxs) ->
+            if not (Value.equal v r.rhs_const) then
+              List.iter (fun i -> report (i, v) (r.idx, r.rhs_const)) !idxs)
+          entries
+    in
+    if b1 == b2 then
+      List.iter
+        (fun r ->
+          probe r;
+          add r)
+        (List.rev b1.rows)
+    else begin
+      List.iter add b1.rows;
+      List.iter probe b2.rows
+    end
+  in
+  List.iter
+    (fun (_, buckets) ->
+      let rec pairs = function
+        | [] -> ()
+        | b :: rest ->
+          pair_buckets b b;
+          List.iter (pair_buckets b) rest;
+          pairs rest
+      in
+      pairs (List.rev !buckets))
+    (List.rev !order);
+  !out
 
 (* The all-wild row [Cfd.normalize] inserts for a body-less FD. *)
 let implicit_row (tab : Cfd.Tableau.t) =
@@ -158,37 +261,15 @@ let run ?(node_budget = 200_000) ?(errors_only = false) ?schema
     (* E002: two clauses over the same embedded FD whose LHS patterns can
        match the same tuple but whose RHS constants disagree — any matching
        tuple is unrepairable without leaving the patterns' scope. *)
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let c1 = sigma.(i) and c2 = sigma.(j) in
-        if Cfd.same_embedded_fd c1 c2 then
-          match (Cfd.rhs_pattern c1, Cfd.rhs_pattern c2) with
-          | Pattern.Const v1, Pattern.Const v2 when not (Value.equal v1 v2) ->
-            let pat_at c pos =
-              let lhs = Cfd.lhs c and pats = Cfd.lhs_patterns c in
-              let rec find k =
-                if k >= Array.length lhs then Pattern.Wild
-                else if lhs.(k) = pos then pats.(k)
-                else find (k + 1)
-              in
-              find 0
-            in
-            let compatible =
-              Array.for_all
-                (fun pos -> patterns_compatible (pat_at c1 pos) (pat_at c2 pos))
-                (Cfd.lhs c1)
-            in
-            if compatible then
-              emit ~span:origins.(j).span ~clause:origins.(j).name
-                Diagnostic.E002
-                "%s and %s have compatible LHS patterns but contradictory \
-                 constants for %s: %s vs %s"
-                (origin_label origins.(i))
-                (origin_label origins.(j))
-                origins.(j).rhs_attr (Value.to_string v1) (Value.to_string v2)
-          | _ -> ()
-      done
-    done;
+    List.iter
+      (fun (i, v1, j, v2) ->
+        emit ~span:origins.(j).span ~clause:origins.(j).name Diagnostic.E002
+          "%s and %s have compatible LHS patterns but contradictory \
+           constants for %s: %s vs %s"
+          (origin_label origins.(i))
+          (origin_label origins.(j))
+          origins.(j).rhs_attr (Value.to_string v1) (Value.to_string v2))
+      (conflicting_constants sigma);
     (* E001: satisfiability of the whole ruleset (Section 2), with a minimal
        conflicting clause subset found by greedy deletion. *)
     let satisfiable =

@@ -124,23 +124,24 @@ let embedded_fd c =
     rhs_pat = Pattern.Wild;
   }
 
-let same_embedded_fd c1 c2 =
-  c1.rhs = c2.rhs
-  && Array.length c1.lhs = Array.length c2.lhs
-  &&
-  let sorted a =
-    let a = Array.copy a in
-    Array.sort Int.compare a;
-    a
-  in
-  sorted c1.lhs = sorted c2.lhs
+let embedded_fd_key c =
+  let lhs = Array.copy c.lhs in
+  Array.sort Int.compare lhs;
+  (c.rhs, lhs)
+
+let same_embedded_fd c1 c2 = embedded_fd_key c1 = embedded_fd_key c2
 
 let embedded_fds clauses =
-  List.fold_left
-    (fun acc c ->
-      let fd = embedded_fd c in
-      if List.exists (same_embedded_fd fd) acc then acc else acc @ [ fd ])
-    [] clauses
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun c ->
+      let key = embedded_fd_key c in
+      if Hashtbl.mem seen key then None
+      else begin
+        Hashtbl.add seen key ();
+        Some (embedded_fd c)
+      end)
+    clauses
 
 let applies_lhs c t =
   let rec loop i =

@@ -86,8 +86,15 @@ val embedded_fd : t -> t
 (** The clause with every pattern entry replaced by a wildcard — the FD
     embedded in the CFD.  Used for the FD-baseline of Figure 8. *)
 
+val embedded_fd_key : t -> int * int array
+(** The identity of the clause's embedded FD: the RHS position and the LHS
+    positions in ascending order.  Two clauses embed the same FD exactly
+    when their keys are structurally equal, whatever order their LHS
+    attributes were declared in. *)
+
 val embedded_fds : t list -> t list
-(** Embedded FDs of a set, deduplicated by (lhs, rhs). *)
+(** Embedded FDs of a set, deduplicated by {!embedded_fd_key}, in order of
+    first occurrence. *)
 
 val applies_lhs : t -> Tuple.t -> bool
 (** [t[X] ≼ tp[X]] — the tuple (null-free on [X]) matches the LHS pattern. *)
@@ -99,6 +106,7 @@ val lhs_key : t -> Tuple.t -> Value.t array
 (** The tuple's LHS values in LHS order (for grouping and indexing). *)
 
 val same_embedded_fd : t -> t -> bool
+(** Whether the two clauses have equal {!embedded_fd_key}s. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render as e.g. [phi1#0: [AC, PN] -> [CT] | (212, _ || NYC)]. *)

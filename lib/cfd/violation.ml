@@ -104,120 +104,203 @@ let iter_tuple_candidates idx arity t check =
     | None -> ()
   done
 
-(* ---- wildcard clauses: partition-and-merge group tables --------------- *)
+(* ---- wildcard clauses: grouping on interned codes --------------------- *)
 
-(* Group the tuples matching a wildcard-RHS clause's LHS pattern by their
-   LHS key, recording per-group RHS value multiplicities.  All
-   pair-violation queries reduce to these group statistics.  [members] is
-   kept in relation order so witness choice is independent of hashing and
-   chunking. *)
-type group = {
-  mutable members : Tuple.t list;
-  rhs_counts : (Value.t, int ref) Hashtbl.t; (* non-null RHS values *)
-  mutable non_null : int;
-}
+module Vtbl = Hashtbl.Make (Value)
 
-(* One chunk's worth of a clause's group table; [rmembers] holds the
-   chunk's members in reverse chunk order (prepend-built). *)
-type chunk_group = {
-  mutable rmembers : Tuple.t list;
-  chunk_rhs_counts : (Value.t, int ref) Hashtbl.t;
-  mutable chunk_non_null : int;
-}
+(* One attribute of the scanned tuples, interned: [codes.(i)] is the code
+   of tuple [i]'s value ([-1] for null), codes counting from 0 in order of
+   first appearance, and [dict] maps each value to its code under
+   [Value.equal], so [Int 1], [Float 1.] and ["1"] stay distinct.  [order]
+   lists the tuples with a non-null value by ascending code, in relation
+   order within a code. *)
+type column = { codes : int array; order : int array; dict : int Vtbl.t }
 
-let chunk_groups cfd tuples lo hi =
-  let table = Vkey.Table.create 256 in
-  for i = lo to hi - 1 do
-    let t = tuples.(i) in
-    if Cfd.applies_lhs cfd t then begin
-      let key = Cfd.lhs_key cfd t in
-      let g =
-        match Vkey.Table.find_opt table key with
-        | Some g -> g
+let intern tuples p =
+  let n = Array.length tuples in
+  let dict = Vtbl.create 64 in
+  let codes = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let v = Tuple.get tuples.(i) p in
+    if not (Value.is_null v) then
+      codes.(i) <-
+        (match Vtbl.find_opt dict v with
+        | Some c -> c
         | None ->
-          let g =
-            {
-              rmembers = [];
-              chunk_rhs_counts = Hashtbl.create 4;
-              chunk_non_null = 0;
-            }
-          in
-          Vkey.Table.add table key g;
-          g
-      in
-      g.rmembers <- t :: g.rmembers;
-      let v = Tuple.get t (Cfd.rhs cfd) in
-      if not (Value.is_null v) then begin
-        g.chunk_non_null <- g.chunk_non_null + 1;
-        match Hashtbl.find_opt g.chunk_rhs_counts v with
-        | Some n -> incr n
-        | None -> Hashtbl.add g.chunk_rhs_counts v (ref 1)
-      end
+          let c = Vtbl.length dict in
+          Vtbl.add dict v c;
+          c)
+  done;
+  (* A counting sort: [next.(c)] is where code [c]'s next tuple goes. *)
+  let card = Vtbl.length dict in
+  let next = Array.make (card + 1) 0 in
+  Array.iter (fun c -> if c >= 0 then next.(c + 1) <- next.(c + 1) + 1) codes;
+  for c = 1 to card do
+    next.(c) <- next.(c) + next.(c - 1)
+  done;
+  let order = Array.make next.(card) 0 in
+  Array.iteri
+    (fun i c ->
+      if c >= 0 then begin
+        order.(next.(c)) <- i;
+        next.(c) <- next.(c) + 1
+      end)
+    codes;
+  { codes; order; dict }
+
+(* Scratch arrays for grouping a scan's wildcard clauses one at a time
+   over its [n] tuples, allocated once per scan.  After {!group_clause},
+   [gid.(i)] is tuple [i]'s group and [vid.(i)] its class, or [-1] in both
+   for a non-member.  Members are the tuples matching the clause's LHS
+   pattern whose RHS value is non-null (a null RHS neither causes nor
+   counts toward a pair violation); a group is the members with equal LHS
+   values, a class the members of one group with equal RHS values.
+   [t1] and [t2] hold one slot per group or class: {!refine} works in
+   them, and the consumers of a grouping tally in them. *)
+type workspace = {
+  gid : int array;
+  vid : int array;
+  t1 : int array;
+  t2 : int array;
+}
+
+let workspace n =
+  {
+    gid = Array.make n (-1);
+    vid = Array.make n (-1);
+    t1 = Array.make (n + 1) 0;
+    t2 = Array.make (n + 1) 0;
+  }
+
+(* Split, in place, the [parts] parts of [ids] ([-1]: in no part) by a
+   column's codes: tuples with equal ids and equal codes get equal new
+   ids, numbered densely; returns the new number of parts.  The walk in
+   code order meets each (part, code) pair in one run, so [seen.(g)], the
+   last code part [g] met, tells when a pair starts.  The column must be
+   non-null wherever [ids] is not [-1]. *)
+let refine ws col ids parts =
+  let seen = ws.t1 and fresh = ws.t2 and order = col.order in
+  Array.fill seen 0 parts (-1);
+  let next = ref 0 in
+  for k = 0 to Array.length order - 1 do
+    let i = order.(k) in
+    let g = ids.(i) in
+    if g >= 0 then begin
+      let c = col.codes.(i) in
+      if seen.(g) <> c then begin
+        seen.(g) <- c;
+        fresh.(g) <- !next;
+        incr next
+      end;
+      ids.(i) <- fresh.(g)
     end
   done;
-  table
+  !next
 
-(* Merge chunk tables into one table whose member lists are in relation
-   order.  Chunks are folded from last to first so each group's members
-   are rebuilt by prepending whole (already-ordered) chunk segments —
-   O(total members), and the result is independent of chunk boundaries. *)
-let merge_chunk_groups chunk_tables =
-  let merged = Vkey.Table.create 256 in
-  List.iter
-    (fun chunk_table ->
-      Vkey.Table.iter
-        (fun key (cg : chunk_group) ->
-          let g =
-            match Vkey.Table.find_opt merged key with
-            | Some g -> g
-            | None ->
-              let g =
-                { members = []; rhs_counts = Hashtbl.create 4; non_null = 0 }
-              in
-              Vkey.Table.add merged key g;
-              g
-          in
-          g.members <- List.rev_append cg.rmembers g.members;
-          g.non_null <- g.non_null + cg.chunk_non_null;
-          Hashtbl.iter
-            (fun v n ->
-              match Hashtbl.find_opt g.rhs_counts v with
-              | Some m -> m := !m + !n
-              | None -> Hashtbl.add g.rhs_counts v (ref !n))
-            cg.chunk_rhs_counts)
-        chunk_table)
-    (List.rev chunk_tables);
-  merged
+(* Group one wildcard-RHS clause into [ws.gid] and [ws.vid]; [column p] is
+   attribute [p] interned.  Returns the numbers of groups and classes.
+   Every group has a member unless there are no classes, so some group
+   holds two RHS values exactly when [classes > groups]. *)
+let group_clause column ws cfd =
+  let gid = ws.gid and n = Array.length ws.gid in
+  let rhs = column (Cfd.rhs cfd) in
+  for i = 0 to n - 1 do
+    gid.(i) <- (if rhs.codes.(i) >= 0 then 0 else -1)
+  done;
+  (* Keep the tuples matching each LHS pattern entry.  A constant absent
+     from its column matches no tuple. *)
+  let wild = ref [] and pats = Cfd.lhs_patterns cfd in
+  Array.iteri
+    (fun k p ->
+      let col = column p in
+      let need =
+        match pats.(k) with
+        | Pattern.Wild ->
+          wild := col :: !wild;
+          -1
+        | Pattern.Const v -> Option.value ~default:(-2) (Vtbl.find_opt col.dict v)
+      in
+      for i = 0 to n - 1 do
+        let c = col.codes.(i) in
+        if c < 0 || (need <> -1 && c <> need) then gid.(i) <- -1
+      done)
+    (Cfd.lhs cfd);
+  (* Constant entries hold one code across the members: only the
+     wildcard positions split them into groups. *)
+  let groups = List.fold_left (fun parts col -> refine ws col gid parts) 1 !wild in
+  Array.blit gid 0 ws.vid 0 n;
+  let classes = refine ws rhs ws.vid groups in
+  (groups, classes)
 
-let groups_of_clause ?pool ?deadline tuples cfd =
-  let n = Array.length tuples in
-  merge_chunk_groups
-    (Pool.map_chunks ?deadline ~label:"groups.chunk" pool ~n (fun lo hi ->
-         chunk_groups cfd tuples lo hi))
+(* The scan's interned columns: each attribute a wildcard clause reads is
+   interned once, on first use, and shared by every clause. *)
+let interner rel tuples =
+  let cols = Array.make (Schema.arity (Relation.schema rel)) None in
+  fun p ->
+    match cols.(p) with
+    | Some col -> col
+    | None ->
+      let col = intern tuples p in
+      cols.(p) <- Some col;
+      col
 
-let group_conflicts g = Hashtbl.length g.rhs_counts >= 2
+(* Add each member's pair violations under the grouped clause to
+   [counts]: the members of its group whose RHS value is non-null and
+   differs from its own, [non_null(group) - count(class)]. *)
+let add_pair_counts ws (groups, classes) counts =
+  let in_group = ws.t1 and in_class = ws.t2 in
+  Array.fill in_group 0 groups 0;
+  Array.fill in_class 0 classes 0;
+  for i = 0 to Array.length counts - 1 do
+    let v = ws.vid.(i) in
+    if v >= 0 then begin
+      let g = ws.gid.(i) in
+      in_group.(g) <- in_group.(g) + 1;
+      in_class.(v) <- in_class.(v) + 1
+    end
+  done;
+  for i = 0 to Array.length counts - 1 do
+    let v = ws.vid.(i) in
+    if v >= 0 then
+      counts.(i) <- counts.(i) + in_group.(ws.gid.(i)) - in_class.(v)
+  done
 
-(* Number of pair violations a tuple with RHS value [v] incurs inside its
-   group: members whose RHS value is non-null and different from [v]. *)
-let group_vio_of g v =
-  if Value.is_null v then 0
-  else
-    let same =
-      match Hashtbl.find_opt g.rhs_counts v with Some n -> !n | None -> 0
-    in
-    g.non_null - same
+(* One pair per member of a group holding two RHS values, in relation
+   order, against the group's first member (in relation order) with a
+   different RHS value: the group's first member, or else the first
+   member whose value differs from that one's. *)
+let clause_pairs ws (groups, _) rhs tuples cfd =
+  let first = ws.t1 and second = ws.t2 and code i = rhs.codes.(i) in
+  Array.fill first 0 groups (-1);
+  Array.fill second 0 groups (-1);
+  Array.iteri
+    (fun i g ->
+      if g >= 0 then
+        if first.(g) < 0 then first.(g) <- i
+        else if second.(g) < 0 && code i <> code first.(g) then second.(g) <- i)
+    ws.gid;
+  let out = ref [] in
+  for i = Array.length tuples - 1 downto 0 do
+    let g = ws.gid.(i) in
+    if g >= 0 && second.(g) >= 0 then begin
+      let w = if code i <> code first.(g) then first.(g) else second.(g) in
+      out :=
+        Pair { tid1 = Tuple.tid tuples.(i); tid2 = Tuple.tid tuples.(w); cfd }
+        :: !out
+    end
+  done;
+  !out
 
 let wild_clauses sigma =
   Array.to_list sigma |> List.filter (fun cfd -> not (Cfd.is_constant cfd))
 
 (* ---- the public detection API ----------------------------------------- *)
 
-(* Every function below follows the same partition-and-merge shape: build
-   read-only indexes (constant anchors, per-clause group tables), then scan
-   the tuple snapshot in chunks whose results are merged in chunk-index
-   order.  Chunk boundaries never influence the merged result, so output is
-   byte-identical at any job count — including the no-pool path, which is
-   the same code on a single chunk. *)
+(* Every function below scans constant clauses through the anchored
+   index, over tuple chunks on the pool whose results are merged in
+   chunk-index order, and wildcard clauses through the grouping kernel,
+   one clause at a time in Σ order.  Neither depends on chunk boundaries,
+   so output is byte-identical at any job count. *)
 
 let find_all ?pool rel sigma =
   Trace.span ~cat:"violation" ~args:(scan_args rel sigma) "find_all"
@@ -241,38 +324,16 @@ let find_all ?pool rel sigma =
   in
   (* One pair per involved tuple, each against a witness with a different
      (non-null) RHS value, so every involved tuple is reported without a
-     quadratic listing.  The witness is the group's first such member in
-     relation order. *)
+     quadratic listing. *)
+  let column = interner rel tuples and ws = workspace n in
   let pairs =
     List.map
       (fun cfd ->
-        let table = groups_of_clause ?pool tuples cfd in
-        Pool.map_chunks ~label:"find_all.chunk" pool ~n (fun lo hi ->
-            let out = ref [] in
-            for i = lo to hi - 1 do
-              let t = tuples.(i) in
-              if Cfd.applies_lhs cfd t then
-                match Vkey.Table.find_opt table (Cfd.lhs_key cfd t) with
-                | Some g when group_conflicts g ->
-                  let v = Tuple.get t (Cfd.rhs cfd) in
-                  if group_vio_of g v > 0 then begin
-                    let witness =
-                      List.find
-                        (fun t' ->
-                          let v' = Tuple.get t' (Cfd.rhs cfd) in
-                          (not (Value.is_null v')) && not (Value.equal v v'))
-                        g.members
-                    in
-                    out :=
-                      Pair { tid1 = Tuple.tid t; tid2 = Tuple.tid witness; cfd }
-                      :: !out
-                  end
-                | Some _ | None -> ()
-            done;
-            List.rev !out))
+        let sizes = group_clause column ws cfd in
+        clause_pairs ws sizes (column (Cfd.rhs cfd)) tuples cfd)
       (wild_clauses sigma)
   in
-  let all = List.concat (singles @ List.concat pairs) in
+  let all = List.concat (singles @ pairs) in
   if Metrics.enabled () then Metrics.add m_found (List.length all);
   all
 
@@ -291,19 +352,11 @@ let counts_array ?pool ?deadline rel sigma tuples =
             if violates_constant cfd t then incr c);
         counts.(i) <- !c
       done);
+  let column = interner rel tuples and ws = workspace n in
   List.iter
     (fun cfd ->
-      let table = groups_of_clause ?pool ?deadline tuples cfd in
-      Pool.for_chunks ?deadline ~label:"vio_counts.chunk" pool ~n (fun lo hi ->
-          for i = lo to hi - 1 do
-            let t = tuples.(i) in
-            if Cfd.applies_lhs cfd t then
-              match Vkey.Table.find_opt table (Cfd.lhs_key cfd t) with
-              | Some g ->
-                counts.(i) <-
-                  counts.(i) + group_vio_of g (Tuple.get t (Cfd.rhs cfd))
-              | None -> ()
-          done))
+      Option.iter Dq_fault.Deadline.check deadline;
+      add_pair_counts ws (group_clause column ws cfd) counts)
     (wild_clauses sigma);
   counts
 
@@ -381,14 +434,11 @@ let satisfies ?pool rel sigma =
         incr i
       done);
   (not (Atomic.get found))
-  && not
-       (List.exists
-          (fun cfd ->
-            let table = groups_of_clause ?pool tuples cfd in
-            try
-              Vkey.Table.iter
-                (fun _key g -> if group_conflicts g then raise Exit)
-                table;
-              false
-            with Exit -> true)
-          (wild_clauses sigma))
+  &&
+  let column = interner rel tuples and ws = workspace n in
+  not
+    (List.exists
+       (fun cfd ->
+         let groups, classes = group_clause column ws cfd in
+         classes > groups)
+       (wild_clauses sigma))

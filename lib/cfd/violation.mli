@@ -13,14 +13,21 @@
     causes violations.  This is exactly what makes setting a target to
     [null] a terminal resolution step in the repairing algorithms.
 
-    {b Parallelism.}  Detection is embarrassingly parallel: the functions
-    below accept an optional domain pool and partition the tuple snapshot
-    into chunks, each scanned against read-only clause indexes
-    (per-clause group tables for wildcard-RHS clauses, an anchored index
-    for constant clauses), with chunk results merged in chunk-index
-    order.  Results are {e byte-identical at any job count}, and the
-    sequential path (no [pool]) runs the very same code on a single
-    chunk. *)
+    {b Grouping.}  Wildcard-RHS clauses are checked on interned codes:
+    each attribute such a clause reads is interned once per scan into int
+    codes (null as [-1], values told apart by {!Dq_relation.Value.equal}),
+    each clause's matching tuples get a group id from their LHS codes,
+    and [vio(t)] is the group's non-null RHS count minus the count of
+    [t]'s own RHS code.  The work is linear in the relation per clause,
+    with no pair listing.
+
+    {b Parallelism.}  The functions below accept an optional domain pool.
+    The constant-clause scan partitions the tuple snapshot into chunks,
+    each probing a read-only anchored index, with chunk results merged in
+    chunk-index order.  The wildcard-clause kernel runs sequentially in
+    the calling domain, one clause at a time in Σ order.  Results are
+    {e byte-identical at any job count}, and the sequential path (no
+    [pool]) runs the very same code on a single chunk. *)
 
 open Dq_relation
 
@@ -70,7 +77,8 @@ val vio_counts :
     with no violations are absent.  One pass per clause; the table is
     populated in relation order so folds over it are deterministic.
     An expired [deadline] raises [Dq_fault.Deadline.Expired] (checked at
-    chunk boundaries). *)
+    chunk boundaries of the constant-clause scan and before each
+    wildcard clause). *)
 
 val total : ?pool:Dq_parallel.Pool.t -> Relation.t -> Cfd.t array -> int
 (** [vio(D)]: sum of [vio(t)] over all tuples. *)

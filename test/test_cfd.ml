@@ -68,14 +68,24 @@ let test_embedded_fd () =
   in
   let fd = Cfd.embedded_fd c in
   Alcotest.(check bool) "wildcarded" true (Cfd.is_embedded_fd fd);
-  Alcotest.(check bool) "same attrs" true (Cfd.same_embedded_fd c fd)
+  Alcotest.(check bool) "same attrs" true (Cfd.same_embedded_fd c fd);
+  let ct lhs = Cfd.make order_schema ~lhs ~rhs:("CT", wild) in
+  Alcotest.(check bool) "LHS order is irrelevant" true
+    (Cfd.same_embedded_fd
+       (ct [ ("AC", wild); ("PN", const "1") ])
+       (ct [ ("PN", wild); ("AC", wild) ]));
+  Alcotest.(check bool) "LHS width matters" false
+    (Cfd.same_embedded_fd (ct [ ("AC", wild); ("PN", wild) ]) (ct [ ("AC", wild) ]))
 
 let test_embedded_fds_dedup () =
   let sigma = fig1_sigma () in
   let fds = Cfd.embedded_fds (Array.to_list sigma) in
   (* phi1 contributes 3 (STR,CT,ST), phi2 2 (CT,ST), phi3 2, phi4 1: 8 distinct. *)
   Alcotest.(check int) "8 distinct embedded FDs" 8 (List.length fds);
-  Alcotest.(check bool) "all wild" true (List.for_all Cfd.is_embedded_fd fds)
+  Alcotest.(check bool) "all wild" true (List.for_all Cfd.is_embedded_fd fds);
+  Alcotest.(check (list string)) "first-seen order"
+    [ "STR"; "CT"; "ST"; "CT"; "ST"; "name"; "PR"; "zip" ]
+    (List.map (fun fd -> Schema.attribute order_schema (Cfd.rhs fd)) fds)
 
 let test_applies_and_keys () =
   let c =

@@ -1,3 +1,4 @@
+open Dq_relation
 open Dq_cfd
 open Dq_analysis
 open Helpers
@@ -180,6 +181,117 @@ let test_summary () =
   Alcotest.(check string) "summary" "2 errors, 0 warnings"
     (Render.summary diags)
 
+(* ---- E002 against the all-pairs reference ------------------------------ *)
+
+(* Random rulesets: 1-5 tableaux, each with 1-3 LHS attributes in random
+   order, 1-2 RHS attributes and 0-8 rows (0 makes a plain FD) of wildcard
+   or constant entries over a tiny domain that includes the look-alikes
+   1, 1.0 and "1".  Local to this property. *)
+let ruleset_gen =
+  let open QCheck.Gen in
+  let attrs = [ "A"; "B"; "C"; "D" ] in
+  let entry = frequency [ (1, return "_"); (2, oneofl [ "1"; "1.0"; {|"1"|}; "2" ]) ] in
+  let tableau i =
+    let* width = 1 -- 3 in
+    let* perm = shuffle_l attrs in
+    let lhs = List.filteri (fun k _ -> k < width) perm in
+    let rest = List.filteri (fun k _ -> k >= width) perm in
+    let* n_rhs = 1 -- min 2 (List.length rest) in
+    let rhs = List.filteri (fun k _ -> k < n_rhs) rest in
+    let* rows =
+      list_size (0 -- 8)
+        (pair (list_repeat width entry) (list_repeat n_rhs entry))
+    in
+    let row (l, r) =
+      Printf.sprintf "  (%s || %s)\n" (String.concat ", " l) (String.concat ", " r)
+    in
+    return
+      (Printf.sprintf "t%d: [%s] -> [%s]%s\n" i (String.concat ", " lhs)
+         (String.concat ", " rhs)
+         (if rows = [] then ""
+          else " {\n" ^ String.concat "" (List.map row rows) ^ "}"))
+  in
+  let* n = 1 -- 5 in
+  map (String.concat "") (flatten_l (List.init n tableau))
+
+(* The all-pairs E002 check, kept as the reference: every pair [i < j] of
+   normal-form clauses, in the order lint numbers them.  Plain FDs have
+   wildcard RHS patterns only, so they are left out. *)
+let e002_reference schema (tabs : Cfd_parser.Located.tableau list) =
+  let clauses =
+    List.concat_map
+      (fun (lt : Cfd_parser.Located.tableau) ->
+        List.concat
+          (List.mapi
+             (fun j ((row : Cfd.Tableau.row), span) ->
+               List.map2
+                 (fun rhs_attr rhs_pat ->
+                   ( Cfd.make ~name:lt.tab.name schema
+                       ~lhs:(List.combine lt.tab.lhs_attrs row.lhs)
+                       ~rhs:(rhs_attr, rhs_pat),
+                     Printf.sprintf "%s row %d" lt.tab.name (j + 1),
+                     span ))
+                 lt.tab.rhs_attrs row.rhs)
+             (List.combine lt.tab.rows lt.row_spans)))
+      tabs
+    |> Array.of_list
+  in
+  let pat_at c pos =
+    let lhs = Cfd.lhs c and pats = Cfd.lhs_patterns c in
+    let rec find k =
+      if k >= Array.length lhs then Pattern.Wild
+      else if lhs.(k) = pos then pats.(k)
+      else find (k + 1)
+    in
+    find 0
+  in
+  let sorted a = List.sort Int.compare (Array.to_list a) in
+  let out = ref [] in
+  Array.iteri
+    (fun i (c1, label1, _) ->
+      Array.iteri
+        (fun j (c2, label2, span2) ->
+          if i < j && Cfd.rhs c1 = Cfd.rhs c2 && sorted (Cfd.lhs c1) = sorted (Cfd.lhs c2)
+          then
+            match (Cfd.rhs_pattern c1, Cfd.rhs_pattern c2) with
+            | Pattern.Const v1, Pattern.Const v2 when not (Value.equal v1 v2) ->
+              let compatible =
+                Array.for_all
+                  (fun pos ->
+                    match (pat_at c1 pos, pat_at c2 pos) with
+                    | Pattern.Wild, _ | _, Pattern.Wild -> true
+                    | Pattern.Const a, Pattern.Const b -> Value.equal a b)
+                  (Cfd.lhs c1)
+              in
+              if compatible then
+                out :=
+                  Diagnostic.make ~span:span2 ~clause:(Cfd.name c2) Diagnostic.E002
+                    (Printf.sprintf
+                       "%s and %s have compatible LHS patterns but \
+                        contradictory constants for %s: %s vs %s"
+                       label1 label2
+                       (Schema.attribute schema (Cfd.rhs c2))
+                       (Value.to_string v1) (Value.to_string v2))
+                  :: !out
+            | _ -> ())
+        clauses)
+    clauses;
+  List.sort Diagnostic.compare !out
+
+let prop_e002_reference =
+  QCheck.Test.make ~count:300 ~name:"E002 equals the all-pairs reference"
+    (QCheck.make ~print:Fun.id ruleset_gen) (fun text ->
+      match Cfd_parser.parse_string_located text with
+      | Error e -> QCheck.Test.fail_reportf "%a" Cfd_parser.pp_error e
+      | Ok tabs ->
+        let schema = Schema.make ~name:"r" [ "A"; "B"; "C"; "D" ] in
+        let e002 =
+          List.filter
+            (fun d -> d.Diagnostic.code = Diagnostic.E002)
+            (Lint.run ~errors_only:true ~schema tabs)
+        in
+        e002 = e002_reference schema tabs)
+
 let suite =
   [
     Alcotest.test_case "clean file is clean" `Quick test_clean_file;
@@ -196,4 +308,5 @@ let suite =
     Alcotest.test_case "caret rendering" `Quick test_text_render_caret;
     Alcotest.test_case "json escaping" `Quick test_json_escaping;
     Alcotest.test_case "summary line" `Quick test_summary;
+    QCheck_alcotest.to_alcotest prop_e002_reference;
   ]

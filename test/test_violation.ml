@@ -116,6 +116,122 @@ let test_pair_conflict_symmetric () =
         (Violation.pair_conflict cfd t2 t1))
     sigma
 
+(* ---- the grouping kernel against the naive definition ----------------- *)
+
+(* Instances whose values include nulls and the look-alikes [Int 1],
+   [Float 1.] and [String "1"], which detection must keep apart, and whose
+   pattern constants may be absent from the data.  Local to these
+   properties: [Helpers.Gen] feeds the repair properties. *)
+module Kernel_gen = struct
+  open QCheck.Gen
+
+  let attrs = [ "A"; "B"; "C"; "D" ]
+
+  let schema = Schema.make ~name:"r" attrs
+
+  let value_gen =
+    oneofl
+      Value.[ Null; Int 1; Float 1.; String "1"; String "x"; Int 2 ]
+
+  let pattern_gen =
+    frequency
+      [
+        (3, return Pattern.Wild);
+        ( 2,
+          map Pattern.const
+            (oneofl Value.[ Int 1; Float 1.; String "1"; String "x"; String "absent" ]) );
+      ]
+
+  (* 1-3 LHS attributes in random order; the RHS may repeat one of them. *)
+  let clause_gen =
+    let* width = 1 -- 3 in
+    let* perm = shuffle_l attrs in
+    let lhs_attrs = List.filteri (fun i _ -> i < width) perm in
+    let* rhs_attr = oneofl attrs in
+    let* lhs_pats = flatten_l (List.map (fun _ -> pattern_gen) lhs_attrs) in
+    let* rhs_pat = pattern_gen in
+    return
+      (Cfd.make schema ~lhs:(List.combine lhs_attrs lhs_pats)
+         ~rhs:(rhs_attr, rhs_pat))
+
+  let instance =
+    QCheck.make
+      (pair
+         (map
+            (fun rows ->
+              let rel = Relation.create schema in
+              List.iter (fun r -> ignore (Relation.insert rel r)) rows;
+              rel)
+            (list_size (0 -- 30) (array_size (return 4) value_gen)))
+         (map Cfd.number (list_size (1 -- 6) clause_gen)))
+end
+
+(* Everything the scan entry points report, at one job count. *)
+let scan pool rel sigma =
+  let tuples = Relation.tuples rel in
+  let counts = Violation.vio_counts ~pool rel sigma in
+  ( Array.map
+      (fun t -> Option.value ~default:0 (Hashtbl.find_opt counts (Tuple.tid t)))
+      tuples,
+    Violation.total ~pool rel sigma,
+    Violation.satisfies ~pool rel sigma,
+    List.map (Fmt.str "%a" Violation.pp) (Violation.find_all ~pool rel sigma) )
+
+let prop_kernel_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"detection equals the naive vio(t) at jobs 1 and 4"
+    Kernel_gen.instance (fun (rel, sigma) ->
+      let tuples = Relation.tuples rel in
+      let naive = Array.map (Violation.vio_tuple rel sigma) tuples in
+      let counts, total, satisfies, listing =
+        Dq_parallel.Pool.with_pool ~jobs:1 (fun pool -> scan pool rel sigma)
+      in
+      let ok = ref (counts = naive) in
+      if total <> Array.fold_left ( + ) 0 naive then ok := false;
+      if satisfies <> (total = 0) then ok := false;
+      (* Per wildcard clause, each tuple with a conflicting partner gets one
+         pair, against the first such partner in relation order. *)
+      let position = Hashtbl.create 16 in
+      Array.iteri (fun i t -> Hashtbl.replace position (Tuple.tid t) i) tuples;
+      let tuple tid = tuples.(Hashtbl.find position tid) in
+      let found = Violation.find_all rel sigma in
+      List.iter
+        (function
+          | Violation.Single { tid; cfd } ->
+            if not (Violation.violates_constant cfd (tuple tid)) then ok := false
+          | Violation.Pair { tid1; tid2; cfd } ->
+            let t1 = tuple tid1 in
+            let first =
+              Array.to_list tuples
+              |> List.find_opt (fun t -> Violation.pair_conflict cfd t1 t)
+            in
+            if Option.map Tuple.tid first <> Some tid2 then ok := false)
+        found;
+      Array.iter
+        (fun cfd ->
+          if not (Cfd.is_constant cfd) then
+            Array.iter
+              (fun t ->
+                let pairs =
+                  List.filter
+                    (function
+                      | Violation.Pair { tid1; cfd = c; _ } ->
+                        tid1 = Tuple.tid t && Cfd.id c = Cfd.id cfd
+                      | Violation.Single _ -> false)
+                    found
+                in
+                let expected =
+                  if Array.exists (Violation.pair_conflict cfd t) tuples then 1
+                  else 0
+                in
+                if List.length pairs <> expected then ok := false)
+              tuples)
+        sigma;
+      if List.map (Fmt.str "%a" Violation.pp) found <> listing then ok := false;
+      !ok
+      && Dq_parallel.Pool.with_pool ~jobs:4 (fun pool -> scan pool rel sigma)
+         = (counts, total, satisfies, listing))
+
 let suite =
   [
     Alcotest.test_case "fig1 detection" `Quick test_fig1_detection;
@@ -129,4 +245,5 @@ let suite =
     Alcotest.test_case "find_all covers violators" `Quick
       test_find_all_covers_all_violators;
     Alcotest.test_case "pair_conflict symmetric" `Quick test_pair_conflict_symmetric;
+    QCheck_alcotest.to_alcotest prop_kernel_oracle;
   ]

@@ -22,8 +22,6 @@ let allowlist =
     (* active-domain fold feeds a sort *)
     "metrics.ml";
     (* snapshot sorts by name; reset is per-binding *)
-    "violation.ml";
-    (* per-key counts merged commutatively *)
     "lint.ml";
     (* W004/W005 sites sort diagnostics afterwards *)
     "discovery.ml";
