@@ -235,6 +235,40 @@ let test_store_round_trip () =
     "float value exact" (Value.float 0.1)
     (Tuple.get t 0)
 
+(* A session file written by the first store format (version 1, one
+   snapshot, no journal).  It holds every value constructor — a float
+   with no finite binary expansion, a string with a comma, a quote and a
+   newline, an int, a null — a weight vector, a quarantined tuple and a
+   discarded one. *)
+let test_store_loads_v1 () =
+  let s =
+    match Store.load "../data/serve_fixtures/session_v1.json" with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "load: %s" msg
+  in
+  Alcotest.(check string)
+    "relation CSV"
+    "A,B\n0.1,\"x,y\"\n,3\n2,20\n0.1,20\n-7,\"\"\"q\"\"\n\"\n3,2.5\n"
+    (Csv.save_string s.Session.relation);
+  Alcotest.(check (list int))
+    "counters: next_tid batches repaired quarantined_total resolved"
+    [ 9; 2; 1; 2; 1 ]
+    [
+      s.Session.next_tid;
+      s.Session.batches;
+      s.Session.repaired;
+      s.Session.quarantined_total;
+      s.Session.resolved;
+    ];
+  (match s.Session.quarantine with
+  | [ { Session.tuple; attrs = [ 1 ]; batch = 1 } ] ->
+    Alcotest.(check int) "quarantined tid" 1 (Tuple.tid tuple);
+    Alcotest.(check Helpers.value)
+      "quarantined value" (Value.int 10) (Tuple.get tuple 1)
+  | _ -> Alcotest.fail "expected tid 1 quarantined on B in batch 1");
+  let t = Relation.find_exn s.Session.relation 3 in
+  Alcotest.(check (float 0.)) "weight exact" 0.25 (Tuple.weight t 0)
+
 (* ---- batch-split determinism (the ingest-queue property) ----------------- *)
 
 (* Acyclic FD rulesets over A..D rendered back to source text, so the
@@ -1152,6 +1186,8 @@ let suite =
     Alcotest.test_case "session: quarantine lifecycle" `Quick
       test_quarantine_lifecycle;
     Alcotest.test_case "store: exact round-trip" `Quick test_store_round_trip;
+    Alcotest.test_case "store: version-1 session file loads" `Quick
+      test_store_loads_v1;
     Alcotest.test_case "e2e: restart serves byte-identical relations" `Quick
       test_e2e_restart;
     Alcotest.test_case "telemetry: request ids echo, sanitize, generate" `Quick
