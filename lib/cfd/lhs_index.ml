@@ -1,8 +1,10 @@
 open Dq_relation
 
 type t = {
-  sigma : Cfd.t array;
-  tables : Value.t Vkey.Table.t array;
+  tables : Value.t Vkey.Table.t option array;
+      (* by clause id; only wildcard-RHS clauses read or write a table *)
+  wild : (Cfd.t * Value.t Vkey.Table.t) list;
+      (* the wildcard-RHS clauses with their tables, in Σ order *)
   (* clauses partitioned for O(probes + matches) per-tuple checking:
      anchored on their first constant LHS pattern when they have one *)
   plain : Cfd.t list;
@@ -33,42 +35,44 @@ let partition sigma =
     sigma;
   (List.rev !plain, anchored)
 
-let add_clause_tuple cfd table t =
-  if Cfd.applies_lhs cfd t then begin
-    let v = Tuple.get t (Cfd.rhs cfd) in
-    if not (Value.is_null v) then begin
-      let key = Cfd.lhs_key cfd t in
-      if not (Vkey.Table.mem table key) then Vkey.Table.add table key v
-    end
-  end
-
 let add_tuple idx t =
-  Array.iteri
-    (fun i cfd ->
-      if not (Cfd.is_constant cfd) then
-        add_clause_tuple cfd idx.tables.(i) t)
-    idx.sigma
+  List.iter
+    (fun (cfd, table) ->
+      if Cfd.applies_lhs cfd t then begin
+        let v = Tuple.get t (Cfd.rhs cfd) in
+        if not (Value.is_null v) then begin
+          let key = Cfd.lhs_key cfd t in
+          if not (Vkey.Table.mem table key) then Vkey.Table.add table key v
+        end
+      end)
+    idx.wild
 
 let build sigma rel =
   let plain, anchored = partition sigma in
-  let idx =
-    {
-      sigma;
-      tables = Array.map (fun _ -> Vkey.Table.create 256) sigma;
-      plain;
-      anchored;
-    }
+  (* A table holds at most one key per tuple. *)
+  let size = max 16 (Relation.cardinality rel) in
+  let tables =
+    Array.map
+      (fun cfd ->
+        if Cfd.is_constant cfd then None
+        else Some (Vkey.Table.create size))
+      sigma
   in
+  let wild =
+    Array.map2 (fun cfd -> Option.map (fun table -> (cfd, table))) sigma tables
+    |> Array.to_list |> List.filter_map Fun.id
+  in
+  let idx = { tables; wild; plain; anchored } in
   Relation.iter (fun t -> add_tuple idx t) rel;
   idx
 
 let expected_rhs idx cfd t =
   if not (Cfd.applies_lhs cfd t) then None
   else
-    match Cfd.rhs_pattern cfd with
-    | Pattern.Const a -> Some a
-    | Pattern.Wild ->
-      Vkey.Table.find_opt idx.tables.(Cfd.id cfd) (Cfd.lhs_key cfd t)
+    match (Cfd.rhs_pattern cfd, idx.tables.(Cfd.id cfd)) with
+    | Pattern.Const a, _ -> Some a
+    | Pattern.Wild, Some table -> Vkey.Table.find_opt table (Cfd.lhs_key cfd t)
+    | Pattern.Wild, None -> None
 
 let violates idx cfd t =
   match expected_rhs idx cfd t with

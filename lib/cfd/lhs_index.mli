@@ -7,14 +7,18 @@
     the workhorse of [TUPLERESOLVE].
 
     Constant-RHS clauses need no table: the expected value is [tp[A]]
-    itself, so checking is a direct pattern test. *)
+    itself, so checking is a direct pattern test.  Only the wildcard-RHS
+    clauses — on Datagen rulesets about one in thirty — get a table, so
+    building and extending the index costs O(|Σ_wild|) per tuple, not
+    O(|Σ|). *)
 
 open Dq_relation
 
 type t
 
 val build : Cfd.t array -> Relation.t -> t
-(** Index a (clean) relation for every clause of Σ.  If the relation is not
+(** Index a (clean) relation for every clause of Σ, numbered by
+    {!Cfd.number} (a clause's id is its position).  If the relation is not
     actually clean, the first non-null RHS value seen per key wins. *)
 
 val add_tuple : t -> Tuple.t -> unit

@@ -5,7 +5,9 @@ type env = {
   repr : Relation.t;
   sigma : Cfd.t array;
   index : Lhs_index.t;
-  clusters : Cluster_index.t option array;
+  clusters : (int * Cluster_index.t) option array;
+      (* per attribute: the cluster and the active-domain size it was
+         built at *)
   use_cluster_index : bool;
   k : int;
   max_candidates : int;
@@ -37,24 +39,24 @@ let make_env ?(k = 2) ?(max_candidates = 6) ?(use_cluster_index = true) repr
     rhs_clauses;
   }
 
-let register env t =
-  Lhs_index.add_tuple env.index t;
-  (* Drop the lazily built clusters: the new tuple may extend an
-     attribute's active domain, and candidate enumeration must be a
-     function of the tuples registered so far, not of when a cluster
-     happened to be built — otherwise repairing a delta in one call and
-     in several calls (serve's per-batch ingest) tie-breaks equal-cost
-     repairs differently. *)
-  Array.fill env.clusters 0 (Array.length env.clusters) None
+let register env t = Lhs_index.add_tuple env.index t
 
 let vio_against env t = Lhs_index.vio env.index t
 
+(* Candidate enumeration must be a function of the tuples registered so
+   far, not of when a cluster happened to be built — otherwise repairing
+   a delta in one call and in several calls (serve's per-batch ingest)
+   tie-breaks equal-cost repairs differently.  The tree depends only on
+   the attribute's set of distinct values, and the relation only grows,
+   so an unchanged active-domain size means an unchanged set and the
+   cached tree is the one a rebuild would produce. *)
 let cluster env pos =
+  let size = Relation.active_domain_size env.repr pos in
   match env.clusters.(pos) with
-  | Some c -> c
-  | None ->
+  | Some (built_at, c) when built_at = size -> c
+  | _ ->
     let c = Cluster_index.of_attribute env.repr pos in
-    env.clusters.(pos) <- Some c;
+    env.clusters.(pos) <- Some (size, c);
     c
 
 let rec combinations k lst =

@@ -35,11 +35,19 @@ val make_env :
 (** [make_env repr sigma] builds the environment.  [k] (default 2) is the
     number of attributes fixed per greedy step; [max_candidates] (default
     6) caps candidate values per attribute; [use_cluster_index] (default
-    true) toggles the cost-based index (the ablation of DESIGN.md §5.2). *)
+    true) toggles the cost-based index (the ablation of DESIGN.md §5.2).
+    While the environment is in use, [repr] may only grow: tuples are
+    added, never deleted or changed. *)
 
 val register : env -> Tuple.t -> unit
 (** Record a tuple that has been added to the repair, keeping the
     LHS-indices current ([Repr] grows tuple by tuple in INCREPAIR). *)
+
+val cluster : env -> int -> Cluster_index.t
+(** The cost-based index over an attribute's active domain in [repr].
+    It is built on first use and rebuilt only when the attribute's
+    active-domain size has changed since, which (as [repr] only grows)
+    is exactly when its set of values has. *)
 
 val resolve : env -> Tuple.t -> Tuple.t
 (** A repaired copy of the tuple (same tid and weights) such that adding it

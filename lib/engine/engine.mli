@@ -98,7 +98,10 @@ module type ENGINE = sig
   (** [ingest ctx delta] assumes [ctx.relation |= ctx.sigma] and returns
       a fresh relation [ctx.relation ⊕ ΔD_repr] with the delta tuples
       repaired into it, leaving [ctx.relation] untouched — INCREPAIR's
-      insertion mode, the serve ingest path.  Delta tids must be fresh.
+      insertion mode, the serve ingest path.  The result holds
+      [ctx.relation]'s tuples unchanged and in order, followed by the
+      repaired delta tuples (the serve journal records only those).
+      Delta tids must be fresh.
       Engines with [supports_ingest = false] return
       [Error (Engine_unsupported _)]. *)
 end

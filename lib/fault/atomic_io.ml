@@ -37,6 +37,28 @@ let write_file ?(fsync = true) path contents =
     cleanup ();
     raise e
 
+let append_file ?(fsync = true) path contents =
+  try
+    let fd =
+      Unix.openfile path
+        [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
+        0o666
+    in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        (* Before the first byte: a fault here leaves the file as the
+           last successful append left it. *)
+        Fault.hit "io.write";
+        let n = String.length contents in
+        let rec go off =
+          if off < n then go (off + Unix.write_substring fd contents off (n - off))
+        in
+        go 0;
+        if fsync then Unix.fsync fd)
+  with Unix.Unix_error (err, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message err))
+
 let with_out ?fsync path f =
   let buf = Buffer.create 4096 in
   f buf;

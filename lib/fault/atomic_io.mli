@@ -18,6 +18,16 @@
     be disabled for tests on slow filesystems. *)
 val write_file : ?fsync:bool -> string -> string -> unit
 
+(** [append_file path contents] appends to [path] (created if missing)
+    and fsyncs before returning, so the bytes are durable once it does.
+    An append is not atomic: a crash or an I/O error mid-write can leave
+    a prefix of [contents] at the end of the file, which readers must
+    recognise (the serve journal only counts newline-terminated
+    records).  The ["io.write"] fault site fires before the first byte
+    is written.  Raises [Sys_error] on I/O errors and [Fault.Injected]
+    when the site is armed. *)
+val append_file : ?fsync:bool -> string -> string -> unit
+
 (** [with_out path f] builds the contents with a formatter-style
     writer: [f] receives a [Buffer.t], and the buffer is then written
     via {!write_file}. *)

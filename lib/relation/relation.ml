@@ -110,6 +110,16 @@ let tuples r =
   iter (Vec.push out) r;
   Vec.to_array out
 
+let last r k =
+  let rec go i k acc =
+    if k <= 0 || i < 0 then acc
+    else
+      match Hashtbl.find_opt r.by_tid (Vec.get r.order i) with
+      | Some t -> go (i - 1) (k - 1) (t :: acc)
+      | None -> go (i - 1) k acc
+  in
+  go (Vec.length r.order - 1) k []
+
 let active_domain r pos =
   let vals = Hashtbl.fold (fun v _ acc -> v :: acc) r.adom.(pos) [] in
   List.sort Value.compare vals

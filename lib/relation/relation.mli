@@ -51,6 +51,11 @@ val to_list : t -> Tuple.t list
 val tuples : t -> Tuple.t array
 (** Snapshot of the current tuples in insertion order. *)
 
+val last : t -> int -> Tuple.t list
+(** [last r k]: the [k] most recently inserted tuples (all of them when
+    the relation holds fewer), in insertion order.  Costs O(k) plus the
+    deleted tuples among the newest. *)
+
 val active_domain : t -> int -> Value.t list
 (** Distinct non-null values of the attribute at a position, in an
     unspecified but deterministic order. *)

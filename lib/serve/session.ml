@@ -7,6 +7,20 @@ let ( let* ) = Result.bind
 
 type quarantined = { tuple : Tuple.t; attrs : int list; batch : int }
 
+type checkpoint =
+  | Unsaved
+  | Snapshot_due
+  | Journal of journal
+
+and journal = {
+  snapshot_bytes : int;
+  journal_bytes : int;
+  covered : int;
+  added : Tuple.t list;
+  queued : quarantined list;
+  dropped : int list;
+}
+
 type t = {
   id : string;
   schema : Schema.t;
@@ -20,6 +34,8 @@ type t = {
   mutable repaired : int;
   mutable quarantined_total : int;
   mutable resolved : int;
+  mutable seq : int;
+  mutable checkpoint : checkpoint;
   lock : Mutex.t;
   (* ingest lane: a ticket lock ordering this session's repair jobs
      (FIFO) independently of every other session *)
@@ -142,7 +158,7 @@ let resolve_engine ~engine schema sigma =
   Ok (module E : Engine.ENGINE)
 
 let session ~id ~schema ~rules ~sigma ~engine ~relation ~next_tid ~quarantine
-    ~batches ~repaired ~quarantined_total ~resolved =
+    ~batches ~repaired ~quarantined_total ~resolved ~seq ~checkpoint =
   {
     id;
     schema;
@@ -156,6 +172,8 @@ let session ~id ~schema ~rules ~sigma ~engine ~relation ~next_tid ~quarantine
     repaired;
     quarantined_total;
     resolved;
+    seq;
+    checkpoint;
     lock = Mutex.create ();
     lane_lock = Mutex.create ();
     lane_turn = Condition.create ();
@@ -212,17 +230,36 @@ let create ~id ~schema_name ~attributes ~rules ~engine ?(force = false) () =
   Ok
     (session ~id ~schema ~rules ~sigma ~engine
        ~relation:(Relation.create schema) ~next_tid:1 ~quarantine:[]
-       ~batches:0 ~repaired:0 ~quarantined_total:0 ~resolved:0)
+       ~batches:0 ~repaired:0 ~quarantined_total:0 ~resolved:0 ~seq:0
+       ~checkpoint:Unsaved)
 
 let restore ~id ~schema_name ~attributes ~rules ~engine ~relation ~next_tid
-    ~quarantine ~batches ~repaired ~quarantined_total ~resolved =
+    ~quarantine ~batches ~repaired ~quarantined_total ~resolved ~seq
+    ~checkpoint =
   let* schema = make_schema ~schema_name ~attributes in
   let* ltabs = parse_rules ~id rules in
   let* sigma = resolve_rules schema ltabs in
   let* (module _ : Engine.ENGINE) = resolve_engine ~engine schema sigma in
   Ok
     (session ~id ~schema ~rules ~sigma ~engine ~relation ~next_tid ~quarantine
-       ~batches ~repaired ~quarantined_total ~resolved)
+       ~batches ~repaired ~quarantined_total ~resolved ~seq ~checkpoint)
+
+(* Number a committed mutation and, while the session journals, keep
+   what it changed for the next checkpoint.  The other states write a
+   snapshot next, which needs no record of the changes. *)
+let note_change t ~added ~queued ~dropped =
+  t.seq <- t.seq + 1;
+  match t.checkpoint with
+  | Journal j ->
+    t.checkpoint <-
+      Journal
+        {
+          j with
+          added = List.rev_append added j.added;
+          queued = List.rev_append queued j.queued;
+          dropped = List.rev_append dropped j.dropped;
+        }
+  | Unsaved | Snapshot_due -> ()
 
 (* ---- ingest ------------------------------------------------------------ *)
 
@@ -277,22 +314,26 @@ let ingest_delta ?pool ?(deadline = Dq_fault.Deadline.never) ?request_id t
 
 (* Classify each delta tuple against its repaired form, removing the
    unrepairable ones from [rel] (a deletion never creates a violation,
-   Section 3.3). *)
-let classify t ~batch rel delta =
-  List.map
-    (fun submitted ->
-      let tid = Tuple.tid submitted in
-      let repaired = Relation.find_exn rel tid in
-      match nulled_positions ~submitted ~repaired with
-      | [] ->
-        let changed = List.length (Tuple.diff_positions submitted repaired) in
-        if changed = 0 then Clean tid else Repaired (tid, changed)
-      | attrs ->
-        ignore (Relation.delete rel tid);
-        t.quarantine <- t.quarantine @ [ { tuple = submitted; attrs; batch } ];
-        t.quarantined_total <- t.quarantined_total + 1;
-        Quarantined (tid, attrs))
-    delta
+   Section 3.3) and returning them as quarantine entries, in submission
+   order. *)
+let classify ~batch rel delta =
+  let queued = ref [] in
+  let outcomes =
+    List.map
+      (fun submitted ->
+        let tid = Tuple.tid submitted in
+        let repaired = Relation.find_exn rel tid in
+        match nulled_positions ~submitted ~repaired with
+        | [] ->
+          let changed = List.length (Tuple.diff_positions submitted repaired) in
+          if changed = 0 then Clean tid else Repaired (tid, changed)
+        | attrs ->
+          ignore (Relation.delete rel tid);
+          queued := { tuple = submitted; attrs; batch } :: !queued;
+          Quarantined (tid, attrs))
+      delta
+  in
+  (outcomes, List.rev !queued)
 
 let ingest ?pool ?deadline ?request_id t rows =
   let* () =
@@ -310,14 +351,23 @@ let ingest ?pool ?deadline ?request_id t rows =
     ingest_delta ?pool ?deadline ?request_id t delta
   in
   let batch = t.batches + 1 in
-  let outcomes = classify t ~batch repaired_rel delta in
+  let outcomes, queued = classify ~batch repaired_rel delta in
+  (* The engine returns the old relation's tuples, unchanged and in
+     order, followed by the delta's: the batch's rows are the newest. *)
+  let added =
+    Relation.last repaired_rel
+      (Relation.cardinality repaired_rel - Relation.cardinality t.relation)
+  in
   t.relation <- repaired_rel;
+  t.quarantine <- t.quarantine @ queued;
+  t.quarantined_total <- t.quarantined_total + List.length queued;
   t.next_tid <- t.next_tid + List.length rows;
   t.batches <- batch;
   t.repaired <-
     t.repaired
     + List.length
         (List.filter (function Repaired _ -> true | _ -> false) outcomes);
+  note_change t ~added ~queued ~dropped:[];
   Ok (outcomes, stats, report)
 
 (* ---- quarantine -------------------------------------------------------- *)
@@ -343,6 +393,7 @@ let resolve ?pool ?deadline ?request_id t tid resolution =
   match resolution with
   | Discard ->
     drop_quarantined t tid;
+    note_change t ~added:[] ~queued:[] ~dropped:[ tid ];
     Ok (Clean tid)
   | Replace (values, weights) ->
     let* () = check_row t.schema (values, weights) in
@@ -362,5 +413,6 @@ let resolve ?pool ?deadline ?request_id t tid resolution =
     | [] ->
       t.relation <- repaired_rel;
       drop_quarantined t tid;
+      note_change t ~added:[ repaired ] ~queued:[] ~dropped:[ tid ];
       let changed = List.length (Tuple.diff_positions submitted repaired) in
       Ok (if changed = 0 then Clean tid else Repaired (tid, changed)))

@@ -28,6 +28,28 @@ type quarantined = {
   batch : int;  (** 1-based ingest batch it arrived in *)
 }
 
+(** What the session's next checkpoint ({!Store.save}) must write. *)
+type checkpoint =
+  | Unsaved
+      (** nothing of this session is on disk yet: write a snapshot, and
+          treat a journal found under its id as stale *)
+  | Snapshot_due
+      (** write a snapshot: the journal may end in a torn record *)
+  | Journal of journal
+      (** append what changed since the last checkpoint to the journal,
+          or compact it into a snapshot once it outgrows the last one *)
+
+and journal = {
+  snapshot_bytes : int;  (** size of the snapshot on disk *)
+  journal_bytes : int;  (** size of the journal on disk *)
+  covered : int;  (** the last mutation ({!field-seq}) on disk *)
+  added : Tuple.t list;
+      (** rows appended to the relation since then, newest first *)
+  queued : quarantined list;
+      (** quarantine entries added since then, newest first *)
+  dropped : int list;  (** tids dropped from the quarantine since then *)
+}
+
 (* Mutable fields are protected by [lock]; hold it (via {!with_lock})
    around any read-modify-write, including {!Store.save}. *)
 type t = {
@@ -43,6 +65,10 @@ type t = {
   mutable repaired : int;  (** ingested tuples the repair modified *)
   mutable quarantined_total : int;
   mutable resolved : int;  (** quarantine entries resolved (either way) *)
+  mutable seq : int;  (** mutations committed over the session's life *)
+  mutable checkpoint : checkpoint;
+      (** bookkeeping for {!Store}: every committed mutation bumps [seq]
+          and, in the [Journal] state, adds what it changed *)
   lock : Mutex.t;
   lane_lock : Mutex.t;  (** guards the lane ticket counters *)
   lane_turn : Condition.t;
@@ -86,6 +112,8 @@ val restore :
   repaired:int ->
   quarantined_total:int ->
   resolved:int ->
+  seq:int ->
+  checkpoint:checkpoint ->
   (t, Dq_error.t) result
 (** Rebuild a session from checkpointed state ({!Store}).  Re-resolves
     the ruleset but skips the creation gates — they passed when the

@@ -119,6 +119,136 @@ let test_vio_subset () =
   Alcotest.(check bool) "phi3 violations found" true (sub >= 2);
   Alcotest.(check int) "subset of total" (Lhs_index.vio idx t) sub
 
+(* ---- the index against an all-clause reference ------------------------ *)
+
+(* The index as it was before tables were limited to wildcard-RHS
+   clauses, kept as a test-only oracle: one table per clause of Σ, every
+   clause visited per tuple, and [vio] checking every clause instead of
+   probing anchors. *)
+module Reference = struct
+  type t = { sigma : Cfd.t array; tables : Value.t Vkey.Table.t array }
+
+  let add_tuple idx t =
+    Array.iteri
+      (fun i cfd ->
+        if (not (Cfd.is_constant cfd)) && Cfd.applies_lhs cfd t then begin
+          let v = Tuple.get t (Cfd.rhs cfd) in
+          let key = Cfd.lhs_key cfd t in
+          if (not (Value.is_null v)) && not (Vkey.Table.mem idx.tables.(i) key)
+          then Vkey.Table.add idx.tables.(i) key v
+        end)
+      idx.sigma
+
+  let build sigma rel =
+    let idx = { sigma; tables = Array.map (fun _ -> Vkey.Table.create 256) sigma } in
+    Relation.iter (add_tuple idx) rel;
+    idx
+
+  let expected_rhs idx cfd t =
+    if not (Cfd.applies_lhs cfd t) then None
+    else
+      match Cfd.rhs_pattern cfd with
+      | Pattern.Const a -> Some a
+      | Pattern.Wild ->
+        Vkey.Table.find_opt idx.tables.(Cfd.id cfd) (Cfd.lhs_key cfd t)
+
+  let violates idx cfd t =
+    match expected_rhs idx cfd t with
+    | None -> false
+    | Some expected ->
+      let v = Tuple.get t (Cfd.rhs cfd) in
+      (not (Value.is_null v)) && not (Value.equal v expected)
+
+  let vio_subset idx clauses t =
+    List.length (List.filter (fun cfd -> violates idx cfd t) clauses)
+
+  let vio idx t = vio_subset idx (Array.to_list idx.sigma) t
+end
+
+(* Rulesets mixing constant-RHS and wildcard-RHS clauses, and tuples with
+   nulls and the look-alikes [Int 1], [Float 1.] and ["1"], which the
+   index must keep apart; some pattern constants occur in no tuple. *)
+module Index_gen = struct
+  open QCheck.Gen
+
+  let attrs = [ "A"; "B"; "C"; "D" ]
+
+  let schema = Schema.make ~name:"r" attrs
+
+  let value_gen =
+    oneofl Value.[ Null; Int 1; Float 1.; String "1"; String "x"; Int 2 ]
+
+  let pattern_gen =
+    frequency
+      [
+        (3, return Pattern.Wild);
+        ( 2,
+          map Pattern.const
+            (oneofl
+               Value.[ Int 1; Float 1.; String "1"; String "x"; String "absent" ])
+        );
+      ]
+
+  let clause_gen =
+    let* width = 1 -- 3 in
+    let* perm = shuffle_l attrs in
+    let lhs_attrs = List.filteri (fun i _ -> i < width) perm in
+    let* rhs_attr = oneofl attrs in
+    let* lhs_pats = flatten_l (List.map (fun _ -> pattern_gen) lhs_attrs) in
+    let* rhs_pat = pattern_gen in
+    return
+      (Cfd.make schema ~lhs:(List.combine lhs_attrs lhs_pats)
+         ~rhs:(rhs_attr, rhs_pat))
+
+  let row_gen = array_size (return 4) value_gen
+
+  (* (relation rows, Σ, rows inserted one by one, probe rows) *)
+  let instance =
+    QCheck.make
+      (quad (list_size (0 -- 20) row_gen)
+         (map Cfd.number (list_size (1 -- 8) clause_gen))
+         (list_size (0 -- 6) row_gen)
+         (list_size (1 -- 8) row_gen))
+end
+
+let prop_index_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"expected_rhs, violates, vio and vio_subset equal the all-clause index"
+    Index_gen.instance (fun (rows, sigma, inserts, probes) ->
+      let rel = Relation.create Index_gen.schema in
+      List.iter (fun r -> ignore (Relation.insert rel r)) rows;
+      let idx = Lhs_index.build sigma rel in
+      let oracle = Reference.build sigma rel in
+      let clauses = Array.to_list sigma in
+      let wild = List.filter (fun c -> not (Cfd.is_constant c)) clauses in
+      let odd = List.filteri (fun i _ -> i mod 2 = 1) clauses in
+      let agree t =
+        List.for_all
+          (fun cfd ->
+            Option.equal Value.equal
+              (Lhs_index.expected_rhs idx cfd t)
+              (Reference.expected_rhs oracle cfd t)
+            && Lhs_index.violates idx cfd t = Reference.violates oracle cfd t)
+          clauses
+        && Lhs_index.vio idx t = Reference.vio oracle t
+        && List.for_all
+             (fun sub ->
+               Lhs_index.vio_subset idx sub t = Reference.vio_subset oracle sub t)
+             [ clauses; wild; odd ]
+      in
+      let probes = List.mapi (fun i r -> Tuple.create ~tid:(1000 + i) r) probes in
+      let all_agree extra =
+        List.for_all agree (extra @ probes @ Relation.to_list rel)
+      in
+      all_agree []
+      && List.for_all
+           (fun r ->
+             let t = Relation.insert rel r in
+             Lhs_index.add_tuple idx t;
+             Reference.add_tuple oracle t;
+             all_agree [ t ])
+           inserts)
+
 let suite =
   [
     Alcotest.test_case "constant clause lookup" `Quick test_expected_rhs_constant_clause;
@@ -127,4 +257,5 @@ let suite =
     Alcotest.test_case "nulls resolve" `Quick test_nulls_resolve;
     Alcotest.test_case "add_tuple updates" `Quick test_add_tuple_updates_index;
     Alcotest.test_case "vio_subset" `Quick test_vio_subset;
+    QCheck_alcotest.to_alcotest prop_index_oracle;
   ]

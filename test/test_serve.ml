@@ -269,6 +269,245 @@ let test_store_loads_v1 () =
   let t = Relation.find_exn s.Session.relation 3 in
   Alcotest.(check (float 0.)) "weight exact" 0.25 (Tuple.weight t 0)
 
+(* ---- snapshot + journal -------------------------------------------------- *)
+
+(* Everything a reload must reproduce, as one string: the relation's CSV,
+   each row with its tid, typed values and weights (the CSV renders
+   [Int 1] and ["1"] alike and carries no weights), the quarantine, the
+   counters and the mutation count. *)
+let session_state (s : Session.t) =
+  let typed = function
+    | Value.Null -> "null"
+    | Value.Int n -> Printf.sprintf "i%d" n
+    | Value.Float f -> Printf.sprintf "f%h" f
+    | Value.String x -> Printf.sprintf "s%S" x
+  in
+  let row t =
+    Printf.sprintf "%d [%s] w[%s]" (Tuple.tid t)
+      (String.concat " " (List.map typed (Array.to_list (Tuple.values t))))
+      (String.concat " "
+         (List.init (Tuple.arity t) (fun i -> Printf.sprintf "%h" (Tuple.weight t i))))
+  in
+  String.concat "\n"
+    ([ Csv.save_string s.Session.relation ]
+    @ List.map row (Relation.to_list s.Session.relation)
+    @ List.map
+        (fun (q : Session.quarantined) ->
+          Printf.sprintf "quarantined %s attrs %s batch %d" (row q.Session.tuple)
+            (String.concat "," (List.map string_of_int q.Session.attrs))
+            q.Session.batch)
+        s.Session.quarantine
+    @ [
+        Printf.sprintf
+          "next_tid %d batches %d repaired %d quarantined_total %d resolved %d \
+           seq %d"
+          s.Session.next_tid s.Session.batches s.Session.repaired
+          s.Session.quarantined_total s.Session.resolved s.Session.seq;
+      ])
+
+let reload ~dir id =
+  match Store.load_id ~dir id with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "load_id: %s" msg
+
+let check_reload ~dir msg (s : Session.t) =
+  Alcotest.(check string) msg (session_state s)
+    (session_state (reload ~dir s.Session.id))
+
+let journal_file dir = Filename.concat dir "s1.journal"
+
+let file_size file = (Unix.stat file).Unix.st_size
+
+let slurp file = In_channel.with_open_bin file In_channel.input_all
+
+let append_raw file text =
+  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 file in
+  output_string oc text;
+  close_out oc
+
+let ingest_ok s rows =
+  let _ = unwrap (Session.ingest s rows) in
+  ()
+
+(* A session with a snapshot and, after it, a journal of two records —
+   still smaller than the snapshot, so the next save would append. *)
+let journaled_session dir =
+  let s = unwrap (make_session ~force:true ~rules:conflicting_rules ()) in
+  ingest_ok s (List.init 8 (fun i -> (ints [ i + 2; 10 * i ], None)));
+  let (_ : int) = Store.save ~dir s in
+  ingest_ok s [ (ints [ 1; 10 ], None); (ints [ 12; 20 ], None) ];
+  let (_ : int) = Store.save ~dir s in
+  ingest_ok s [ ([| Value.float 0.1; Value.string "x,y" |], Some [| 0.25; 1. |]) ];
+  let (_ : int) = Store.save ~dir s in
+  Alcotest.(check bool) "journal smaller than the snapshot" true
+    (file_size (journal_file dir) < file_size (Filename.concat dir "s1.json"));
+  s
+
+let test_journal_torn_tail () =
+  with_tmp_dir @@ fun dir ->
+  let s = journaled_session dir in
+  (* a crash mid-append: part of a record, no newline *)
+  append_raw (journal_file dir) {|{"seq":3,"rows":[{"tid":4,"values":[{"i":|};
+  check_reload ~dir "torn last line ignored" s;
+  (* The reloaded session never appends after the torn bytes: its next
+     checkpoint is a snapshot, which removes the journal. *)
+  let loaded = reload ~dir "s1" in
+  ingest_ok loaded [ (ints [ 3; 30 ], None) ];
+  let bytes = Store.save ~dir loaded in
+  Alcotest.(check int) "snapshot written" (file_size (Filename.concat dir "s1.json")) bytes;
+  Alcotest.(check bool) "journal removed" false (Sys.file_exists (journal_file dir));
+  check_reload ~dir "reload after the snapshot" loaded
+
+let test_journal_skips_covered_records () =
+  with_tmp_dir @@ fun dir ->
+  let s = journaled_session dir in
+  (* A crash between a compaction's rename and the journal's removal:
+     the snapshot covers every record the journal still holds. *)
+  let stale = slurp (journal_file dir) in
+  s.Session.checkpoint <- Session.Snapshot_due;
+  let (_ : int) = Store.save ~dir s in
+  Alcotest.(check bool) "compaction removed the journal" false
+    (Sys.file_exists (journal_file dir));
+  append_raw (journal_file dir) stale;
+  check_reload ~dir "covered records skipped" s;
+  (* appends after the stale records replay in order *)
+  ingest_ok s [ (ints [ 3; 30 ], None) ];
+  let (_ : int) = Store.save ~dir s in
+  check_reload ~dir "newer record replayed" s
+
+let with_fault_plan plan f =
+  (match Dq_fault.Fault.parse_plan plan with
+  | Ok p -> Dq_fault.Fault.arm p
+  | Error msg -> Alcotest.failf "plan: %s" msg);
+  Fun.protect ~finally:Dq_fault.Fault.disarm f
+
+let test_journal_failed_append () =
+  with_tmp_dir @@ fun dir ->
+  let s = journaled_session dir in
+  let journal_before = slurp (journal_file dir) in
+  ingest_ok s [ (ints [ 3; 30 ], None) ];
+  with_fault_plan "io.write@1" (fun () ->
+      Alcotest.check_raises "append cut" (Dq_fault.Fault.Injected "io.write")
+        (fun () -> ignore (Store.save ~dir s)));
+  Alcotest.(check string) "journal untouched by the cut append" journal_before
+    (slurp (journal_file dir));
+  ingest_ok s [ (ints [ 4; 40 ], None) ];
+  let bytes = Store.save ~dir s in
+  Alcotest.(check int) "next save is a snapshot"
+    (file_size (Filename.concat dir "s1.json"))
+    bytes;
+  Alcotest.(check bool) "journal removed" false (Sys.file_exists (journal_file dir));
+  check_reload ~dir "reload equals the live session" s
+
+let test_journal_stale_at_create () =
+  with_tmp_dir @@ fun dir ->
+  let (_ : Session.t) = journaled_session dir in
+  (* A daemon started without --resume reuses the id s1.  The stale
+     journal goes before the new snapshot is published, so even a cut
+     snapshot write cannot leave it to be replayed onto the new one. *)
+  let fresh = unwrap (make_session ~force:true ~rules:conflicting_rules ()) in
+  with_fault_plan "io.write@1" (fun () ->
+      Alcotest.check_raises "snapshot cut" (Dq_fault.Fault.Injected "io.write")
+        (fun () -> ignore (Store.save ~dir fresh)));
+  Alcotest.(check bool) "stale journal removed first" false
+    (Sys.file_exists (journal_file dir));
+  let (_ : int) = Store.save ~dir fresh in
+  check_reload ~dir "reload is the new, empty session" fresh;
+  Store.delete ~dir "s1";
+  Alcotest.(check (list string)) "delete removes both files" []
+    (Array.to_list (Sys.readdir dir))
+
+(* Random ingest/resolve sequences, each followed by a checkpoint: after
+   every save, a reload from snapshot + journal equals the live session.
+   All three tuple orderings run, since the journal must keep the order
+   the engine inserted rows in.  Each sequence is extended with clean
+   ingests until the journal has been compacted at least once. *)
+type journal_op =
+  | Ingest of (Value.t array * float array option) list
+  | Discard of int  (** the n-th quarantine entry, modulo its length *)
+  | Replace of int * Value.t array
+
+let journal_instance =
+  let open QCheck.Gen in
+  let a = oneofl Value.[ Int 1; Int 2; Int 3; Float 2.5; String "x"; Null ] in
+  let b = oneofl Value.[ Int 10; Int 20; Int 30; String "y"; Null ] in
+  let values = map2 (fun a b -> [| a; b |]) a b in
+  let weights =
+    frequency
+      [ (3, return None); (1, map (fun w -> Some [| w; 1. |]) (oneofl [ 0.25; 0.5 ])) ]
+  in
+  let op =
+    frequency
+      [
+        (5, map (fun rows -> Ingest rows) (list_size (0 -- 4) (pair values weights)));
+        (2, map (fun k -> Discard k) (0 -- 5));
+        (2, map2 (fun k v -> Replace (k, v)) (0 -- 5) values);
+      ]
+  in
+  let print (engine, ops) =
+    let vs v = String.concat ";" (List.map Value.to_string (Array.to_list v)) in
+    engine ^ ": "
+    ^ String.concat " | "
+        (List.map
+           (function
+             | Ingest rows ->
+               "ingest " ^ String.concat " " (List.map (fun (v, _) -> "[" ^ vs v ^ "]") rows)
+             | Discard k -> Printf.sprintf "discard #%d" k
+             | Replace (k, v) -> Printf.sprintf "replace #%d [%s]" k (vs v))
+           ops)
+  in
+  QCheck.make ~print
+    (pair (oneofl [ "l-inc"; "inc"; "w-inc" ]) (list_size (5 -- 25) op))
+
+let prop_journal_reload =
+  QCheck.Test.make ~count:100
+    ~name:"snapshot + journal reload equals the live session after every save"
+    journal_instance (fun (engine, ops) ->
+      with_tmp_dir @@ fun dir ->
+      let schema_name, attributes = ab_schema in
+      let s =
+        unwrap
+          (Session.create ~id:"s1" ~schema_name ~attributes
+             ~rules:conflicting_rules ~engine ~force:true ())
+      in
+      let compactions = ref 0 in
+      let step op =
+        (match op with
+        | Ingest rows -> ingest_ok s rows
+        | Discard k | Replace (k, _) -> (
+          match s.Session.quarantine with
+          | [] -> ()
+          | q ->
+            let tid = Tuple.tid (List.nth q (k mod List.length q)).Session.tuple in
+            let resolution =
+              match op with
+              | Replace (_, v) -> Session.Replace (v, None)
+              | _ -> Session.Discard
+            in
+            match Session.resolve s tid resolution with
+            | Ok _ | Error (Dq_error.Invalid_input _) -> ()
+            | Error e -> QCheck.Test.fail_reportf "resolve: %s" (Dq_error.to_string e)));
+        let had_journal = Sys.file_exists (journal_file dir) in
+        let (_ : int) = Store.save ~dir s in
+        if had_journal && not (Sys.file_exists (journal_file dir)) then
+          incr compactions;
+        match Store.load_id ~dir "s1" with
+        | Ok loaded ->
+          if session_state loaded <> session_state s then
+            QCheck.Test.fail_reportf "reload differs:\n%s\n---\n%s"
+              (session_state s) (session_state loaded)
+        | Error msg -> QCheck.Test.fail_reportf "load_id: %s" msg
+      in
+      Session.with_lock s @@ fun () ->
+      let (_ : int) = Store.save ~dir s in
+      List.iter step ops;
+      let extra = ref 0 in
+      while !compactions = 0 && !extra < 100 do
+        step (Ingest [ (ints [ 2; 20 ], None) ]);
+        incr extra
+      done;
+      !compactions > 0)
+
 (* ---- batch-split determinism (the ingest-queue property) ----------------- *)
 
 (* Acyclic FD rulesets over A..D rendered back to source text, so the
@@ -1188,6 +1427,14 @@ let suite =
     Alcotest.test_case "store: exact round-trip" `Quick test_store_round_trip;
     Alcotest.test_case "store: version-1 session file loads" `Quick
       test_store_loads_v1;
+    Alcotest.test_case "store: a torn last journal line is ignored" `Quick
+      test_journal_torn_tail;
+    Alcotest.test_case "store: records the snapshot covers are skipped" `Quick
+      test_journal_skips_covered_records;
+    Alcotest.test_case "store: a failed append makes the next save a snapshot"
+      `Quick test_journal_failed_append;
+    Alcotest.test_case "store: a new session removes a stale journal" `Quick
+      test_journal_stale_at_create;
     Alcotest.test_case "e2e: restart serves byte-identical relations" `Quick
       test_e2e_restart;
     Alcotest.test_case "telemetry: request ids echo, sanitize, generate" `Quick
@@ -1214,4 +1461,8 @@ let suite =
       test_evict_and_reload;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_batches_equal_one_shot; prop_concurrent_sessions_equal_sequential ]
+      [
+        prop_journal_reload;
+        prop_batches_equal_one_shot;
+        prop_concurrent_sessions_equal_sequential;
+      ]

@@ -105,6 +105,31 @@ let test_register_affects_later_tuples () =
   Alcotest.check value "takes the registered name" (Value.string "Vase")
     (Tuple.get r2 (Schema.position_exn order_schema "name"))
 
+(* The cluster index over an attribute is a function of its set of
+   values, so registering a tuple that adds no value to the domain keeps
+   the cached tree (the same physical value); a new value rebuilds it. *)
+let test_cluster_rebuilt_only_when_domain_grows () =
+  let repr, sigma = clean_env () in
+  let env = Tuple_resolve.make_env repr sigma in
+  let ct = Schema.position_exn order_schema "CT" in
+  let before = Tuple_resolve.cluster env ct in
+  Alcotest.(check bool) "cached between uses" true
+    (Tuple_resolve.cluster env ct == before);
+  let known = Tuple.create ~tid:900 (Tuple.values (List.hd (Relation.to_list repr))) in
+  Relation.add repr known;
+  Tuple_resolve.register env known;
+  Alcotest.(check bool) "known values keep the cluster" true
+    (Tuple_resolve.cluster env ct == before);
+  let newcomer =
+    fresh [| "a90"; "Lamp"; "5.00"; "215"; "1111111"; "Oak"; "Springfield"; "PA"; "19014" |]
+  in
+  Relation.add repr newcomer;
+  Tuple_resolve.register env newcomer;
+  let after = Tuple_resolve.cluster env ct in
+  Alcotest.(check bool) "a new value replaces the cluster" false (after == before);
+  Alcotest.(check int) "the new tree holds the new value"
+    (Cluster_index.size before + 1) (Cluster_index.size after)
+
 let test_invalid_k () =
   let repr, sigma = clean_env () in
   Alcotest.check_raises "k=0 rejected"
@@ -121,5 +146,7 @@ let suite =
     Alcotest.test_case "example 5.1" `Quick test_example_5_1_needs_null_or_zip;
     Alcotest.test_case "register affects later tuples" `Quick
       test_register_affects_later_tuples;
+    Alcotest.test_case "cluster rebuilt only when the domain grows" `Quick
+      test_cluster_rebuilt_only_when_domain_grows;
     Alcotest.test_case "invalid k" `Quick test_invalid_k;
   ]
