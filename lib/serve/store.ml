@@ -89,6 +89,14 @@ let map_m f l =
     (Ok []) l
   |> Result.map List.rev
 
+let int_list_field name j =
+  let* l = list_field name j in
+  map_m
+    (function
+      | Json.Int n -> Ok n
+      | _ -> Error (Printf.sprintf "field %S: expected integers" name))
+    l
+
 let tuple_of_json j =
   let* tid = int_field "tid" j in
   let* values = list_field "values" j in
@@ -121,13 +129,7 @@ let quarantined_to_json (q : Session.quarantined) =
 
 let quarantined_of_json j =
   let* tuple = tuple_of_json j in
-  let* attrs = list_field "attrs" j in
-  let* attrs =
-    map_m
-      (function
-        | Json.Int a -> Ok a | _ -> Error "field \"attrs\": expected integers")
-      attrs
-  in
+  let* attrs = int_list_field "attrs" j in
   let* batch = int_field "batch" j in
   Ok { Session.tuple; attrs; batch }
 
@@ -262,14 +264,7 @@ let replay (s : Session.t) j =
     let* rows = list_field "rows" j in
     let* queued = list_field "quarantined" j in
     let* queued = map_m quarantined_of_json queued in
-    let* dropped = list_field "dropped" j in
-    let* dropped =
-      map_m
-        (function
-          | Json.Int tid -> Ok tid
-          | _ -> Error "field \"dropped\": expected integers")
-        dropped
-    in
+    let* dropped = int_list_field "dropped" j in
     let* next_tid, batches, repaired, quarantined_total, resolved =
       counters_of_json j
     in

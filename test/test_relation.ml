@@ -79,7 +79,14 @@ let test_iteration_order_after_deletes () =
   List.iteri (fun i tid -> if i mod 2 = 0 then ignore (Relation.delete r tid)) tids;
   let expected = List.filteri (fun i _ -> i mod 2 = 1) tids in
   let seen = List.rev (Relation.fold (fun acc t -> Tuple.tid t :: acc) [] r) in
-  Alcotest.(check (list int)) "survivors in order" expected seen
+  Alcotest.(check (list int)) "survivors in order" expected seen;
+  let last k = List.map Tuple.tid (Relation.last r k) in
+  Alcotest.(check (list int)) "last 3 survivors" (List.filteri (fun i _ -> i >= 47) expected) (last 3);
+  Alcotest.(check (list int)) "last 0" [] (last 0);
+  Alcotest.(check (list int)) "last beyond the size" expected (last 1000);
+  ignore (Relation.delete r (List.nth expected 49));
+  Alcotest.(check (list int)) "last skips a deleted newest tuple"
+    (List.filteri (fun i _ -> i = 47 || i = 48) expected) (last 2)
 
 let test_copy_deep () =
   let r = mk () in
