@@ -1425,16 +1425,6 @@ let suite =
     Alcotest.test_case "session: quarantine lifecycle" `Quick
       test_quarantine_lifecycle;
     Alcotest.test_case "store: exact round-trip" `Quick test_store_round_trip;
-    Alcotest.test_case "store: version-1 session file loads" `Quick
-      test_store_loads_v1;
-    Alcotest.test_case "store: a torn last journal line is ignored" `Quick
-      test_journal_torn_tail;
-    Alcotest.test_case "store: records the snapshot covers are skipped" `Quick
-      test_journal_skips_covered_records;
-    Alcotest.test_case "store: a failed append makes the next save a snapshot"
-      `Quick test_journal_failed_append;
-    Alcotest.test_case "store: a new session removes a stale journal" `Quick
-      test_journal_stale_at_create;
     Alcotest.test_case "e2e: restart serves byte-identical relations" `Quick
       test_e2e_restart;
     Alcotest.test_case "telemetry: request ids echo, sanitize, generate" `Quick
@@ -1459,6 +1449,16 @@ let suite =
       test_breaker_quarantine_and_resume;
     Alcotest.test_case "overload: idle eviction reloads byte-identical" `Quick
       test_evict_and_reload;
+    Alcotest.test_case "store: version-1 session file loads" `Quick
+      test_store_loads_v1;
+    Alcotest.test_case "store: a torn last journal line is ignored" `Quick
+      test_journal_torn_tail;
+    Alcotest.test_case "store: records the snapshot covers are skipped" `Quick
+      test_journal_skips_covered_records;
+    Alcotest.test_case "store: a failed append makes the next save a snapshot"
+      `Quick test_journal_failed_append;
+    Alcotest.test_case "store: a new session removes a stale journal" `Quick
+      test_journal_stale_at_create;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
