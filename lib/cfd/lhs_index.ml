@@ -49,13 +49,10 @@ let add_tuple idx t =
 
 let build sigma rel =
   let plain, anchored = partition sigma in
-  (* A table holds at most one key per tuple. *)
-  let size = max 16 (Relation.cardinality rel) in
   let tables =
     Array.map
       (fun cfd ->
-        if Cfd.is_constant cfd then None
-        else Some (Vkey.Table.create size))
+        if Cfd.is_constant cfd then None else Some (Vkey.Table.create 16))
       sigma
   in
   let wild =

@@ -37,7 +37,7 @@ let write_file ?(fsync = true) path contents =
     cleanup ();
     raise e
 
-let append_file ?(fsync = true) path contents =
+let append_file path contents =
   try
     let fd =
       Unix.openfile path
@@ -55,7 +55,7 @@ let append_file ?(fsync = true) path contents =
           if off < n then go (off + Unix.write_substring fd contents off (n - off))
         in
         go 0;
-        if fsync then Unix.fsync fd)
+        Unix.fsync fd)
   with Unix.Unix_error (err, _, _) ->
     raise (Sys_error (path ^ ": " ^ Unix.error_message err))
 

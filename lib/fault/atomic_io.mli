@@ -26,7 +26,7 @@ val write_file : ?fsync:bool -> string -> string -> unit
     records).  The ["io.write"] fault site fires before the first byte
     is written.  Raises [Sys_error] on I/O errors and [Fault.Injected]
     when the site is armed. *)
-val append_file : ?fsync:bool -> string -> string -> unit
+val append_file : string -> string -> unit
 
 (** [with_out path f] builds the contents with a formatter-style
     writer: [f] receives a [Buffer.t], and the buffer is then written

@@ -234,15 +234,15 @@ let create ~id ~schema_name ~attributes ~rules ~engine ?(force = false) () =
        ~checkpoint:Unsaved)
 
 let restore ~id ~schema_name ~attributes ~rules ~engine ~relation ~next_tid
-    ~quarantine ~batches ~repaired ~quarantined_total ~resolved ~seq
-    ~checkpoint =
+    ~quarantine ~batches ~repaired ~quarantined_total ~resolved ~seq =
   let* schema = make_schema ~schema_name ~attributes in
   let* ltabs = parse_rules ~id rules in
   let* sigma = resolve_rules schema ltabs in
   let* (module _ : Engine.ENGINE) = resolve_engine ~engine schema sigma in
   Ok
     (session ~id ~schema ~rules ~sigma ~engine ~relation ~next_tid ~quarantine
-       ~batches ~repaired ~quarantined_total ~resolved ~seq ~checkpoint)
+       ~batches ~repaired ~quarantined_total ~resolved ~seq
+       ~checkpoint:Snapshot_due)
 
 (* Number a committed mutation and, while the session journals, keep
    what it changed for the next checkpoint.  The other states write a

@@ -113,11 +113,10 @@ val restore :
   quarantined_total:int ->
   resolved:int ->
   seq:int ->
-  checkpoint:checkpoint ->
   (t, Dq_error.t) result
 (** Rebuild a session from checkpointed state ({!Store}).  Re-resolves
     the ruleset but skips the creation gates — they passed when the
-    session was first created. *)
+    session was first created.  Its [checkpoint] is [Snapshot_due]. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
 

@@ -174,10 +174,13 @@ let to_json (s : Session.t) =
       ])
 
 (* One journal record: what the mutations since the last checkpoint
-   changed, oldest first, and the counters after them. *)
+   changed, oldest first, and the counters after them.  It covers the
+   mutations numbered [from + 1] to [seq]: one when every mutation is
+   saved, more when a save was skipped or failed before writing. *)
 let record_to_json (s : Session.t) (j : Session.journal) =
   Json.Obj
     ([
+       ("from", Json.Int j.Session.covered);
        ("seq", Json.Int s.Session.seq);
        ("rows", Json.List (List.rev_map tuple_to_json j.Session.added));
        ( "quarantined",
@@ -249,17 +252,19 @@ let of_json j =
   Result.map_error Dq_error.to_string
     (Session.restore ~id ~schema_name ~attributes ~rules ~engine ~relation
        ~next_tid ~quarantine ~batches ~repaired ~quarantined_total ~resolved
-       ~seq ~checkpoint:Session.Snapshot_due)
+       ~seq)
 
 (* Replay one journal record onto the session.  Records the snapshot
    already covers are skipped: a crash between a compaction's rename and
    the journal's removal leaves them behind. *)
 let replay (s : Session.t) j =
+  let* from = int_field "from" j in
   let* seq = int_field "seq" j in
   if seq <= s.Session.seq then Ok ()
-  else if seq <> s.Session.seq + 1 then
+  else if from <> s.Session.seq then
     Error
-      (Printf.sprintf "record %d does not follow record %d" seq s.Session.seq)
+      (Printf.sprintf "record of mutations %d to %d does not follow mutation %d"
+         (from + 1) seq s.Session.seq)
   else
     let* rows = list_field "rows" j in
     let* queued = list_field "quarantined" j in

@@ -15,17 +15,20 @@
       checkpoint since that snapshot: the rows the mutations appended to
       the relation (in the relation's insertion order), the quarantine
       entries they added and the tids they dropped, the counters after
-      them, and the [seq] of the last of them.  Each record is fsynced
-      before the response goes out.
+      them, and the mutations it covers, [from + 1] to [seq] (usually
+      one; several when mutations were committed between two saves).
+      Each record is fsynced before the response goes out.
 
     {!save} appends a record, or writes a snapshot instead when the
     session has none on disk yet, when the journal has grown larger than
     the snapshot (compaction), or when the previous append failed.
-    Writing a snapshot removes the journal.  Loading replays only the
-    records numbered above the snapshot's [seq], so a crash between a
-    compaction's rename and the journal's removal replays nothing twice,
-    and only newline-terminated records: a torn last line comes from an
-    append that never completed, so it was never acknowledged.  Because
+    Writing a snapshot removes the journal.  Loading skips the records
+    whose [seq] the snapshot already covers, so a crash between a
+    compaction's rename and the journal's removal replays nothing twice.
+    It replays a record only when its [from] is the last mutation
+    replayed so far, and fails otherwise.  It reads only
+    newline-terminated records: a torn last line comes from an append
+    that never completed, so it was never acknowledged.  Because
     an append that fails forces the next checkpoint to be a snapshot, a
     torn record can only ever be the journal's last line.
 

@@ -417,11 +417,28 @@ let test_journal_stale_at_create () =
   Alcotest.(check (list string)) "delete removes both files" []
     (Array.to_list (Sys.readdir dir))
 
-(* Random ingest/resolve sequences, each followed by a checkpoint: after
-   every save, a reload from snapshot + journal equals the live session.
-   All three tuple orderings run, since the journal must keep the order
-   the engine inserted rows in.  Each sequence is extended with clean
-   ingests until the journal has been compacted at least once. *)
+(* A record covers every mutation committed since the last save: one in
+   the daemon's normal path, several when a caller saves less often or a
+   save failed before it wrote anything. *)
+let test_journal_record_covers_several () =
+  with_tmp_dir @@ fun dir ->
+  let s = journaled_session dir in
+  ingest_ok s [ (ints [ 1; 10 ], None) ];
+  ingest_ok s [ (ints [ 3; 30 ], None) ];
+  let tid = Tuple.tid (List.hd s.Session.quarantine).Session.tuple in
+  let (_ : Session.outcome) = unwrap (Session.resolve s tid Session.Discard) in
+  let (_ : int) = Store.save ~dir s in
+  check_reload ~dir "one record for three mutations" s;
+  ingest_ok s [ (ints [ 4; 40 ], None) ];
+  let (_ : int) = Store.save ~dir s in
+  check_reload ~dir "the next record follows it" s
+
+(* Random ingest/resolve sequences, most followed by a checkpoint (the
+   others leave their mutations to the next record): after every save, a
+   reload from snapshot + journal equals the live session.  All three
+   tuple orderings run, since the journal must keep the order the engine
+   inserted rows in.  Each sequence is extended with saved clean ingests
+   until the journal has been compacted at least once. *)
 type journal_op =
   | Ingest of (Value.t array * float array option) list
   | Discard of int  (** the n-th quarantine entry, modulo its length *)
@@ -449,15 +466,18 @@ let journal_instance =
     engine ^ ": "
     ^ String.concat " | "
         (List.map
-           (function
+           (fun (op, save) ->
+             (match op with
              | Ingest rows ->
                "ingest " ^ String.concat " " (List.map (fun (v, _) -> "[" ^ vs v ^ "]") rows)
              | Discard k -> Printf.sprintf "discard #%d" k
              | Replace (k, v) -> Printf.sprintf "replace #%d [%s]" k (vs v))
+             ^ if save then "" else " (no save)")
            ops)
   in
+  let save = frequency [ (3, return true); (1, return false) ] in
   QCheck.make ~print
-    (pair (oneofl [ "l-inc"; "inc"; "w-inc" ]) (list_size (5 -- 25) op))
+    (pair (oneofl [ "l-inc"; "inc"; "w-inc" ]) (list_size (5 -- 25) (pair op save)))
 
 let prop_journal_reload =
   QCheck.Test.make ~count:100
@@ -471,7 +491,19 @@ let prop_journal_reload =
              ~rules:conflicting_rules ~engine ~force:true ())
       in
       let compactions = ref 0 in
-      let step op =
+      let checkpoint () =
+        let had_journal = Sys.file_exists (journal_file dir) in
+        let (_ : int) = Store.save ~dir s in
+        if had_journal && not (Sys.file_exists (journal_file dir)) then
+          incr compactions;
+        match Store.load_id ~dir "s1" with
+        | Ok loaded ->
+          if session_state loaded <> session_state s then
+            QCheck.Test.fail_reportf "reload differs:\n%s\n---\n%s"
+              (session_state s) (session_state loaded)
+        | Error msg -> QCheck.Test.fail_reportf "load_id: %s" msg
+      in
+      let step (op, save) =
         (match op with
         | Ingest rows -> ingest_ok s rows
         | Discard k | Replace (k, _) -> (
@@ -487,23 +519,14 @@ let prop_journal_reload =
             match Session.resolve s tid resolution with
             | Ok _ | Error (Dq_error.Invalid_input _) -> ()
             | Error e -> QCheck.Test.fail_reportf "resolve: %s" (Dq_error.to_string e)));
-        let had_journal = Sys.file_exists (journal_file dir) in
-        let (_ : int) = Store.save ~dir s in
-        if had_journal && not (Sys.file_exists (journal_file dir)) then
-          incr compactions;
-        match Store.load_id ~dir "s1" with
-        | Ok loaded ->
-          if session_state loaded <> session_state s then
-            QCheck.Test.fail_reportf "reload differs:\n%s\n---\n%s"
-              (session_state s) (session_state loaded)
-        | Error msg -> QCheck.Test.fail_reportf "load_id: %s" msg
+        if save then checkpoint ()
       in
       Session.with_lock s @@ fun () ->
       let (_ : int) = Store.save ~dir s in
       List.iter step ops;
       let extra = ref 0 in
       while !compactions = 0 && !extra < 100 do
-        step (Ingest [ (ints [ 2; 20 ], None) ]);
+        step (Ingest [ (ints [ 2; 20 ], None) ], true);
         incr extra
       done;
       !compactions > 0)
@@ -1459,6 +1482,8 @@ let suite =
       `Quick test_journal_failed_append;
     Alcotest.test_case "store: a new session removes a stale journal" `Quick
       test_journal_stale_at_create;
+    Alcotest.test_case "store: one record may cover several mutations" `Quick
+      test_journal_record_covers_several;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
