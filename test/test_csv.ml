@@ -161,4 +161,9 @@ let suite =
     Alcotest.test_case "empty input rejected" `Quick test_load_empty;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    Alcotest.test_case "structured errors" `Quick test_structured_errors;
+    Alcotest.test_case "crlf inside quotes" `Quick test_crlf_in_quotes;
+    QCheck_alcotest.to_alcotest prop_load_never_raises;
+    Alcotest.test_case "save_file atomic on fault" `Quick
+      test_save_file_atomic_on_fault;
   ]
