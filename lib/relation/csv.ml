@@ -10,100 +10,124 @@ exception Csv_error of error
    buffering without bound. *)
 let default_max_field_bytes = 64 * 1024 * 1024
 
-let parse_rows ?(max_field_bytes = default_max_field_bytes) text =
+(* Bytes that end an unquoted run: delimiters, a quote, and NUL. *)
+let rec skip_plain text n i =
+  if i >= n then i
+  else
+    match String.unsafe_get text i with
+    | ',' | '\n' | '\r' | '"' | '\000' -> i
+    | _ -> skip_plain text n (i + 1)
+
+(* One pass over [text]: [cell s] for each cell in order and [row line]
+   after each row's last cell, [line] being where the row starts.  A cell
+   of plain bytes running to a delimiter is taken with one [String.sub];
+   a cell holding a quote or a lone CR goes byte by byte through [buf].
+   The line of the byte being read is [!line] and its column is its
+   offset from [!line_start], the first byte of its line.  Raises
+   [Csv_error] at the first malformed byte. *)
+let scan ?(max_field_bytes = default_max_field_bytes) text ~cell ~row =
   let n = String.length text in
-  let rows = Vec.create () in
-  let row = Vec.create () in
-  let cell = Buffer.create 32 in
-  (* 1-based position of the next unconsumed character. *)
-  let line = ref 1 and col = ref 1 in
-  let row_line = ref 1 in
+  let buf = Buffer.create 32 in
+  let line = ref 1 and line_start = ref 0 in
+  let row_line = ref 1 and row_open = ref false in
   let cell_line = ref 1 and cell_col = ref 1 in
   let error l c message = raise (Csv_error { line = l; col = c; message }) in
-  let advance c =
-    if c = '\n' then begin
-      incr line;
-      col := 1
+  let col i = i - !line_start + 1 in
+  let newline next =
+    incr line;
+    line_start := next
+  in
+  let mark_cell i =
+    cell_line := !line;
+    cell_col := col i
+  in
+  let too_long () =
+    error !cell_line !cell_col
+      (Printf.sprintf "field longer than %d bytes" max_field_bytes)
+  in
+  let add c =
+    if Buffer.length buf >= max_field_bytes then too_long ();
+    Buffer.add_char buf c
+  in
+  let take () =
+    let s = Buffer.contents buf in
+    Buffer.clear buf;
+    s
+  in
+  let ends_cell i =
+    i >= n
+    ||
+    match String.unsafe_get text i with
+    | ',' | '\n' -> true
+    | '\r' -> i + 1 < n && String.unsafe_get text (i + 1) = '\n'
+    | _ -> false
+  in
+  (* A cell starts at [i] with nothing buffered. *)
+  let rec start i =
+    let j = skip_plain text n i in
+    if j > i && ends_cell j then begin
+      mark_cell i;
+      if j - i > max_field_bytes then too_long ();
+      finish (String.sub text i (j - i)) j
     end
-    else incr col
-  in
-  let add_to_cell c =
-    if Buffer.length cell >= max_field_bytes then
-      error !cell_line !cell_col
-        (Printf.sprintf "field longer than %d bytes" max_field_bytes);
-    Buffer.add_char cell c
-  in
-  let flush_cell () =
-    Vec.push row (Buffer.contents cell);
-    Buffer.clear cell
-  in
-  let flush_row () =
-    flush_cell ();
-    Vec.push rows (!row_line, Vec.to_list row);
-    Vec.clear row;
-    row_line := !line
-  in
-  let rec plain i =
+    else plain i
+  (* The cell [s] ends at [i]: the end of the text or a delimiter. *)
+  and finish s i =
+    cell s;
+    row_open := true;
+    if i >= n then row !row_line
+    else
+      let next =
+        match String.unsafe_get text i with ',' | '\n' -> i + 1 | _ -> i + 2
+      in
+      if String.unsafe_get text i <> ',' then begin
+        row !row_line;
+        row_open := false;
+        newline next;
+        row_line := !line
+      end;
+      start next
+  and plain i =
     if i >= n then begin
-      if Vec.length row > 0 || Buffer.length cell > 0 then flush_row ()
+      if !row_open || Buffer.length buf > 0 then finish (take ()) i
     end
-    else begin
-      let c = text.[i] in
-      if c = '\000' then error !line !col "NUL byte in input";
-      match c with
-      | ',' ->
-        advance c;
-        flush_cell ();
-        plain (i + 1)
-      | '\n' ->
-        advance c;
-        flush_row ();
-        plain (i + 1)
-      | '\r' when i + 1 < n && text.[i + 1] = '\n' ->
-        advance '\r';
-        advance '\n';
-        flush_row ();
-        plain (i + 2)
-      | '"' when Buffer.length cell = 0 ->
-        cell_line := !line;
-        cell_col := !col;
-        advance c;
+    else
+      match String.unsafe_get text i with
+      | '\000' -> error !line (col i) "NUL byte in input"
+      | _ when ends_cell i -> finish (take ()) i
+      | '"' when Buffer.length buf = 0 ->
+        mark_cell i;
         quoted (i + 1)
       | c ->
-        if Buffer.length cell = 0 then begin
-          cell_line := !line;
-          cell_col := !col
-        end;
-        advance c;
-        add_to_cell c;
+        if Buffer.length buf = 0 then mark_cell i;
+        add c;
         plain (i + 1)
-    end
   and quoted i =
     if i >= n then error !cell_line !cell_col "unterminated quoted field"
-    else begin
-      let c = text.[i] in
-      if c = '\000' then error !line !col "NUL byte in input";
-      match c with
-      | '"' when i + 1 < n && text.[i + 1] = '"' ->
-        advance '"';
-        advance '"';
-        add_to_cell '"';
+    else
+      match String.unsafe_get text i with
+      | '\000' -> error !line (col i) "NUL byte in input"
+      | '"' when i + 1 < n && String.unsafe_get text (i + 1) = '"' ->
+        add '"';
         quoted (i + 2)
-      | '"' ->
-        advance c;
-        plain (i + 1)
+      | '"' -> plain (i + 1)
       | c ->
-        advance c;
-        add_to_cell c;
+        if c = '\n' then newline (i + 1);
+        add c;
         quoted (i + 1)
-    end
   in
-  match plain 0 with
-  | () -> Ok (Vec.to_list rows)
-  | exception Csv_error e -> Error e
+  start 0
 
 let parse_string_res ?max_field_bytes text =
-  Result.map (List.map snd) (parse_rows ?max_field_bytes text)
+  let rows = ref [] and cells = ref [] in
+  let cell s = cells := s :: !cells in
+  let row _ =
+    rows := List.rev !cells :: !rows;
+    cells := []
+  in
+  match scan ?max_field_bytes text ~cell ~row with
+  | () -> Ok (List.rev !rows)
+  | exception Csv_error e -> Error e
 
 let parse_string text =
   match parse_string_res text with
@@ -135,37 +159,57 @@ let rows_to_string rows =
     rows;
   Buffer.contents b
 
+(* What the loader does with the next row. *)
+type loading =
+  | Header of string list (* the header's cells so far, reversed *)
+  | Rows of Relation.t * Value.t array (* the row being read *)
+  | Failed of error (* a bad header or ragged row; parsing goes on *)
+
+(* The whole text is parsed before the first header or row error is
+   reported, so a parse error anywhere takes precedence over it. *)
 let load_string_res ?(name = "R") ?max_field_bytes text =
-  match parse_rows ?max_field_bytes text with
-  | Error e -> Error e
-  | Ok [] ->
-    Error { line = 1; col = 1; message = "empty input: expected a header row" }
-  | Ok ((header_line, header) :: data) -> (
-    match Schema.make ~name header with
-    | exception Invalid_argument msg ->
-      Error { line = header_line; col = 1; message = "bad header: " ^ msg }
-    | schema ->
-      let rel = Relation.create schema in
-      let arity = List.length header in
-      (try
-         List.iter
-           (fun (line, row) ->
-             let cells = List.length row in
-             if cells <> arity then
-               raise
-                 (Csv_error
-                    {
-                      line;
-                      col = 1;
-                      message =
-                        Printf.sprintf "row has %d cells, expected %d" cells
-                          arity;
-                    });
-             let values = Array.of_list (List.map Value.of_string row) in
-             ignore (Relation.insert rel values))
-           data;
-         Ok rel
-       with Csv_error e -> Error e))
+  let state = ref (Header []) and cells = ref 0 in
+  let cell s =
+    match !state with
+    | Header h -> state := Header (s :: h)
+    | Rows (_, values) ->
+      if !cells < Array.length values then values.(!cells) <- Value.of_string s;
+      incr cells
+    | Failed _ -> ()
+  in
+  let row line =
+    (match !state with
+    | Header h -> (
+      match Schema.make ~name (List.rev h) with
+      | schema ->
+        state :=
+          Rows
+            (Relation.create schema, Array.make (Schema.arity schema) Value.null)
+      | exception Invalid_argument msg ->
+        state := Failed { line; col = 1; message = "bad header: " ^ msg })
+    | Rows (rel, values) ->
+      let arity = Array.length values in
+      if !cells <> arity then
+        state :=
+          Failed
+            {
+              line;
+              col = 1;
+              message =
+                Printf.sprintf "row has %d cells, expected %d" !cells arity;
+            }
+      else ignore (Relation.insert rel values)
+    | Failed _ -> ());
+    cells := 0
+  in
+  match scan ?max_field_bytes text ~cell ~row with
+  | exception Csv_error e -> Error e
+  | () -> (
+    match !state with
+    | Header _ ->
+      Error { line = 1; col = 1; message = "empty input: expected a header row" }
+    | Rows (rel, _) -> Ok rel
+    | Failed e -> Error e)
 
 let load_string ?name text =
   match load_string_res ?name text with

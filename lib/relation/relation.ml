@@ -4,7 +4,8 @@ type t = {
   mutable order : int Vec.t; (* insertion order; may contain deleted tids *)
   mutable deleted : int; (* stale entries in [order], compacted lazily *)
   mutable next_tid : int;
-  adom : (Value.t, int ref) Hashtbl.t array; (* per-attribute value counts *)
+  adom : (Value.t, int ref) Hashtbl.t option array;
+      (* per-attribute value counts, built on the first query *)
 }
 
 let create schema =
@@ -14,26 +15,31 @@ let create schema =
     order = Vec.create ();
     deleted = 0;
     next_tid = 0;
-    adom = Array.init (Schema.arity schema) (fun _ -> Hashtbl.create 64);
+    adom = Array.make (Schema.arity schema) None;
   }
 
 let schema r = r.schema
 
 let cardinality r = Hashtbl.length r.by_tid
 
-let adom_incr r pos v =
+let count_in tbl v =
   if not (Value.is_null v) then
-    match Hashtbl.find_opt r.adom.(pos) v with
+    match Hashtbl.find_opt tbl v with
     | Some n -> incr n
-    | None -> Hashtbl.add r.adom.(pos) v (ref 1)
+    | None -> Hashtbl.add tbl v (ref 1)
+
+let adom_incr r pos v =
+  match r.adom.(pos) with Some tbl -> count_in tbl v | None -> ()
 
 let adom_decr r pos v =
-  if not (Value.is_null v) then
-    match Hashtbl.find_opt r.adom.(pos) v with
+  match r.adom.(pos) with
+  | Some tbl when not (Value.is_null v) -> (
+    match Hashtbl.find_opt tbl v with
     | Some n ->
       decr n;
-      if !n <= 0 then Hashtbl.remove r.adom.(pos) v
-    | None -> ()
+      if !n <= 0 then Hashtbl.remove tbl v
+    | None -> ())
+  | Some _ | None -> ()
 
 let register r t =
   Hashtbl.add r.by_tid (Tuple.tid t) t;
@@ -120,13 +126,22 @@ let last r k =
   in
   go (Vec.length r.order - 1) k []
 
+let adom r pos =
+  match r.adom.(pos) with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Hashtbl.create 64 in
+    Hashtbl.iter (fun _ t -> count_in tbl (Tuple.get t pos)) r.by_tid;
+    r.adom.(pos) <- Some tbl;
+    tbl
+
 let active_domain r pos =
-  let vals = Hashtbl.fold (fun v _ acc -> v :: acc) r.adom.(pos) [] in
+  let vals = Hashtbl.fold (fun v _ acc -> v :: acc) (adom r pos) [] in
   List.sort Value.compare vals
 
-let active_domain_size r pos = Hashtbl.length r.adom.(pos)
+let active_domain_size r pos = Hashtbl.length (adom r pos)
 
-let in_active_domain r pos v = Hashtbl.mem r.adom.(pos) v
+let in_active_domain r pos v = Hashtbl.mem (adom r pos) v
 
 let copy r =
   let r' = create r.schema in

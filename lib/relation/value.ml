@@ -56,14 +56,59 @@ let to_string = function
 
 let to_display = function Null -> "\xe2\x8a\xa5" | v -> to_string v
 
+(* The general reading: an int if [int_of_string] takes the cell, else a
+   float if [float_of_string] does, else a string.  Both report failure
+   through an exception, so [of_string] settles the common shapes first
+   and sends only the rest here. *)
+let of_string_general s =
+  match int_of_string_opt s with
+  | Some i -> Int i
+  | None -> (
+    match float_of_string_opt s with
+    | Some f -> Float f
+    | None -> String s)
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* The first bytes either function can accept: digits and signs; '.';
+   '_', which [float_of_string] drops; and, since [strtod] skips leading
+   C whitespace and reads inf and nan, those too. *)
+let may_start_number = function
+  | '0' .. '9' | '+' | '-' | '.' | '_' | 'i' | 'I' | 'n' | 'N' | ' ' | '\t'
+  | '\n' | '\011' | '\012' | '\r' ->
+    true
+  | _ -> false
+
 let of_string s =
-  if String.equal s "" then Null
+  let n = String.length s in
+  if n = 0 then Null
+  else if not (may_start_number (String.unsafe_get s 0)) then String s
   else
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> String s)
+    let start = if String.unsafe_get s 0 = '-' then 1 else 0 in
+    let i = ref start in
+    while !i < n && is_digit (String.unsafe_get s !i) do
+      incr i
+    done;
+    let digits = !i - start in
+    if digits = 0 then of_string_general s
+    else if !i = n then
+      (* [-?[0-9]{1,18}] cannot overflow *)
+      if digits <= 18 then begin
+        let v = ref 0 in
+        for j = start to n - 1 do
+          v := (!v * 10) + (Char.code (String.unsafe_get s j) - 48)
+        done;
+        Int (if start = 1 then - !v else !v)
+      end
+      else of_string_general s
+    else if String.unsafe_get s !i = '.' && !i + 1 < n then begin
+      (* [-?[0-9]+\.[0-9]+] is no int and always a float *)
+      let j = ref (!i + 1) in
+      while !j < n && is_digit (String.unsafe_get s !j) do
+        incr j
+      done;
+      if !j = n then Float (float_of_string s) else of_string_general s
+    end
+    else of_string_general s
 
 let pp ppf v = Format.pp_print_string ppf (to_display v)

@@ -148,6 +148,222 @@ let prop_roundtrip =
       let text = Csv.rows_to_string [ row ] in
       match Csv.parse_string text with [ parsed ] -> parsed = row | _ -> false)
 
+(* ---- the one-pass loader against the two-pass one ---------------------- *)
+
+(* The parser and loader as they were before loading became one pass,
+   kept as a test-only oracle: the whole text is parsed into rows of
+   strings byte by byte, then each row is typed and inserted. *)
+module Reference = struct
+  exception Csv_error of Csv.error
+
+  let parse_rows ?(max_field_bytes = 64 * 1024 * 1024) text =
+    let n = String.length text in
+    let rows = Vec.create () in
+    let row = Vec.create () in
+    let cell = Buffer.create 32 in
+    let line = ref 1 and col = ref 1 in
+    let row_line = ref 1 in
+    let cell_line = ref 1 and cell_col = ref 1 in
+    let error l c message = raise (Csv_error { Csv.line = l; col = c; message }) in
+    let advance c =
+      if c = '\n' then begin
+        incr line;
+        col := 1
+      end
+      else incr col
+    in
+    let add_to_cell c =
+      if Buffer.length cell >= max_field_bytes then
+        error !cell_line !cell_col
+          (Printf.sprintf "field longer than %d bytes" max_field_bytes);
+      Buffer.add_char cell c
+    in
+    let flush_cell () =
+      Vec.push row (Buffer.contents cell);
+      Buffer.clear cell
+    in
+    let flush_row () =
+      flush_cell ();
+      Vec.push rows (!row_line, Vec.to_list row);
+      Vec.clear row;
+      row_line := !line
+    in
+    let rec plain i =
+      if i >= n then begin
+        if Vec.length row > 0 || Buffer.length cell > 0 then flush_row ()
+      end
+      else begin
+        let c = text.[i] in
+        if c = '\000' then error !line !col "NUL byte in input";
+        match c with
+        | ',' ->
+          advance c;
+          flush_cell ();
+          plain (i + 1)
+        | '\n' ->
+          advance c;
+          flush_row ();
+          plain (i + 1)
+        | '\r' when i + 1 < n && text.[i + 1] = '\n' ->
+          advance '\r';
+          advance '\n';
+          flush_row ();
+          plain (i + 2)
+        | '"' when Buffer.length cell = 0 ->
+          cell_line := !line;
+          cell_col := !col;
+          advance c;
+          quoted (i + 1)
+        | c ->
+          if Buffer.length cell = 0 then begin
+            cell_line := !line;
+            cell_col := !col
+          end;
+          advance c;
+          add_to_cell c;
+          plain (i + 1)
+      end
+    and quoted i =
+      if i >= n then error !cell_line !cell_col "unterminated quoted field"
+      else begin
+        let c = text.[i] in
+        if c = '\000' then error !line !col "NUL byte in input";
+        match c with
+        | '"' when i + 1 < n && text.[i + 1] = '"' ->
+          advance '"';
+          advance '"';
+          add_to_cell '"';
+          quoted (i + 2)
+        | '"' ->
+          advance c;
+          plain (i + 1)
+        | c ->
+          advance c;
+          add_to_cell c;
+          quoted (i + 1)
+      end
+    in
+    match plain 0 with
+    | () -> Ok (Vec.to_list rows)
+    | exception Csv_error e -> Error e
+
+  let parse_string_res ?max_field_bytes text =
+    Result.map (List.map snd) (parse_rows ?max_field_bytes text)
+
+  let load_string_res ?(name = "R") ?max_field_bytes text =
+    match parse_rows ?max_field_bytes text with
+    | Error e -> Error e
+    | Ok [] ->
+      Error
+        { Csv.line = 1; col = 1; message = "empty input: expected a header row" }
+    | Ok ((header_line, header) :: data) -> (
+      match Schema.make ~name header with
+      | exception Invalid_argument msg ->
+        Error { Csv.line = header_line; col = 1; message = "bad header: " ^ msg }
+      | schema ->
+        let rel = Relation.create schema in
+        let arity = List.length header in
+        (try
+           List.iter
+             (fun (line, row) ->
+               let cells = List.length row in
+               if cells <> arity then
+                 raise
+                   (Csv_error
+                      {
+                        Csv.line;
+                        col = 1;
+                        message =
+                          Printf.sprintf "row has %d cells, expected %d" cells
+                            arity;
+                      });
+               let values =
+                 Array.of_list (List.map Test_value.Reference.of_string row)
+               in
+               ignore (Relation.insert rel values))
+             data;
+           Ok rel
+         with Csv_error e -> Error e))
+end
+
+(* Same schema, tids and values (floats by their bits), or the same
+   error. *)
+let same_load a b =
+  match a, b with
+  | Ok r1, Ok r2 ->
+    let rows r =
+      List.map (fun t -> (Tuple.tid t, Tuple.values t)) (Relation.to_list r)
+    in
+    Schema.equal (Relation.schema r1) (Relation.schema r2)
+    && List.equal
+         (fun (i, v1) (j, v2) ->
+           i = j && Array.for_all2 Test_value.same_value v1 v2)
+         (rows r1) (rows r2)
+  | Error e1, Error e2 -> e1 = e2
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Bytes that steer the parser or the typing, and arbitrary ones. *)
+let hostile_byte =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, oneofl (List.of_seq (String.to_seq ",\"\n\r\000,\"\n0123456789+-._exin")));
+        (1, char_range '\000' '\255');
+      ])
+
+(* Random bytes, or rows of cells (some quoted, some not) under a header
+   that is usually valid, with metacharacters rarer inside the cells, so
+   that loads succeed as well as fail. *)
+let hostile_text =
+  QCheck.Gen.(
+    let raw = string_size ~gen:hostile_byte (0 -- 60) in
+    let cell_byte =
+      frequency
+        [
+          (12, oneofl (List.of_seq (String.to_seq "0123456789+-._exinN ")));
+          (1, hostile_byte);
+        ]
+    in
+    let cell = string_size ~gen:cell_byte (0 -- 6) in
+    let quoted = map (fun s -> "\"" ^ s ^ "\"") cell in
+    let rows =
+      let* arity = 1 -- 4 in
+      let header = String.concat "," (List.init arity (fun i -> Printf.sprintf "a%d" i)) in
+      let row =
+        let* cells = list_repeat arity (frequency [ (3, cell); (1, quoted) ]) in
+        let* ending = oneofl [ "\n"; "\r\n"; "" ] in
+        return (String.concat "," cells ^ ending)
+      in
+      let* data = list_size (0 -- 5) row in
+      let* sep = oneofl [ "\n"; "\r\n" ] in
+      return (String.concat "" ((header ^ sep) :: data))
+    in
+    frequency [ (1, raw); (1, rows) ])
+
+let max_field_bytes_gen =
+  QCheck.Gen.(frequency [ (2, return None); (1, map Option.some (1 -- 8)) ])
+
+let arb_hostile =
+  QCheck.make
+    ~print:(fun (m, text) ->
+      Printf.sprintf "max_field_bytes=%s %S"
+        (match m with Some k -> string_of_int k | None -> "default")
+        text)
+    QCheck.Gen.(pair max_field_bytes_gen hostile_text)
+
+let prop_load_equals_reference =
+  QCheck.Test.make ~name:"load_string_res equals the two-pass loader"
+    ~count:3000 arb_hostile (fun (max_field_bytes, text) ->
+      same_load
+        (Csv.load_string_res ?max_field_bytes text)
+        (Reference.load_string_res ?max_field_bytes text))
+
+let prop_parse_equals_reference =
+  QCheck.Test.make ~name:"parse_string_res equals the two-pass parser"
+    ~count:3000 arb_hostile (fun (max_field_bytes, text) ->
+      Csv.parse_string_res ?max_field_bytes text
+      = Reference.parse_string_res ?max_field_bytes text)
+
 let suite =
   [
     Alcotest.test_case "parse simple" `Quick test_parse_simple;
@@ -166,4 +382,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_load_never_raises;
     Alcotest.test_case "save_file atomic on fault" `Quick
       test_save_file_atomic_on_fault;
+    QCheck_alcotest.to_alcotest prop_load_equals_reference;
+    QCheck_alcotest.to_alcotest prop_parse_equals_reference;
   ]

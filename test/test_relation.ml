@@ -114,6 +114,88 @@ let test_arity_mismatch () =
   Alcotest.check_raises "bad arity" (Invalid_argument "Relation.insert: arity mismatch")
     (fun () -> ignore (Relation.insert r [| v "a" |]))
 
+(* ---- active domains against a model ---------------------------------- *)
+
+(* Active domains are built on the first query and maintained from then
+   on; either way every answer must equal the one recomputed from the
+   relation's current tuples. *)
+type op =
+  | Insert of Value.t array
+  | Add of Value.t array (* with a tid past every tid used so far *)
+  | Set of int * int * Value.t (* nth live tuple, position, value *)
+  | Delete of int (* nth live tuple; past the end deletes an absent tid *)
+  | Copy (* continue on a deep copy *)
+  | Query of int * Value.t
+
+let adom_pool = Value.[ Null; Int 1; Int 2; Float 1.5; String "x"; String "1" ]
+
+let op_gen ~queries =
+  let open QCheck.Gen in
+  let value = oneofl adom_pool in
+  let row = array_repeat 2 value in
+  frequency
+    ([
+       (4, map (fun r -> Insert r) row);
+       (1, map (fun r -> Add r) row);
+       (3, map3 (fun i p v -> Set (i, p, v)) (0 -- 20) (0 -- 1) value);
+       (2, map (fun i -> Delete i) (0 -- 25));
+       (1, return Copy);
+     ]
+    @ if queries then [ (3, map2 (fun p v -> Query (p, v)) (0 -- 1) value) ] else [])
+
+let show_op = function
+  | Insert r -> "insert " ^ String.concat "," (Array.to_list (Array.map Value.to_display r))
+  | Add r -> "add " ^ String.concat "," (Array.to_list (Array.map Value.to_display r))
+  | Set (i, p, v) -> Printf.sprintf "set #%d.%d=%s" i p (Value.to_display v)
+  | Delete i -> Printf.sprintf "delete #%d" i
+  | Copy -> "copy"
+  | Query (p, v) -> Printf.sprintf "query %d %s" p (Value.to_display v)
+
+let model_adom r pos =
+  Relation.fold
+    (fun acc t ->
+      let v = Tuple.get t pos in
+      if Value.is_null v then acc else v :: acc)
+    [] r
+  |> List.sort_uniq Value.compare
+
+let adom_agrees r pos v =
+  let model = model_adom r pos in
+  List.equal Value.equal (Relation.active_domain r pos) model
+  && Relation.active_domain_size r pos = List.length model
+  && Relation.in_active_domain r pos v = List.exists (Value.equal v) model
+
+let run_ops ops =
+  let r = ref (mk ()) in
+  let nth i =
+    let ts = Relation.tuples !r in
+    if i < Array.length ts then Some ts.(i) else None
+  in
+  let ok = ref true and high = ref 0 in
+  List.iter
+    (function
+      | Insert row -> high := max !high (Tuple.tid (Relation.insert !r row))
+      | Add row ->
+        high := !high + 3;
+        Relation.add !r (Tuple.create ~tid:!high row)
+      | Set (i, p, v) -> (
+        match nth i with Some t -> Relation.set_value !r t p v | None -> ())
+      | Delete i -> (
+        match nth i with
+        | Some t -> ignore (Relation.delete !r (Tuple.tid t))
+        | None -> ignore (Relation.delete !r 1_000_000))
+      | Copy -> r := Relation.copy !r
+      | Query (p, v) -> ok := !ok && adom_agrees !r p v)
+    ops;
+  !ok && List.for_all (fun v -> adom_agrees !r 0 v && adom_agrees !r 1 v) adom_pool
+
+let prop_adom_model ~queries name =
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (0 -- 40) (op_gen ~queries)))
+    run_ops
+
 let suite =
   [
     Alcotest.test_case "insert/find" `Quick test_insert_find;
@@ -130,4 +212,9 @@ let suite =
     Alcotest.test_case "deep copy" `Quick test_copy_deep;
     Alcotest.test_case "dif" `Quick test_dif;
     Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
+    QCheck_alcotest.to_alcotest
+      (prop_adom_model ~queries:true "active domains equal the model");
+    QCheck_alcotest.to_alcotest
+      (prop_adom_model ~queries:false
+         "active domains first queried at the end equal the model");
   ]

@@ -69,6 +69,95 @@ let test_display () =
   Alcotest.(check string) "const displays plainly" "NYC"
     (Value.to_display (Value.string "NYC"))
 
+(* ---- of_string against the general reading -------------------------- *)
+
+(* [Value.of_string] as it was before its fast paths, kept as a test-only
+   oracle: every cell tries [int_of_string], then [float_of_string]. *)
+module Reference = struct
+  let of_string s =
+    if String.equal s "" then Value.Null
+    else
+      match int_of_string_opt s with
+      | Some i -> Value.Int i
+      | None -> (
+        match float_of_string_opt s with
+        | Some f -> Value.Float f
+        | None -> Value.String s)
+end
+
+(* Strict equality with floats compared by their bits. *)
+let same_value a b =
+  match a, b with
+  | Value.Float f, Value.Float g ->
+    Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+  | _ -> Value.equal a b
+
+let agrees s = same_value (Value.of_string s) (Reference.of_string s)
+
+let prop_digit_strings =
+  (* Signed digit strings of 1-22 digits, with and without a '.', which
+     cross the 18-digit fast path and max_int's 19 digits. *)
+  let gen =
+    QCheck.Gen.(
+      let digits k = string_size ~gen:(char_range '0' '9') (return k) in
+      let* sign = oneofl [ ""; "-"; "+" ] in
+      let* total = 1 -- 22 in
+      let* whole = 0 -- total in
+      let* dot = bool in
+      let* a = digits whole in
+      let* b = digits (total - whole) in
+      return (sign ^ a ^ (if dot then "." else "") ^ b))
+  in
+  QCheck.Test.make ~name:"of_string reads digit strings as the reference"
+    ~count:3000 (QCheck.make ~print:(Printf.sprintf "%S") gen) agrees
+
+let test_int_bounds () =
+  let next s =
+    (* the decimal successor of a non-negative digit string *)
+    let b = Bytes.of_string s in
+    let rec go i =
+      if i < 0 then "1" ^ Bytes.to_string b
+      else if Bytes.get b i = '9' then begin
+        Bytes.set b i '0';
+        go (i - 1)
+      end
+      else begin
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) + 1));
+        Bytes.to_string b
+      end
+    in
+    go (Bytes.length b - 1)
+  in
+  let max_s = string_of_int max_int in
+  let min_mag = String.sub (string_of_int min_int) 1 (String.length max_s) in
+  List.iter
+    (fun s ->
+      if not (agrees s) then Alcotest.failf "of_string %S differs from the reference" s)
+    [
+      max_s; next max_s; next (next max_s); string_of_int (max_int - 1);
+      string_of_int min_int; "-" ^ next min_mag; string_of_int (min_int + 1);
+      "999999999999999999"; "-999999999999999999"; "1000000000000000000";
+      "-1000000000000000000"; "000000000000000000001"; "0000000000000000000";
+      max_s ^ ".0"; "-" ^ next min_mag ^ ".5";
+    ]
+
+let prop_skewed_strings =
+  (* Short strings over the bytes that steer either parser: digits, signs,
+     '.', '_', exponents, hex and binary prefixes, inf and nan, and C
+     whitespace, with arbitrary bytes mixed in. *)
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, oneofl (List.of_seq (String.to_seq "0123456789+-._eExXbBoOiInNfaAy ,\"\n\r\t\000")));
+          (1, char_range '\000' '\255');
+        ])
+  in
+  QCheck.Test.make ~name:"of_string reads skewed strings as the reference"
+    ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%S") QCheck.Gen.(string_size ~gen:byte (0 -- 10)))
+    agrees
+
 let suite =
   [
     Alcotest.test_case "of_string typing" `Quick test_of_string_typing;
@@ -78,4 +167,8 @@ let suite =
     Alcotest.test_case "total order" `Quick test_compare_total_order;
     Alcotest.test_case "hash/equal consistency" `Quick test_hash_consistent_with_equal;
     Alcotest.test_case "display" `Quick test_display;
+    QCheck_alcotest.to_alcotest prop_digit_strings;
+    Alcotest.test_case "of_string around min_int and max_int" `Quick
+      test_int_bounds;
+    QCheck_alcotest.to_alcotest prop_skewed_strings;
   ]
