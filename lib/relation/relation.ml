@@ -131,7 +131,7 @@ let adom r pos =
   | Some tbl -> tbl
   | None ->
     let tbl = Hashtbl.create 64 in
-    Hashtbl.iter (fun _ t -> count_in tbl (Tuple.get t pos)) r.by_tid;
+    iter (fun t -> count_in tbl (Tuple.get t pos)) r;
     r.adom.(pos) <- Some tbl;
     tbl
 
