@@ -234,6 +234,33 @@ let load_file ?name path =
   Dq_fault.Fault.hit "csv.load";
   load_string ~name (read_whole_file path)
 
+(* [Value.to_string] keeps six significant digits of a float.  A float
+   cell keeps that text when it reads back as the same float, and
+   otherwise takes the shortest of 15, 16 and 17 digits that does.  An
+   integral float in [1e15, 1e17) with more than 15 digits prints as an
+   int at all three, so it is written with one decimal instead. *)
+let float_cell f =
+  let reads_back s =
+    match Value.of_string s with
+    | Value.Float g ->
+      Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float f)
+      || (Float.is_nan g && Float.is_nan f)
+    | Value.Null | Value.Int _ | Value.String _ -> false
+  in
+  let short = Value.to_string (Value.Float f) in
+  if reads_back short then short
+  else
+    match
+      List.find_opt reads_back
+        (List.map (fun p -> Printf.sprintf "%.*g" p f) [ 15; 16; 17 ])
+    with
+    | Some s -> s
+    | None -> Printf.sprintf "%.1f" f
+
+let cell_to_string = function
+  | Value.Float f -> float_cell f
+  | v -> Value.to_string v
+
 let save_string rel =
   let schema = Relation.schema rel in
   let header = Array.to_list (Schema.attributes schema) in
@@ -241,7 +268,7 @@ let save_string rel =
     Relation.fold
       (fun acc t ->
         let cells =
-          List.init (Tuple.arity t) (fun i -> Value.to_string (Tuple.get t i))
+          List.init (Tuple.arity t) (fun i -> cell_to_string (Tuple.get t i))
         in
         cells :: acc)
       [] rel

@@ -148,6 +148,56 @@ let prop_roundtrip =
       let text = Csv.rows_to_string [ row ] in
       match Csv.parse_string text with [ parsed ] -> parsed = row | _ -> false)
 
+(* ---- floats written back exactly ----------------------------------- *)
+
+(* A repair that changes nothing must write its input's floats back as
+   they were read, not rounded to six significant digits. *)
+let test_floats_survive_repair () =
+  let text =
+    "id,grp,price\n1,a,1234.5678\n2,b,0.30000000000000004\n\
+     3,c,123456789.123\n4,d,17.99\n"
+  in
+  let rel = Csv.load_string ~name:"p" text in
+  let sigma =
+    match Dq_cfd.Cfd_parser.parse_string "f1: [grp] -> [price]\n" with
+    | Ok tabs -> Dq_cfd.Cfd_parser.resolve (Relation.schema rel) tabs
+    | Error e -> Alcotest.failf "ruleset: %a" Dq_cfd.Cfd_parser.pp_error e
+  in
+  let repaired, stats = Helpers.ok (Dq_core.Batch_repair.repair rel sigma) in
+  Alcotest.(check int) "no cell changed" 0 stats.Dq_core.Batch_repair.cells_changed;
+  Alcotest.(check string) "prices unchanged" text (Csv.save_string repaired)
+
+let prop_float_roundtrip =
+  (* Any finite float, built from random bits, reads back as itself; so do
+     integral floats of 16 and 17 digits and short decimals, which random
+     bits seldom hit. *)
+  let finite =
+    QCheck.Gen.(
+      let bits st =
+        let rec pick () =
+          let f = Int64.float_of_bits (ui64 st) in
+          if Float.is_finite f then f else pick ()
+        in
+        pick ()
+      in
+      let sign g = map2 (fun neg f -> if neg then -.f else f) bool g in
+      frequency
+        [
+          (4, bits);
+          (1, sign (map float_of_int (int_range 1_000_000_000_000_000 100_000_000_000_000_000)));
+          (1, sign (map2 (fun k e -> float_of_int k /. (10. ** float_of_int e)) nat (0 -- 20)));
+        ])
+  in
+  QCheck.Test.make ~name:"save_string then load_string keeps every float"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%h") finite)
+    (fun f ->
+      let rel = Relation.create (Schema.make ~name:"f" [ "x" ]) in
+      ignore (Relation.insert rel [| Value.float f |]);
+      match Relation.to_list (Csv.load_string ~name:"f" (Csv.save_string rel)) with
+      | [ t ] -> Test_value.same_value (Tuple.get t 0) (Value.float f)
+      | _ -> false)
+
 (* ---- the one-pass loader against the two-pass one ---------------------- *)
 
 (* The parser and loader as they were before loading became one pass,
@@ -384,4 +434,6 @@ let suite =
       test_save_file_atomic_on_fault;
     QCheck_alcotest.to_alcotest prop_load_equals_reference;
     QCheck_alcotest.to_alcotest prop_parse_equals_reference;
+    Alcotest.test_case "floats survive repair" `Quick test_floats_survive_repair;
+    QCheck_alcotest.to_alcotest prop_float_roundtrip;
   ]
