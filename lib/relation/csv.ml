@@ -10,7 +10,8 @@ exception Csv_error of error
    buffering without bound. *)
 let default_max_field_bytes = 64 * 1024 * 1024
 
-(* Bytes that end an unquoted run: delimiters, a quote, and NUL. *)
+(* The first byte at or after [i] that can end an unquoted run of bytes: a
+   delimiter, a quote or NUL. *)
 let rec skip_plain text n i =
   if i >= n then i
   else
@@ -66,27 +67,28 @@ let scan ?(max_field_bytes = default_max_field_bytes) text ~cell ~row =
   let rec start i =
     let j = skip_plain text n i in
     if j > i && ends_cell j then begin
-      mark_cell i;
-      if j - i > max_field_bytes then too_long ();
+      if j - i > max_field_bytes then begin
+        mark_cell i;
+        too_long ()
+      end;
       finish (String.sub text i (j - i)) j
     end
     else plain i
-  (* The cell [s] ends at [i]: the end of the text or a delimiter. *)
+  (* The cell [s] ends at [i]: the end of the text, a comma, or a row's
+     LF or CRLF. *)
   and finish s i =
     cell s;
     row_open := true;
     if i >= n then row !row_line
-    else
-      let next =
-        match String.unsafe_get text i with ',' | '\n' -> i + 1 | _ -> i + 2
-      in
-      if String.unsafe_get text i <> ',' then begin
-        row !row_line;
-        row_open := false;
-        newline next;
-        row_line := !line
-      end;
+    else if String.unsafe_get text i = ',' then start (i + 1)
+    else begin
+      let next = if String.unsafe_get text i = '\n' then i + 1 else i + 2 in
+      row !row_line;
+      row_open := false;
+      newline next;
+      row_line := !line;
       start next
+    end
   and plain i =
     if i >= n then begin
       if !row_open || Buffer.length buf > 0 then finish (take ()) i

@@ -68,8 +68,6 @@ let of_string_general s =
     | Some f -> Float f
     | None -> String s)
 
-let is_digit c = c >= '0' && c <= '9'
-
 (* The first bytes either function can accept: digits and signs; '.';
    '_', which [float_of_string] drops; and, since [strtod] skips leading
    C whitespace and reads inf and nan, those too. *)
@@ -79,36 +77,26 @@ let may_start_number = function
     true
   | _ -> false
 
+(* The index of the first byte of [s] at or after [i] that is no digit. *)
+let rec skip_digits s i =
+  if i < String.length s && '0' <= s.[i] && s.[i] <= '9' then
+    skip_digits s (i + 1)
+  else i
+
 let of_string s =
   let n = String.length s in
   if n = 0 then Null
-  else if not (may_start_number (String.unsafe_get s 0)) then String s
+  else if not (may_start_number s.[0]) then String s
   else
-    let start = if String.unsafe_get s 0 = '-' then 1 else 0 in
-    let i = ref start in
-    while !i < n && is_digit (String.unsafe_get s !i) do
-      incr i
-    done;
-    let digits = !i - start in
-    if digits = 0 then of_string_general s
-    else if !i = n then
+    let start = if s.[0] = '-' then 1 else 0 in
+    let i = skip_digits s start in
+    if i = n && i > start && i - start <= 18 then
       (* [-?[0-9]{1,18}] cannot overflow *)
-      if digits <= 18 then begin
-        let v = ref 0 in
-        for j = start to n - 1 do
-          v := (!v * 10) + (Char.code (String.unsafe_get s j) - 48)
-        done;
-        Int (if start = 1 then - !v else !v)
-      end
-      else of_string_general s
-    else if String.unsafe_get s !i = '.' && !i + 1 < n then begin
+      Int (int_of_string s)
+    else if i > start && i < n - 1 && s.[i] = '.' && skip_digits s (i + 1) = n
+    then
       (* [-?[0-9]+\.[0-9]+] is no int and always a float *)
-      let j = ref (!i + 1) in
-      while !j < n && is_digit (String.unsafe_get s !j) do
-        incr j
-      done;
-      if !j = n then Float (float_of_string s) else of_string_general s
-    end
+      Float (float_of_string s)
     else of_string_general s
 
 let pp ppf v = Format.pp_print_string ppf (to_display v)

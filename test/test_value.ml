@@ -141,6 +141,22 @@ let test_int_bounds () =
       max_s ^ ".0"; "-" ^ next min_mag ^ ".5";
     ]
 
+let test_number_lookalikes () =
+  (* Every byte that can start a number, then shapes either parser takes
+     or refuses: C whitespace, '_', base prefixes, signs, bare points,
+     exponents, inf and nan in any case, trailing junk. *)
+  List.iter
+    (fun s ->
+      if not (agrees s) then Alcotest.failf "of_string %S differs from the reference" s)
+    [
+      " 5"; "\t5"; "\n5"; "\0115"; "\0125"; "\r5"; " "; "_5"; "__"; "1_000";
+      "1_000.5"; "0x1F"; "0X1f"; "0b101"; "0o17"; "0u5"; "0x1p3"; " 0x1p3";
+      "+5"; "-0"; "-"; "+"; "."; ".."; "5."; ".5"; "-.5"; "-0.0"; "1e5";
+      "1E5"; "1.5e"; "1.5.5"; "inf"; "-inf"; "+inf"; "Infinity"; "nan";
+      "NaN"; "-nan"; "nan(1)"; "N_a_N"; "i_n_f"; "nano"; "12 "; "12\n";
+      "007"; "-007"; "0"; "9"; "-9"; "a23"; "NYC";
+    ]
+
 let prop_skewed_strings =
   (* Short strings over the bytes that steer either parser: digits, signs,
      '.', '_', exponents, hex and binary prefixes, inf and nan, and C
@@ -149,7 +165,11 @@ let prop_skewed_strings =
     QCheck.Gen.(
       frequency
         [
-          (6, oneofl (List.of_seq (String.to_seq "0123456789+-._eExXbBoOiInNfaAy ,\"\n\r\t\000")));
+          ( 6,
+            oneofl
+              (List.of_seq
+                 (String.to_seq
+                    "0123456789+-._eExXbBoOiInNfaAy ,\"\n\r\t\011\012\000")) );
           (1, char_range '\000' '\255');
         ])
   in
@@ -171,4 +191,6 @@ let suite =
     Alcotest.test_case "of_string around min_int and max_int" `Quick
       test_int_bounds;
     QCheck_alcotest.to_alcotest prop_skewed_strings;
+    Alcotest.test_case "of_string on number look-alikes" `Quick
+      test_number_lookalikes;
   ]
