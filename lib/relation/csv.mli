@@ -10,7 +10,14 @@
     structured {!error} with a 1-based source position (the [_res]
     variants) — the raising variants wrap the same message in [Failure]
     for callers that predate them.  [load_string_res] never raises on any
-    byte sequence (qcheck-fuzzed). *)
+    byte sequence (qcheck-fuzzed).
+
+    Loading is one pass over the text: each row is typed and inserted as
+    soon as it is parsed, and an unquoted cell is cut out of the text
+    whole.  Errors keep a fixed precedence all the same.  The first parse
+    error (unterminated quote, NUL byte, oversized field) is reported
+    wherever it is, even after a bad header or a ragged row; failing
+    that, an empty input; then a bad header; then the first ragged row. *)
 
 type error = { line : int; col : int; message : string }
 (** A loading failure at a 1-based source position.  For multi-line
@@ -52,7 +59,11 @@ val load_file_res :
 val load_file : ?name:string -> string -> Relation.t
 
 val save_string : Relation.t -> string
-(** Render a relation as CSV with a header row. *)
+(** Render a relation as CSV with a header row.  Every float loads back
+    as the same float: it is written as {!Value.to_string} renders it
+    when that text reads back exactly, and otherwise with the fewest of
+    15, 16 or 17 significant digits that does (or with one decimal, for
+    an integral float that those would print as an int). *)
 
 val save_file : Relation.t -> string -> unit
 (** Crash-safe: writes via {!Dq_fault.Atomic_io.write_file} (temp file +

@@ -1,14 +1,21 @@
 (** In-memory relation instances.
 
     A relation owns a set of {!Tuple.t}s over a fixed {!Schema.t}, assigns
-    stable tuple identifiers, and maintains per-attribute active domains
-    ([adom(A,D)], Section 2 of the paper) incrementally.  Active domains are
-    the value pools repairs draw from: the algorithms never invent new
+    stable tuple identifiers, and answers per-attribute active-domain
+    queries ([adom(A,D)], Section 2 of the paper).  Active domains are the
+    value pools repairs draw from: the algorithms never invent new
     constants (Section 3.1).
 
-    Value updates must go through {!set_value} so the active-domain index
+    An attribute's active domain is built from the current tuples on its
+    first query ({!active_domain}, {!active_domain_size} or
+    {!in_active_domain}) and kept up to date from then on, so loads,
+    copies and relations nobody queries pay nothing for it.  That first
+    query writes to the relation: it must not run while another domain
+    reads or writes the same relation.
+
+    Value updates must go through {!set_value} so a built active domain
     stays consistent; mutating a member tuple directly with {!Tuple.set}
-    bypasses the index and is unsupported. *)
+    bypasses it and is unsupported. *)
 
 type t
 
@@ -57,15 +64,19 @@ val last : t -> int -> Tuple.t list
     deleted tuples among the newest. *)
 
 val active_domain : t -> int -> Value.t list
-(** Distinct non-null values of the attribute at a position, in an
-    unspecified but deterministic order. *)
+(** Distinct non-null values of the attribute at a position, sorted by
+    {!Value.compare}.  The first active-domain query on a position builds
+    its index (see above). *)
 
 val active_domain_size : t -> int -> int
+(** The length of {!active_domain}; builds the index like it. *)
 
 val in_active_domain : t -> int -> Value.t -> bool
+(** Membership in {!active_domain}; builds the index like it. *)
 
 val copy : t -> t
-(** Deep copy: fresh tuples (same tids), fresh indexes. *)
+(** Deep copy: fresh tuples (same tids); active domains are built again
+    on the copy's first query. *)
 
 val dif : t -> t -> int
 (** [dif d1 d2] counts attribute-level differences between tuples paired by
