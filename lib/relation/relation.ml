@@ -131,7 +131,8 @@ let adom r pos =
   | Some tbl -> tbl
   | None ->
     let tbl = Hashtbl.create 64 in
-    iter (fun t -> count_in tbl (Tuple.get t pos)) r;
+    (* Counting is order-free, so the tids' hash order will do. *)
+    Hashtbl.iter (fun _ t -> count_in tbl (Tuple.get t pos)) r.by_tid;
     r.adom.(pos) <- Some tbl;
     tbl
 
