@@ -143,9 +143,11 @@ let op_gen ~queries =
      ]
     @ if queries then [ (3, map2 (fun p v -> Query (p, v)) (0 -- 1) value) ] else [])
 
-let show_op = function
-  | Insert r -> "insert " ^ String.concat "," (Array.to_list (Array.map Value.to_display r))
-  | Add r -> "add " ^ String.concat "," (Array.to_list (Array.map Value.to_display r))
+let show_op =
+  let row r = String.concat "," (Array.to_list (Array.map Value.to_display r)) in
+  function
+  | Insert r -> "insert " ^ row r
+  | Add r -> "add " ^ row r
   | Set (i, p, v) -> Printf.sprintf "set #%d.%d=%s" i p (Value.to_display v)
   | Delete i -> Printf.sprintf "delete #%d" i
   | Copy -> "copy"
