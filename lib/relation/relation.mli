@@ -11,7 +11,8 @@
     {!in_active_domain}) and kept up to date from then on, so loads,
     copies and relations nobody queries pay nothing for it.  That first
     query writes to the relation: it must not run while another domain
-    reads or writes the same relation.
+    reads or writes the same relation.  No pool task calls these
+    functions today.
 
     Value updates must go through {!set_value} so a built active domain
     stays consistent; mutating a member tuple directly with {!Tuple.set}
