@@ -6,49 +6,57 @@ type node =
 
 type t = { root : node option; size : int }
 
-let distance = Cost.dl_distance
+(* The first index holding the greatest distance. *)
+let first_argmax ds =
+  let best = ref 0 in
+  Array.iteri (fun i d -> if d > ds.(!best) then best := i) ds;
+  !best
 
-(* Farthest-point seeds: start from the first element, walk to the element
-   farthest from it, then take the element farthest from that one. *)
+(* Farthest-point seeds: start from the first text, walk to the first text
+   farthest from it ([a]), then take the first text farthest from [a]
+   ([b]).  Returns both seeds' indices and every text's distance to [a],
+   which the partition reuses. *)
 let pick_seeds texts =
-  let farthest_from s =
-    fst
-      (List.fold_left
-         (fun (best, d) t ->
-           let d' = distance s t in
-           if d' > d then (t, d') else (best, d))
-         (s, -1) texts)
-  in
-  match texts with
-  | [] | [ _ ] -> None
-  | first :: _ ->
-    let a = farthest_from first in
-    let b = farthest_from a in
-    if String.equal a b then None else Some (a, b)
+  let a = first_argmax (Cost.dl_distances texts.(0) texts) in
+  let to_a = Cost.dl_distances texts.(a) texts in
+  let b = first_argmax to_a in
+  if String.equal texts.(a) texts.(b) then None else Some (a, b, to_a)
 
+(* [items] is non-empty.  A text goes left when it is no farther from [a]
+   than from [b]; each side keeps the input order. *)
 let rec build_node items =
   match items with
-  | [] -> assert false
-  | [ (text, value) ] -> Leaf { text; value }
+  | [| (text, value) |] -> Leaf { text; value }
   | _ -> (
-    let texts = List.map fst items in
+    let texts = Array.map fst items in
     match pick_seeds texts with
-    | Some (a, b) when not (String.equal a b) ->
-      let near_a, near_b =
-        List.partition (fun (t, _) -> distance t a <= distance t b) items
-      in
-      if near_a = [] || near_b = [] then split_half items a
+    | Some (a, b, to_a) ->
+      let to_b = Cost.dl_distances texts.(b) texts in
+      let near_a = ref [] and near_b = ref [] in
+      for i = Array.length items - 1 downto 0 do
+        if to_a.(i) <= to_b.(i) then near_a := items.(i) :: !near_a
+        else near_b := items.(i) :: !near_b
+      done;
+      if !near_a = [] || !near_b = [] then split_half items texts.(a)
       else
-        Branch { rep = a; left = build_node near_a; right = build_node near_b }
-    | _ ->
+        Branch
+          {
+            rep = texts.(a);
+            left = build_node (Array.of_list !near_a);
+            right = build_node (Array.of_list !near_b);
+          }
+    | None ->
       (* all values equidistant (or identical): split arbitrarily *)
-      split_half items (fst (List.hd items)))
+      split_half items texts.(0))
 
 and split_half items rep =
-  let n = List.length items in
-  let left = List.filteri (fun i _ -> i < n / 2) items in
-  let right = List.filteri (fun i _ -> i >= n / 2) items in
-  Branch { rep; left = build_node left; right = build_node right }
+  let n = Array.length items in
+  Branch
+    {
+      rep;
+      left = build_node (Array.sub items 0 (n / 2));
+      right = build_node (Array.sub items (n / 2) (n - (n / 2)));
+    }
 
 let build values =
   let items =
@@ -56,10 +64,11 @@ let build values =
     |> List.filter (fun v -> not (Value.is_null v))
     |> List.sort_uniq Value.compare
     |> List.map (fun v -> (Value.to_string v, v))
+    |> Array.of_list
   in
   match items with
-  | [] -> { root = None; size = 0 }
-  | _ -> { root = Some (build_node items); size = List.length items }
+  | [||] -> { root = None; size = 0 }
+  | _ -> { root = Some (build_node items); size = Array.length items }
 
 let of_attribute rel pos = build (Relation.active_domain rel pos)
 
@@ -75,8 +84,8 @@ let iter_nearest t query f =
     let push node =
       let d =
         match node with
-        | Leaf { text; _ } -> distance q text
-        | Branch { rep; _ } -> distance q rep
+        | Leaf { text; _ } -> Cost.dl_distance q text
+        | Branch { rep; _ } -> Cost.dl_distance q rep
       in
       Heap.add heap ~priority:(float_of_int d) node
     in
@@ -93,13 +102,16 @@ let iter_nearest t query f =
     drain ()
 
 let nearest t query ~k =
-  let out = ref [] in
-  let count = ref 0 in
-  iter_nearest t query (fun v ->
-      out := v :: !out;
-      incr count;
-      !count >= k);
-  List.rev !out
+  if k <= 0 then []
+  else begin
+    let out = ref [] in
+    let count = ref 0 in
+    iter_nearest t query (fun v ->
+        out := v :: !out;
+        incr count;
+        !count >= k);
+    List.rev !out
+  end
 
 let find_first t query pred =
   let found = ref None in

@@ -10,14 +10,27 @@
     character closer than shorter ones.
 
     Nulls render as the empty string, so changing a value to [null] costs
-    the full weight [w(t,A)] and [cost(null, null) = 0]. *)
+    the full weight [w(t,A)] and [cost(null, null) = 0].
+
+    Distances and lengths count bytes, not characters: a multi-byte UTF-8
+    character is several edits ([dl_distance "é" "e"] is 2).
+
+    Every function here is safe to call from any domain and any systhread
+    at once, given relations and tuples no one is writing to. *)
 
 open Dq_relation
 
 val dl_distance : string -> string -> int
 (** Restricted Damerau–Levenshtein (optimal string alignment) distance:
-    minimum number of single-character insertions, deletions, substitutions
-    and adjacent transpositions. *)
+    minimum number of single-byte insertions, deletions, substitutions
+    and adjacent transpositions.  When the shorter string has at most
+    [Sys.int_size - 1] bytes (62 on 64-bit OCaml) it is the pattern of
+    Hyyrö's bit-vector algorithm, which scans the other string a byte at a
+    time in a few word operations; longer pairs take the dynamic program. *)
+
+val dl_distances : string -> string array -> int array
+(** [dl_distances p ts] is [Array.map (dl_distance p) ts], with [p]'s
+    match masks set up once for the whole array. *)
 
 val value_distance : Value.t -> Value.t -> int
 (** [dl_distance] on {!Value.to_string} renderings. *)

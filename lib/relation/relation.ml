@@ -1,8 +1,11 @@
 type t = {
   schema : Schema.t;
   by_tid : (int, Tuple.t) Hashtbl.t;
-  mutable order : int Vec.t; (* insertion order; may contain deleted tids *)
-  mutable deleted : int; (* stale entries in [order], compacted lazily *)
+  mutable order : Tuple.t Vec.t;
+      (* insertion order; an entry is stale once it is no longer the live
+         tuple for its tid (deleted, or deleted and its tid added again) *)
+  stale : (int, Tuple.t) Hashtbl.t;
+      (* the stale entries' tuples by tid, until [order] is compacted *)
   mutable next_tid : int;
   adom : (Value.t, int ref) Hashtbl.t option array;
       (* per-attribute value counts, built on the first query *)
@@ -13,7 +16,7 @@ let create schema =
     schema;
     by_tid = Hashtbl.create 64;
     order = Vec.create ();
-    deleted = 0;
+    stale = Hashtbl.create 8;
     next_tid = 0;
     adom = Array.make (Schema.arity schema) None;
   }
@@ -41,9 +44,18 @@ let adom_decr r pos v =
     | None -> ())
   | Some _ | None -> ()
 
+let live r t =
+  match Hashtbl.find_opt r.by_tid (Tuple.tid t) with
+  | Some t' -> t' == t
+  | None -> false
+
+let purge r =
+  r.order <- Vec.filter (live r) r.order;
+  Hashtbl.reset r.stale
+
 let register r t =
   Hashtbl.add r.by_tid (Tuple.tid t) t;
-  Vec.push r.order (Tuple.tid t);
+  Vec.push r.order t;
   for i = 0 to Tuple.arity t - 1 do
     adom_incr r i (Tuple.get t i)
   done;
@@ -61,14 +73,15 @@ let add r t =
     invalid_arg "Relation.add: arity mismatch";
   if Hashtbl.mem r.by_tid (Tuple.tid t) then
     invalid_arg (Printf.sprintf "Relation.add: duplicate tid %d" (Tuple.tid t));
+  (* The very tuple that was deleted, added back, would match its own
+     stale entry. *)
+  if List.memq t (Hashtbl.find_all r.stale (Tuple.tid t)) then purge r;
   register r t
 
 let compact r =
-  (* Drop stale tids from the order vector once they dominate it. *)
-  if r.deleted > 32 && r.deleted * 2 > Vec.length r.order then begin
-    r.order <- Vec.filter (Hashtbl.mem r.by_tid) r.order;
-    r.deleted <- 0
-  end
+  (* Drop stale entries from the order vector once they dominate it. *)
+  let n = Hashtbl.length r.stale in
+  if n > 32 && n * 2 > Vec.length r.order then purge r
 
 let delete r tid =
   match Hashtbl.find_opt r.by_tid tid with
@@ -78,7 +91,7 @@ let delete r tid =
       adom_decr r i (Tuple.get t i)
     done;
     Hashtbl.remove r.by_tid tid;
-    r.deleted <- r.deleted + 1;
+    Hashtbl.add r.stale tid t;
     compact r;
     true
 
@@ -96,13 +109,7 @@ let set_value r t pos v =
   Tuple.set t pos v;
   adom_incr r pos v
 
-let iter f r =
-  Vec.iter
-    (fun tid ->
-      match Hashtbl.find_opt r.by_tid tid with
-      | Some t -> f t
-      | None -> ())
-    r.order
+let iter f r = Vec.iter (fun t -> if live r t then f t) r.order
 
 let fold f acc r =
   let acc = ref acc in
@@ -120,9 +127,8 @@ let last r k =
   let rec go i k acc =
     if k <= 0 || i < 0 then acc
     else
-      match Hashtbl.find_opt r.by_tid (Vec.get r.order i) with
-      | Some t -> go (i - 1) (k - 1) (t :: acc)
-      | None -> go (i - 1) k acc
+      let t = Vec.get r.order i in
+      if live r t then go (i - 1) (k - 1) (t :: acc) else go (i - 1) k acc
   in
   go (Vec.length r.order - 1) k []
 

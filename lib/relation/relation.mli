@@ -36,7 +36,8 @@ val add : t -> Tuple.t -> unit
     arity does not match the schema. *)
 
 val delete : t -> int -> bool
-(** Delete by tid; returns whether the tuple was present. *)
+(** Delete by tid; returns whether the tuple was present.  The tid may be
+    added again later, with a new tuple or the deleted one. *)
 
 val find : t -> int -> Tuple.t option
 (** Look up by tid. *)
@@ -50,7 +51,8 @@ val set_value : t -> Tuple.t -> int -> Value.t -> unit
     The tuple must belong to this relation. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
-(** Iterate in insertion order. *)
+(** Iterate in insertion order: a tuple whose tid was deleted and added
+    again comes where it was last added. *)
 
 val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 

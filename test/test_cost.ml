@@ -10,6 +10,9 @@ let test_dl_distance_basics () =
   Alcotest.(check int) "ca -> abc (OSA)" 3 (Cost.dl_distance "ca" "abc");
   Alcotest.(check int) "single insert" 1 (Cost.dl_distance "NYC" "NYCC")
 
+let test_bytes_not_chars () =
+  Alcotest.(check int) "é against e" 2 (Cost.dl_distance "\xc3\xa9" "e")
+
 let test_dl_symmetry_and_triangle_ish () =
   let words = [ "NYC"; "PHI"; "19014"; "10012"; ""; "Walnut"; "Wlanut" ] in
   List.iter
@@ -104,6 +107,126 @@ let prop_similarity_unit_interval =
       let s = Cost.similarity (Value.string a) (Value.string b) in
       s >= 0. && s <= 1.)
 
+(* ---- the bit-vector kernel against the dynamic program ---------------- *)
+
+(* The OSA dynamic program [Cost.dl_distance] ran before the bit-vector
+   kernel, kept as the reference. *)
+let reference s t =
+  let m = String.length s and n = String.length t in
+  if m = 0 then n
+  else if n = 0 then m
+  else begin
+    let prev2 = Array.make (n + 1) 0 in
+    let prev = Array.init (n + 1) (fun j -> j) in
+    let curr = Array.make (n + 1) 0 in
+    for i = 1 to m do
+      curr.(0) <- i;
+      for j = 1 to n do
+        let substitution_cost = if s.[i - 1] = t.[j - 1] then 0 else 1 in
+        let best =
+          min
+            (min (prev.(j) + 1) (curr.(j - 1) + 1))
+            (prev.(j - 1) + substitution_cost)
+        in
+        let best =
+          if
+            i > 1 && j > 1
+            && s.[i - 1] = t.[j - 2]
+            && s.[i - 2] = t.[j - 1]
+          then min best (prev2.(j - 2) + 1)
+          else best
+        in
+        curr.(j) <- best
+      done;
+      Array.blit prev 0 prev2 0 (n + 1);
+      Array.blit curr 0 prev 0 (n + 1)
+    done;
+    prev.(n)
+  end
+
+(* Lengths weigh on 0-14 (every pattern fits a word) and 58-68 (around the
+   62-byte limit, so either string may be the pattern, or neither); bytes
+   come from a 2-4 letter alphabet, where transpositions are common, or
+   from all 256 values. *)
+let bytes_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun k -> char_range 'a' (Char.chr (Char.code 'a' + k - 1))) (2 -- 4);
+      return (frequency [ (1, return '\000'); (1, return '\255'); (6, char) ]);
+    ]
+
+let text_gen chars =
+  QCheck.Gen.(
+    string_size ~gen:chars (frequency [ (4, 0 -- 14); (3, 58 -- 68); (1, 0 -- 130) ]))
+
+let prop_kernel_equals_dp =
+  QCheck.Test.make ~name:"DL kernel equals the dynamic program" ~count:3000
+    (QCheck.make
+       ~print:QCheck.Print.(pair string string)
+       QCheck.Gen.(bytes_gen >>= fun chars -> pair (text_gen chars) (text_gen chars)))
+    (fun (s, t) -> Cost.dl_distance s t = reference s t)
+
+let prop_distances_equal_map =
+  QCheck.Test.make ~name:"dl_distances equals mapping dl_distance" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair string (array string))
+       QCheck.Gen.(
+         bytes_gen >>= fun chars ->
+         pair (text_gen chars)
+           (array_size (0 -- 8)
+              (frequency [ (1, return ""); (4, text_gen chars) ]))))
+    (fun (p, ts) ->
+      let ds = Cost.dl_distances p ts in
+      ds = Array.map (Cost.dl_distance p) ts && ds = Array.map (reference p) ts)
+
+(* Threads hammer the kernel and count answers that differ from the
+   reference's, computed up front: 256 pairs, and for every 16th pair's
+   first string its distances to all the second strings. *)
+let stress_cases =
+  lazy
+    (let rand = Random.State.make [| 19 |] in
+     let text () =
+       String.init
+         (Random.State.int rand 20)
+         (fun _ -> Char.chr (Char.code 'a' + Random.State.int rand 3))
+     in
+     let pairs = Array.init 256 (fun _ -> (text (), text ())) in
+     let texts = Array.map snd pairs in
+     ( Array.map (fun (s, t) -> (s, t, reference s t)) pairs,
+       texts,
+       Array.map (fun (s, _) -> Array.map (reference s) texts) pairs ))
+
+let count_wrong ~seconds () =
+  let pairs, texts, rows = Lazy.force stress_cases in
+  let wrong = ref 0 in
+  let stop = Unix.gettimeofday () +. seconds in
+  while Unix.gettimeofday () < stop do
+    Array.iteri
+      (fun i (s, t, d) ->
+        if Cost.dl_distance s t <> d then incr wrong;
+        if i land 15 = 0 && Cost.dl_distances s texts <> rows.(i) then
+          incr wrong)
+      pairs
+  done;
+  !wrong
+
+let test_kernel_under_domains () =
+  ignore (Lazy.force stress_cases);
+  let ds = List.init 2 (fun _ -> Domain.spawn (count_wrong ~seconds:1.0)) in
+  Alcotest.(check int) "wrong answers" 0
+    (List.fold_left (fun n d -> n + Domain.join d) 0 ds)
+
+let test_kernel_under_systhreads () =
+  ignore (Lazy.force stress_cases);
+  let wrong = Array.make 3 0 in
+  let ts =
+    List.init 3 (fun i ->
+        Thread.create (fun () -> wrong.(i) <- count_wrong ~seconds:1.0 ()) ())
+  in
+  List.iter Thread.join ts;
+  Alcotest.(check int) "wrong answers" 0 (Array.fold_left ( + ) 0 wrong)
+
 let suite =
   [
     Alcotest.test_case "DL distance basics" `Quick test_dl_distance_basics;
@@ -115,4 +238,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dl_triangle;
     QCheck_alcotest.to_alcotest prop_dl_bounds;
     QCheck_alcotest.to_alcotest prop_similarity_unit_interval;
+    QCheck_alcotest.to_alcotest prop_kernel_equals_dp;
+    QCheck_alcotest.to_alcotest prop_distances_equal_map;
+    Alcotest.test_case "kernel on two domains at once" `Quick
+      test_kernel_under_domains;
+    Alcotest.test_case "kernel on three systhreads at once" `Quick
+      test_kernel_under_systhreads;
+    Alcotest.test_case "distances count bytes" `Quick test_bytes_not_chars;
   ]

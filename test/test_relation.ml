@@ -88,6 +88,24 @@ let test_iteration_order_after_deletes () =
   Alcotest.(check (list int)) "last skips a deleted newest tuple"
     (List.filteri (fun i _ -> i = 47 || i = 48) expected) (last 2)
 
+let test_readd_deleted_tid () =
+  let r = mk () in
+  let t5 = Tuple.create ~tid:5 [| v "a"; v "1" |] in
+  Relation.add r t5;
+  ignore (Relation.delete r 5);
+  Relation.add r (Tuple.create ~tid:5 [| v "b"; v "2" |]);
+  let visited = Relation.fold (fun n _ -> n + 1) 0 r in
+  Alcotest.(check int) "cardinality" 1 (Relation.cardinality r);
+  Alcotest.(check int) "fold visits one tuple" 1 visited;
+  Alcotest.(check int) "tuples" 1 (Array.length (Relation.tuples r));
+  Alcotest.(check int) "last" 1 (List.length (Relation.last r 5));
+  Alcotest.(check int) "copy" 1 (Relation.cardinality (Relation.copy r));
+  (* the very tuple that was deleted, added back *)
+  ignore (Relation.delete r 5);
+  Relation.add r t5;
+  Alcotest.(check (list string)) "the re-added tuple, once" [ "a" ]
+    (List.map (fun t -> Value.to_string (Tuple.get t 0)) (Relation.to_list r))
+
 let test_copy_deep () =
   let r = mk () in
   let t = Relation.insert r [| v "a"; v "1" |] in
@@ -122,6 +140,9 @@ let test_arity_mismatch () =
 type op =
   | Insert of Value.t array
   | Add of Value.t array (* with a tid past every tid used so far *)
+  | Readd of int * Value.t array option
+      (* nth deleted tid, as a new tuple with these values or, with
+         [None], as the very tuple that was deleted *)
   | Set of int * int * Value.t (* nth live tuple, position, value *)
   | Delete of int (* nth live tuple; past the end deletes an absent tid *)
   | Copy (* continue on a deep copy *)
@@ -137,6 +158,7 @@ let op_gen ~queries =
     ([
        (4, map (fun r -> Insert r) row);
        (1, map (fun r -> Add r) row);
+       (2, map2 (fun i r -> Readd (i, r)) (0 -- 5) (option row));
        (3, map3 (fun i p v -> Set (i, p, v)) (0 -- 20) (0 -- 1) value);
        (2, map (fun i -> Delete i) (0 -- 25));
        (1, return Copy);
@@ -148,48 +170,91 @@ let show_op =
   function
   | Insert r -> "insert " ^ row r
   | Add r -> "add " ^ row r
+  | Readd (i, Some r) -> Printf.sprintf "re-add deleted #%d as %s" i (row r)
+  | Readd (i, None) -> Printf.sprintf "re-add deleted #%d" i
   | Set (i, p, v) -> Printf.sprintf "set #%d.%d=%s" i p (Value.to_display v)
   | Delete i -> Printf.sprintf "delete #%d" i
   | Copy -> "copy"
   | Query (p, v) -> Printf.sprintf "query %d %s" p (Value.to_display v)
 
-let model_adom r pos =
-  Relation.fold
-    (fun acc t ->
-      let v = Tuple.get t pos in
-      if Value.is_null v then acc else v :: acc)
-    [] r
+(* The model is the live tuples, as (tid, values) in the order of their
+   latest add. *)
+let model_adom model pos =
+  List.filter_map
+    (fun (_, row) -> if Value.is_null row.(pos) then None else Some row.(pos))
+    model
   |> List.sort_uniq Value.compare
 
-let adom_agrees r pos v =
-  let model = model_adom r pos in
+let adom_agrees r model pos v =
+  let model = model_adom model pos in
   List.equal Value.equal (Relation.active_domain r pos) model
   && Relation.active_domain_size r pos = List.length model
   && Relation.in_active_domain r pos v = List.exists (Value.equal v) model
 
+let tuples_agree r model =
+  let same t (tid, row) =
+    Tuple.tid t = tid && Array.for_all2 Value.equal (Tuple.values t) row
+  in
+  let matches ts model =
+    List.compare_lengths ts model = 0 && List.for_all2 same ts model
+  in
+  let n = List.length model in
+  Relation.cardinality r = n
+  && Relation.fold (fun k _ -> k + 1) 0 r = n
+  && matches (Array.to_list (Relation.tuples r)) model
+  && matches (Relation.last r 3) (List.filteri (fun i _ -> i >= n - 3) model)
+
 let run_ops ops =
   let r = ref (mk ()) in
-  let nth i =
-    let ts = Relation.tuples !r in
-    if i < Array.length ts then Some ts.(i) else None
-  in
+  let model = ref [] and dead = ref [] in
   let ok = ref true and high = ref 0 in
+  let append t = model := !model @ [ (Tuple.tid t, Tuple.values t) ] in
   List.iter
     (function
-      | Insert row -> high := max !high (Tuple.tid (Relation.insert !r row))
+      | Insert row ->
+        let t = Relation.insert !r row in
+        high := max !high (Tuple.tid t);
+        append t
       | Add row ->
         high := !high + 3;
-        Relation.add !r (Tuple.create ~tid:!high row)
+        let t = Tuple.create ~tid:!high row in
+        Relation.add !r t;
+        append t
+      | Readd (i, row) -> (
+        match List.nth_opt !dead i with
+        | Some old ->
+          let t =
+            match row with
+            | Some row -> Tuple.create ~tid:(Tuple.tid old) row
+            | None -> old
+          in
+          dead := List.filter (fun d -> d != old) !dead;
+          Relation.add !r t;
+          append t
+        | None -> ())
       | Set (i, p, v) -> (
-        match nth i with Some t -> Relation.set_value !r t p v | None -> ())
+        match List.nth_opt !model i with
+        | Some (tid, row) ->
+          Relation.set_value !r (Relation.find_exn !r tid) p v;
+          row.(p) <- v
+        | None -> ())
       | Delete i -> (
-        match nth i with
-        | Some t -> ignore (Relation.delete !r (Tuple.tid t))
-        | None -> ignore (Relation.delete !r 1_000_000))
-      | Copy -> r := Relation.copy !r
-      | Query (p, v) -> ok := !ok && adom_agrees !r p v)
+        match List.nth_opt !model i with
+        | Some (tid, _) ->
+          dead := Relation.find_exn !r tid :: !dead;
+          ok := !ok && Relation.delete !r tid;
+          model := List.filter (fun (tid', _) -> tid' <> tid) !model
+        | None -> ok := !ok && not (Relation.delete !r 1_000_000))
+      | Copy ->
+        r := Relation.copy !r;
+        dead := []
+      | Query (p, v) -> ok := !ok && adom_agrees !r !model p v)
     ops;
-  !ok && List.for_all (fun v -> adom_agrees !r 0 v && adom_agrees !r 1 v) adom_pool
+  !ok
+  && tuples_agree !r !model
+  && List.for_all
+       (fun v -> adom_agrees !r !model 0 v && adom_agrees !r !model 1 v)
+       adom_pool
 
 let prop_adom_model ~queries name =
   QCheck.Test.make ~name ~count:500
@@ -211,6 +276,8 @@ let suite =
     Alcotest.test_case "iteration order" `Quick test_iteration_order;
     Alcotest.test_case "iteration order after deletes" `Quick
       test_iteration_order_after_deletes;
+    Alcotest.test_case "re-added tid visited once" `Quick
+      test_readd_deleted_tid;
     Alcotest.test_case "deep copy" `Quick test_copy_deep;
     Alcotest.test_case "dif" `Quick test_dif;
     Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
