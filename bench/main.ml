@@ -5,16 +5,14 @@
 
    Usage: dune exec bench/main.exe --
             [--only SECTION]... [--seeds K] [--scale N] [--out DIR]
-            [--trace FILE] [--compare OLD] [--tolerance PCT]
+            [--trace FILE]
 
    Every section writes a stable-schema BENCH_<section>.json into the
    --out directory (default "."): the shared CLI envelope whose
    report.summary is {section, scale, seeds, metrics} with metrics a flat
-   name -> number map (median over --seeds).  `--compare OLD` (a previous
-   BENCH_*.json, or a directory of them) runs no benches; it prints a
-   per-metric delta table against the matching files in --out and exits 1
-   if any metric regressed past --tolerance percent (time metrics, named
-   *_s, regress upward; quality metrics regress downward).
+   name -> number map (median over --seeds).  How fast the cfdclean
+   binary runs end to end, against committed baselines, is measured by
+   perfbench/ instead (see perfbench/README.md).
 
    Sizes are scaled down from the paper's 10k-300k testbed (see DESIGN.md,
    substitutions): the default base size is 4,000 tuples so the full
@@ -26,10 +24,8 @@ open Dq_relation
 open Dq_cfd
 open Dq_core
 open Dq_workload
-module Pool = Dq_parallel.Pool
 module Json = Dq_obs.Json
 module Trace = Dq_obs.Trace
-module Deadline = Dq_fault.Deadline
 module Atomic_io = Dq_fault.Atomic_io
 
 (* ---- command line ---------------------------------------------------- *)
@@ -48,10 +44,6 @@ let valid_sections =
     "abl-depgraph";
     "abl-cluster";
     "abl-k";
-    "parallel";
-    "analyze";
-    "engines";
-    "serve";
     "micro";
   ]
 
@@ -63,40 +55,31 @@ let base_n = ref 4_000
 
 let out_dir = ref "."
 
-let compare_against = ref None
-
-let tolerance = ref 15.0
-
 let trace_path = ref None
-
-(* Wall-clock budget for the whole run; checked at section boundaries, so
-   a section that has started always runs to completion and its
-   BENCH_*.json is whole. *)
-let deadline = ref Deadline.never
-
-let sections_ran = ref 0
-
-let sections_skipped = ref 0
 
 let usage () =
   Fmt.epr
     "usage: main.exe [--only SECTION]... [--seeds K] [--scale N] [--out DIR] \
-     [--deadline SECS] [--trace FILE] [--compare OLD] [--tolerance PCT]@.\
+     [--trace FILE]@.\
      \  --only SECTION   run one section (repeatable); SECTION is one of:@.\
      \                   %s@.\
-     \  --seeds K        median results over K dataset seeds (default 1)@.\
-     \  --scale N        base database size in tuples (default 4000)@.\
-     \  --out DIR        directory receiving the per-section BENCH_*.json \
-     files (default .)@.\
-     \  --deadline SECS  wall-clock budget; sections not yet started when \
-     it expires are@.\
-     \                   skipped (exit 4 if no section ran at all)@.\
-     \  --trace FILE     write a Chrome trace-event dump of the run@.\
-     \  --compare OLD    compare OLD (BENCH_*.json file or directory of \
-     them) against@.\
-     \                   the matching files in --out; no benches run@.\
-     \  --tolerance PCT  regression threshold for --compare (default 15)@."
+     \  --seeds K        median results over K >= 1 dataset seeds (default 1)@.\
+     \  --scale N        base database size in tuples, N >= 2 (default 4000)@.\
+     \  --out DIR        existing directory receiving the per-section \
+     BENCH_*.json files (default .)@.\
+     \  --trace FILE     write a Chrome trace-event dump of the run@."
     (String.concat " " valid_sections)
+
+(* Every argument is checked before any section runs, so a bad one never
+   leaves zeros or a partial run behind in BENCH_*.json.  Fig. 11's
+   smallest database has scale/2 tuples, hence the floor of 2. *)
+let bad_arg fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "%s@." msg;
+      usage ();
+      exit 2)
+    fmt
 
 let () =
   let rec parse = function
@@ -110,30 +93,22 @@ let () =
       only := name :: !only;
       parse rest
     | "--seeds" :: k :: rest ->
-      seeds := List.init (int_of_string k) (fun i -> 7 + (13 * i));
+      let k = int_of_string k in
+      if k < 1 then bad_arg "--seeds must be at least 1 (got %d)" k;
+      seeds := List.init k (fun i -> 7 + (13 * i));
       parse rest
     | "--scale" :: n :: rest ->
-      base_n := int_of_string n;
+      let n = int_of_string n in
+      if n < 2 then bad_arg "--scale must be at least 2 (got %d)" n;
+      base_n := n;
       parse rest
     | "--out" :: dir :: rest ->
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        bad_arg "--out %S is not a directory" dir;
       out_dir := dir;
       parse rest
     | "--trace" :: path :: rest ->
       trace_path := Some path;
-      parse rest
-    | "--deadline" :: secs :: rest ->
-      let s = float_of_string secs in
-      if s < 0. then begin
-        Fmt.epr "--deadline must be non-negative (got %g)@." s;
-        exit 2
-      end;
-      deadline := Deadline.after s;
-      parse rest
-    | "--compare" :: old :: rest ->
-      compare_against := Some old;
-      parse rest
-    | "--tolerance" :: pct :: rest ->
-      tolerance := float_of_string pct;
       parse rest
     | arg :: _ ->
       Fmt.epr "unknown argument %S@." arg;
@@ -142,33 +117,23 @@ let () =
   in
   match parse (List.tl (Array.to_list Sys.argv)) with
   | () -> ()
-  | exception (Failure _ | Invalid_argument _) ->
+  | exception Failure _ ->
     usage ();
     exit 2
 
 let enabled name = !only = [] || List.mem name !only
 
 let section name title =
-  if not (enabled name) then false
-  else if Deadline.expired !deadline then begin
-    incr sections_skipped;
-    Fmt.pr "@.=== %s — skipped (deadline expired) ===@." name;
-    false
-  end
-  else begin
-    incr sections_ran;
-    Fmt.pr "@.=== %s — %s ===@." name title;
-    true
-  end
+  if enabled name then Fmt.pr "@.=== %s — %s ===@." name title;
+  enabled name
 
 (* ---- per-section BENCH_<section>.json --------------------------------- *)
 
 (* The same envelope schema the CLI emits with --format json, so CI reads
    BENCH_*.json and `cfdclean ... --format json` with one parser.  The
-   metrics map is flat name -> number, the unit of comparison for
-   --compare: names are stable across PRs, values are medians over
-   --seeds.  Names ending in _s are wall-clock seconds (lower is better);
-   all others are quality/size metrics (higher is better). *)
+   metrics map is flat name -> number: names are stable across PRs,
+   values are medians over --seeds.  Names ending in _s are wall-clock
+   seconds; all others are quality, size or rate metrics. *)
 let write_section sect metrics =
   let report =
     Dq_obs.Report.make ~engine:"bench"
@@ -642,542 +607,6 @@ let ablation_k () =
     write_section "abl-k" (ablation outcomes)
   end
 
-(* ---- Parallel scaling -------------------------------------------------- *)
-
-(* Time detection ([find_all], [vio_counts]) and the hybrid repair
-   ([Inc_repair.repair_dirty], whose scoring passes parallelise but whose
-   resolve loop is sequential) at several job counts and two database
-   sizes.  Besides wall-clock, every run is cross-checked against the
-   1-job baseline — the engine's contract is byte-identical output at any
-   job count — and the whole table lands in BENCH_parallel.json so CI or
-   EXPERIMENTS.md can track the curves ("identical" is 1.0 when every run
-   matched its baseline). *)
-
-type parallel_entry = {
-  pe_n : int;
-  pe_jobs : int;
-  pe_find_all : float;
-  pe_vio_counts : float;
-  pe_repair : float;
-  pe_identical : bool;
-}
-
-let parallel () =
-  if
-    section "parallel"
-      "Detection and repair at several job counts (byte-identical outputs)"
-  then begin
-    let jobs_list = [ 1; 2; 4 ] in
-    let scales = [ !base_n; 2 * !base_n ] in
-    let best_of k f =
-      let result = ref None and best = ref infinity in
-      for _ = 1 to k do
-        let r, t = time f in
-        result := Some r;
-        if t < !best then best := t
-      done;
-      (Option.get !result, !best)
-    in
-    (* Job-count-independent projections of each result, for the
-       identity cross-check. *)
-    let violations_key vs =
-      List.map (fun v -> (Cfd.id (Violation.cfd_of v), Violation.tids v)) vs
-    in
-    let counts_key counts =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
-    in
-    let entries = ref [] in
-    List.iter
-      (fun n ->
-        let ds = dataset ~n 7 in
-        let info = dirtied ds 8 in
-        let rel = info.Noise.dirty and sigma = ds.Datagen.sigma in
-        let baseline = ref None in
-        List.iter
-          (fun jobs ->
-            Pool.with_pool ~jobs @@ fun pool ->
-            let vs, t_find =
-              best_of 3 (fun () -> Violation.find_all ~pool rel sigma)
-            in
-            let counts, t_counts =
-              best_of 3 (fun () -> Violation.vio_counts ~pool rel sigma)
-            in
-            let (repaired, _), t_repair =
-              best_of 1 (fun () -> engine_ok (Inc_repair.repair_dirty ~pool rel sigma))
-            in
-            let key = (violations_key vs, counts_key counts, Csv.save_string repaired) in
-            let identical =
-              match !baseline with
-              | None ->
-                baseline := Some key;
-                true
-              | Some base -> base = key
-            in
-            entries :=
-              {
-                pe_n = n;
-                pe_jobs = jobs;
-                pe_find_all = t_find;
-                pe_vio_counts = t_counts;
-                pe_repair = t_repair;
-                pe_identical = identical;
-              }
-              :: !entries)
-          jobs_list)
-      scales;
-    let entries = List.rev !entries in
-    header "n/jobs"
-      (List.concat_map
-         (fun c -> List.map (fun j -> Fmt.str "%s j%d" c j) jobs_list)
-         [ "find"; "counts"; "repair" ]);
-    List.iter
-      (fun n ->
-        let es = List.filter (fun e -> e.pe_n = n) entries in
-        Fmt.pr "%-14s" (string_of_int n);
-        List.iter (fun e -> Fmt.pr " %8.3f" e.pe_find_all) es;
-        List.iter (fun e -> Fmt.pr " %8.3f" e.pe_vio_counts) es;
-        List.iter (fun e -> Fmt.pr " %8.3f" e.pe_repair) es;
-        Fmt.pr "@.")
-      scales;
-    let all_identical = List.for_all (fun e -> e.pe_identical) entries in
-    if all_identical then
-      Fmt.pr "outputs identical across job counts: yes@."
-    else Fmt.pr "outputs identical across job counts: NO — BUG@.";
-    (match List.find_opt (fun e -> e.pe_jobs = 2) entries with
-    | Some e2 ->
-      let e1 = List.find (fun e -> e.pe_jobs = 1 && e.pe_n = e2.pe_n) entries in
-      Fmt.pr "find_all speedup at 2 jobs (n=%d): %.2fx (%d core(s) available)@."
-        e2.pe_n
-        (e1.pe_find_all /. e2.pe_find_all)
-        (Pool.default_jobs ())
-    | None -> ());
-    write_section "parallel"
-      (("identical", if all_identical then 1.0 else 0.0)
-      :: List.concat_map
-           (fun e ->
-             let tag = Fmt.str "n%d.j%d" e.pe_n e.pe_jobs in
-             [
-               (tag ^ ".find_all_s", e.pe_find_all);
-               (tag ^ ".vio_counts_s", e.pe_vio_counts);
-               (tag ^ ".repair_s", e.pe_repair);
-             ])
-           entries)
-  end
-
-(* ---- analyze: Σ-interaction analyzer and partitioned repair ----------- *)
-
-(* The analyzer itself is cheap; the interesting numbers are what its
-   shard plan buys BATCHREPAIR on the generated workload (whose Σ carries
-   the phi2/phi4 dependency cycle): byte-identical output at 1 and 4
-   jobs, and fewer class-root visits across instantiation rounds — the
-   re-resolution churn each full-width round pays on columns some other
-   shard owns. *)
-let analyze_bench () =
-  if
-    section "analyze" "Σ-interaction analysis and shard-partitioned repair"
-  then begin
-    let runs =
-      List.map
-        (fun seed ->
-          let ds = dataset seed in
-          let info = dirtied ds (seed + 1) in
-          let rel = info.Noise.dirty and sigma = ds.Datagen.sigma in
-          let a, t_analyze =
-            time (fun () ->
-                Dq_analysis.Interaction.analyze ~data:rel
-                  (Relation.schema rel) sigma)
-          in
-          let (seq, seq_stats), t_seq =
-            time (fun () -> engine_ok (Batch_repair.repair rel sigma))
-          in
-          let partition = a.Dq_analysis.Interaction.partition in
-          let (part, part_stats), t_part =
-            time (fun () -> engine_ok (Batch_repair.repair ~partition rel sigma))
-          in
-          let part4 =
-            Pool.with_pool ~jobs:4 (fun pool ->
-                fst (engine_ok (Batch_repair.repair ~pool ~partition rel sigma)))
-          in
-          let seq_csv = Csv.save_string seq in
-          let identical =
-            String.equal seq_csv (Csv.save_string part)
-            && String.equal seq_csv (Csv.save_string part4)
-          in
-          (a, t_analyze, t_seq, seq_stats, t_part, part_stats, identical))
-        !seeds
-    in
-    let med f = median (List.map f runs) in
-    let a0, _, _, _, _, _, _ = List.hd runs in
-    let n_shards = List.length a0.Dq_analysis.Interaction.shards in
-    let n_cycles = List.length a0.Dq_analysis.Interaction.cycles in
-    let n_osc = List.length a0.Dq_analysis.Interaction.oscillations in
-    let seq_visits =
-      med (fun (_, _, _, s, _, _, _) ->
-          float_of_int s.Batch_repair.instantiate_visits)
-    in
-    let part_visits =
-      med (fun (_, _, _, _, _, p, _) ->
-          float_of_int p.Batch_repair.instantiate_visits)
-    in
-    let all_identical =
-      List.for_all (fun (_, _, _, _, _, _, i) -> i) runs
-    in
-    Fmt.pr "shards: %d  cycles: %d  oscillation pairs: %d@." n_shards
-      n_cycles n_osc;
-    header "" [ "analyze"; "seq"; "part" ];
-    row "time (s)"
-      [
-        med (fun (_, t, _, _, _, _, _) -> t) *. 1000.;
-        med (fun (_, _, t, _, _, _, _) -> t) *. 1000.;
-        med (fun (_, _, _, _, t, _, _) -> t) *. 1000.;
-      ];
-    row "inst. visits" [ 0.; seq_visits; part_visits ];
-    Fmt.pr "re-resolution drop (root visits saved): %.0f@."
-      (seq_visits -. part_visits);
-    if all_identical then
-      Fmt.pr "partitioned output identical at 1 and 4 jobs: yes@."
-    else Fmt.pr "partitioned output identical at 1 and 4 jobs: NO — BUG@.";
-    write_section "analyze"
-      [
-        ("identical", if all_identical then 1.0 else 0.0);
-        ("n_shards", float_of_int n_shards);
-        ("n_cycles", float_of_int n_cycles);
-        ("n_oscillations", float_of_int n_osc);
-        ("analyze_s", med (fun (_, t, _, _, _, _, _) -> t));
-        ("seq_repair_s", med (fun (_, _, t, _, _, _, _) -> t));
-        ("part_repair_s", med (fun (_, _, _, _, t, _, _) -> t));
-        ( "seq_steps",
-          med (fun (_, _, _, s, _, _, _) -> float_of_int s.Batch_repair.steps)
-        );
-        ( "part_steps",
-          med (fun (_, _, _, _, _, p, _) -> float_of_int p.Batch_repair.steps)
-        );
-        ("seq_instantiate_visits", seq_visits);
-        ("part_instantiate_visits", part_visits);
-        ("reresolution_drop", seq_visits -. part_visits);
-      ]
-  end
-
-(* ---- engines: pluggable repair engines head-to-head -------------------- *)
-
-module Engine = Dq_engine.Engine
-
-(* Batch, inc and opt-fd on the same dirty instance over the FD-only
-   acyclic fragment of the workload Σ (the largest ruleset all three
-   accept).  The engines are deterministic, so the cost and cell metrics
-   are drift-free tripwires: any delta against the committed baseline is
-   a semantic change to an engine, not noise.  Each engine is also
-   re-run at 4 jobs and must reproduce its 1-job bytes and report. *)
-let engines_bench () =
-  if
-    section "engines" "Repair engines head-to-head (batch / inc / opt-fd)"
-  then begin
-    let resolve name =
-      match Engine.find name with
-      | Ok e -> e
-      | Error e -> failwith (Dq_error.to_string e)
-    in
-    let run (module E : Engine.ENGINE) ?pool rel sigma =
-      match E.run (Engine.ctx ?pool rel sigma) with
-      | Ok ((repaired, _line), report) -> (repaired, report)
-      | Error e -> failwith (Dq_error.to_string e)
-    in
-    (* Greedily keep embedded FDs of Σ while the opt-fd fragment check
-       still accepts the prefix — drops the clauses that close the
-       workload's phi2/phi4 dependency cycle. *)
-    let fd_fragment schema sigma =
-      let (module O : Engine.ENGINE) = resolve "opt-fd" in
-      let keep =
-        List.fold_left
-          (fun acc c ->
-            let candidate = Cfd.number (List.rev (c :: acc)) in
-            match O.fragment schema candidate with
-            | Ok () -> c :: acc
-            | Error _ -> acc)
-          []
-          (Cfd.embedded_fds (Array.to_list sigma))
-      in
-      Cfd.number (List.rev keep)
-    in
-    let engine_names = [ "batch"; "inc"; "opt-fd" ] in
-    let per_seed seed =
-      let ds = dataset seed in
-      let info = dirtied ds (seed + 1) in
-      let rel = info.Noise.dirty in
-      let sigma = fd_fragment (Relation.schema rel) ds.Datagen.sigma in
-      List.map
-        (fun name ->
-          let e = resolve name in
-          let (repaired, report), t = time (fun () -> run e rel sigma) in
-          assert (Violation.satisfies repaired sigma);
-          let repaired4, report4 =
-            Pool.with_pool ~jobs:4 (fun pool -> run e ~pool rel sigma)
-          in
-          let identical =
-            String.equal (Csv.save_string repaired) (Csv.save_string repaired4)
-            && Dq_obs.Report.equal report report4
-          in
-          ( name,
-            t,
-            Cost.repair_cost ~original:rel ~repair:repaired,
-            float_of_int (Relation.dif rel repaired),
-            identical ))
-        engine_names
-    in
-    let runs = List.map per_seed !seeds in
-    let med name proj =
-      median
-        (List.map
-           (fun run ->
-             let _, t, cost, cells, _ =
-               List.find (fun (n, _, _, _, _) -> n = name) run
-             in
-             proj (t, cost, cells))
-           runs)
-    in
-    let all_identical =
-      List.for_all (List.for_all (fun (_, _, _, _, i) -> i)) runs
-    in
-    header "" [ "seconds"; "cost"; "cells" ];
-    List.iter
-      (fun name ->
-        row name
-          [
-            med name (fun (t, _, _) -> t);
-            med name (fun (_, c, _) -> c);
-            med name (fun (_, _, cl) -> cl);
-          ])
-      engine_names;
-    let batch_cost = med "batch" (fun (_, c, _) -> c) in
-    let optfd_cost = med "opt-fd" (fun (_, c, _) -> c) in
-    Fmt.pr "opt-fd cost <= batch cost: %s@."
-      (if optfd_cost <= batch_cost +. 1e-9 then "yes" else "NO — BUG");
-    if all_identical then
-      Fmt.pr "outputs and reports identical at 1 and 4 jobs: yes@."
-    else Fmt.pr "outputs and reports identical at 1 and 4 jobs: NO — BUG@.";
-    write_section "engines"
-      (("identical", if all_identical then 1.0 else 0.0)
-      :: ( "optfd_cost_le_batch",
-           if optfd_cost <= batch_cost +. 1e-9 then 1.0 else 0.0 )
-      :: ("optfd_cost_saving", batch_cost -. optfd_cost)
-      :: List.concat_map
-           (fun name ->
-             [
-               (name ^ ".repair_s", med name (fun (t, _, _) -> t));
-               (name ^ ".cost", med name (fun (_, c, _) -> c));
-               (name ^ ".cells", med name (fun (_, _, cl) -> cl));
-             ])
-           engine_names)
-  end
-
-(* ---- serve: telemetry overhead ----------------------------------------- *)
-
-module Serve = Dq_serve.Serve
-
-(* One-shot HTTP GET against the in-process daemon; the daemon closes the
-   connection after the response, so read to EOF. *)
-let http_get port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf "GET %s HTTP/1.1\r\ncontent-length: 0\r\n\r\n" path
-      in
-      let _ = Unix.write_substring fd req 0 (String.length req) in
-      let buf = Bytes.create 65536 in
-      let out = Buffer.create 1024 in
-      let rec drain () =
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes out buf 0 n;
-          drain ()
-      in
-      drain ();
-      Buffer.contents out)
-
-let http_post port path body =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf "POST %s HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s" path
-          (String.length body) body
-      in
-      let _ = Unix.write_substring fd req 0 (String.length req) in
-      let buf = Bytes.create 65536 in
-      let out = Buffer.create 1024 in
-      let rec drain () =
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes out buf 0 n;
-          drain ()
-      in
-      drain ();
-      Buffer.contents out)
-
-(* The same request stream against a telemetry-off daemon and a
-   telemetry-on one (request counters, latency histograms, gauges, ids).
-   The off configuration is the zero-overhead baseline the serve tests
-   pin byte-identical; the ratio is the price of turning collection on.
-   overhead_ratio = off/on, so less overhead is a higher (better)
-   number and --compare flags a telemetry slowdown as a regression. *)
-let serve_bench () =
-  if section "serve" "Serving telemetry overhead and concurrent throughput" then begin
-    let requests = max 20 (!base_n / 20) in
-    let per_request telemetry =
-      let d =
-        match
-          Serve.start
-            { Serve.port = 0; state_dir = None; jobs = 1; resume = false;
-              telemetry; limits = Serve.default_limits }
-        with
-        | Ok d -> d
-        | Error e -> failwith (Dq_error.to_string e)
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Serve.stop d;
-          Dq_obs.Metrics.set_enabled false)
-        (fun () ->
-          let port = Serve.port d in
-          for _ = 1 to 10 do
-            ignore (http_get port "/v1/health")
-          done;
-          let (), t =
-            time (fun () ->
-                for _ = 1 to requests do
-                  ignore (http_get port "/v1/health")
-                done)
-          in
-          t /. float_of_int requests)
-    in
-    let runs =
-      List.map
-        (fun _seed ->
-          (per_request Serve.telemetry_off, per_request Serve.default_telemetry))
-        !seeds
-    in
-    let t_off = median (List.map fst runs) in
-    let t_on = median (List.map snd runs) in
-    header "" [ "us/req" ];
-    row "off" [ t_off *. 1e6 ];
-    row "on" [ t_on *. 1e6 ];
-    Fmt.pr "telemetry overhead over %d requests: %+.1f%%@." requests
-      (((t_on /. t_off) -. 1.) *. 100.);
-    (* Two independent sessions' batch streams, first back-to-back from
-       one client and then from two concurrent clients, against a daemon
-       with worker domains on: per-session lanes keep each stream FIFO
-       while the repair compute overlaps across sessions.  The speedup
-       is the concurrency dividend --compare holds against the committed
-       baseline. *)
-    let expect_2xx what resp =
-      if not (String.length resp > 9 && resp.[9] = '2') then
-        failwith
-          (Printf.sprintf "serve bench: %s did not answer 2xx: %s" what
-             (String.sub resp 0 (min 64 (String.length resp))))
-    in
-    let create_body =
-      {|{"schema":{"name":"r","attributes":["A","B","C","D"]},"rules":"p1: [A] -> [B]\np2: [C] -> [D]\n","force":true}|}
-    in
-    let batch_count = 6 in
-    let batch_rows = max 100 (!base_n / 2) in
-    let st = Random.State.make [| 0x5e21 |] in
-    let batches =
-      List.init batch_count (fun _ ->
-          let row () =
-            Printf.sprintf "[%d,%d,%d,%d]"
-              (Random.State.int st 20) (Random.State.int st 200)
-              (Random.State.int st 20) (Random.State.int st 200)
-          in
-          Printf.sprintf {|{"tuples":[%s]}|}
-            (String.concat "," (List.init batch_rows (fun _ -> row ()))))
-    in
-    let with_conc_daemon f =
-      let d =
-        match
-          Serve.start
-            { Serve.port = 0; state_dir = None; jobs = 1; resume = false;
-              telemetry = Serve.telemetry_off;
-              limits = { Serve.default_limits with ingest_workers = 2 } }
-        with
-        | Ok d -> d
-        | Error e -> failwith (Dq_error.to_string e)
-      in
-      Fun.protect
-        ~finally:(fun () -> Serve.stop d)
-        (fun () ->
-          let port = Serve.port d in
-          expect_2xx "create s1" (http_post port "/v1/sessions" create_body);
-          expect_2xx "create s2" (http_post port "/v1/sessions" create_body);
-          f port)
-    in
-    let post_all port sid =
-      List.iter
-        (fun b ->
-          expect_2xx ("ingest " ^ sid)
-            (http_post port ("/v1/sessions/" ^ sid ^ "/tuples") b))
-        batches
-    in
-    let conc_runs =
-      List.map
-        (fun _seed ->
-          let t_seq =
-            with_conc_daemon (fun port ->
-                let (), t =
-                  time (fun () ->
-                      post_all port "s1";
-                      post_all port "s2")
-                in
-                t)
-          in
-          let t_conc =
-            with_conc_daemon (fun port ->
-                let (), t =
-                  time (fun () ->
-                      let ts =
-                        List.map
-                          (fun sid ->
-                            Thread.create (fun () -> post_all port sid) ())
-                          [ "s1"; "s2" ]
-                      in
-                      List.iter Thread.join ts)
-                in
-                t)
-          in
-          (t_seq, t_conc))
-        !seeds
-    in
-    let t_seq = median (List.map fst conc_runs) in
-    let t_conc = median (List.map snd conc_runs) in
-    header "2 sessions" [ "s" ];
-    row "sequential" [ t_seq ];
-    row "concurrent" [ t_conc ];
-    Fmt.pr
-      "concurrent-sessions speedup (%d batches x %d rows each): %.2fx on %d \
-       core(s)@."
-      batch_count batch_rows (t_seq /. t_conc)
-      (Domain.recommended_domain_count ());
-    if Domain.recommended_domain_count () < 2 then
-      Fmt.pr
-        "  (single core: worker domains cannot overlap; expect the dividend \
-         only on >= 2 cores)@.";
-    write_section "serve"
-      [
-        ("request_s_off", t_off);
-        ("request_s_on", t_on);
-        ("overhead_ratio", t_off /. t_on);
-        ("ingest_s_sequential", t_seq);
-        ("ingest_s_concurrent", t_conc);
-        ("concurrent_speedup", t_seq /. t_conc);
-      ]
-  end
-
 (* ---- Bechamel micro-benchmarks ---------------------------------------- *)
 
 let micro () =
@@ -1234,193 +663,32 @@ let micro () =
       (List.map (fun (name, ns) -> (name ^ ".runtime_s", ns /. 1e9)) rows)
   end
 
-(* ---- --compare: the perf-trajectory gate ------------------------------- *)
-
-let json_of_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> (
-    match Json.parse s with
-    | Ok v -> v
-    | Error msg ->
-      Fmt.epr "bench: --compare: %s: %s@." path msg;
-      exit 2)
-  | exception Sys_error msg ->
-    Fmt.epr "bench: --compare: %s@." msg;
-    exit 2
-
-let number = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
-(* Pull (section, metrics) out of a BENCH_*.json envelope. *)
-let section_metrics path doc =
-  let ( let* ) = Option.bind in
-  match
-    let* report = Json.member "report" doc in
-    let* summary = Json.member "summary" report in
-    let* sect =
-      match Json.member "section" summary with
-      | Some (Json.String s) -> Some s
-      | _ -> None
-    in
-    let* metrics =
-      match Json.member "metrics" summary with
-      | Some (Json.Obj fields) ->
-        Some
-          (List.filter_map
-             (fun (k, v) -> Option.map (fun f -> (k, f)) (number v))
-             fields)
-      | _ -> None
-    in
-    Some (sect, metrics)
-  with
-  | Some r -> r
-  | None ->
-    Fmt.epr
-      "bench: --compare: %s does not look like a per-section BENCH_*.json \
-       (missing report.summary.section/metrics)@."
-      path;
-    exit 2
-
-(* Seconds metrics get a small absolute slack on top of the relative
-   tolerance so micro-scale timings (a few ms) don't flag on scheduler
-   noise alone. *)
-let time_slack_s = 0.005
-
-type verdict = Regressed | Improved | Unchanged
-
-let judge name ~old_v ~new_v =
-  let tol = !tolerance /. 100. in
-  let lower_is_better =
-    String.length name >= 2 && String.sub name (String.length name - 2) 2 = "_s"
-  in
-  let rel =
-    if Float.abs old_v > 1e-12 then (new_v -. old_v) /. Float.abs old_v
-    else if Float.abs new_v > 1e-12 then Float.infinity
-    else 0.
-  in
-  if lower_is_better then
-    if rel > tol && new_v -. old_v > time_slack_s then Regressed
-    else if rel < -.tol && old_v -. new_v > time_slack_s then Improved
-    else Unchanged
-  else if rel < -.tol then Regressed
-  else if rel > tol then Improved
-  else Unchanged
-
-let compare_files old_path =
-  let new_path sect = Filename.concat !out_dir ("BENCH_" ^ sect ^ ".json") in
-  let olds =
-    if Sys.is_directory old_path then
-      Sys.readdir old_path |> Array.to_list
-      |> List.filter (fun f ->
-             String.length f > 6
-             && String.sub f 0 6 = "BENCH_"
-             && Filename.check_suffix f ".json")
-      |> List.sort String.compare
-      |> List.map (Filename.concat old_path)
-    else [ old_path ]
-  in
-  if olds = [] then begin
-    Fmt.epr "bench: --compare: no BENCH_*.json files in %s@." old_path;
-    exit 2
-  end;
-  let regressions = ref 0 in
-  List.iter
-    (fun old_file ->
-      let sect, old_metrics = section_metrics old_file (json_of_file old_file) in
-      let nf = new_path sect in
-      if not (Sys.file_exists nf) then begin
-        Fmt.epr "bench: --compare: %s (for section %s) does not exist — run \
-                 `--only %s --out %s` first@."
-          nf sect sect !out_dir;
-        exit 2
-      end;
-      let sect', new_metrics = section_metrics nf (json_of_file nf) in
-      if sect' <> sect then begin
-        Fmt.epr "bench: --compare: %s claims section %s but %s claims %s@."
-          old_file sect nf sect';
-        exit 2
-      end;
-      Fmt.pr "@.=== compare %s (old: %s, new: %s, tolerance %g%%) ===@." sect
-        old_file nf !tolerance;
-      Fmt.pr "%-36s %12s %12s %9s@." "metric" "old" "new" "delta";
-      List.iter
-        (fun (name, old_v) ->
-          match List.assoc_opt name new_metrics with
-          | None ->
-            incr regressions;
-            Fmt.pr "%-36s %12.4g %12s %9s REGRESSED (metric disappeared)@."
-              name old_v "-" "-"
-          | Some new_v ->
-            let delta =
-              if Float.abs old_v > 1e-12 then
-                100. *. (new_v -. old_v) /. Float.abs old_v
-              else 0.
-            in
-            let verdict = judge name ~old_v ~new_v in
-            Fmt.pr "%-36s %12.4g %12.4g %8.1f%%%s@." name old_v new_v delta
-              (match verdict with
-              | Regressed ->
-                incr regressions;
-                " REGRESSED"
-              | Improved -> " improved"
-              | Unchanged -> ""))
-        old_metrics;
-      List.iter
-        (fun (name, _) ->
-          if List.assoc_opt name old_metrics = None then
-            Fmt.pr "%-36s %12s (new metric)@." name "-")
-        new_metrics)
-    olds;
-  if !regressions > 0 then begin
-    Fmt.pr "@.%d metric(s) regressed past %g%%@." !regressions !tolerance;
-    exit 1
-  end
-  else Fmt.pr "@.no regressions (tolerance %g%%)@." !tolerance
-
 let () =
-  match !compare_against with
-  | Some old_path -> compare_files old_path
-  | None ->
-    (match !trace_path with
-    | Some _ ->
-      Trace.clear ();
-      Trace.set_enabled true
-    | None -> ());
-    let started = Unix.gettimeofday () in
-    Fmt.pr
-      "dataqual bench harness — base size %d tuples, %d seed(s)@.\
-       (scaled-down testbed; see EXPERIMENTS.md for paper-vs-measured)@."
-      !base_n (List.length !seeds);
-    fig8 ();
-    fig9_10_13 ();
-    fig11 ();
-    fig12 ();
-    fig14_15 ();
-    thm61 ();
-    ablation_depgraph ();
-    ablation_cluster ();
-    ablation_k ();
-    parallel ();
-    analyze_bench ();
-    engines_bench ();
-    serve_bench ();
-    micro ();
-    (match !trace_path with
-    | Some path -> (
-      try
-        Trace.write path;
-        Fmt.pr "wrote %s@." path
-      with Sys_error msg -> Fmt.epr "bench: --trace: %s@." msg)
-    | None -> ());
-    Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. started);
-    if !sections_skipped > 0 then begin
-      Fmt.pr "%d section(s) skipped — deadline expired@." !sections_skipped;
-      if !sections_ran = 0 then exit 4
-    end
+  (match !trace_path with
+  | Some _ ->
+    Trace.clear ();
+    Trace.set_enabled true
+  | None -> ());
+  let started = Unix.gettimeofday () in
+  Fmt.pr
+    "dataqual bench harness — base size %d tuples, %d seed(s)@.\
+     (scaled-down testbed; see EXPERIMENTS.md for paper-vs-measured)@."
+    !base_n (List.length !seeds);
+  fig8 ();
+  fig9_10_13 ();
+  fig11 ();
+  fig12 ();
+  fig14_15 ();
+  thm61 ();
+  ablation_depgraph ();
+  ablation_cluster ();
+  ablation_k ();
+  micro ();
+  (match !trace_path with
+  | Some path -> (
+    try
+      Trace.write path;
+      Fmt.pr "wrote %s@." path
+    with Sys_error msg -> Fmt.epr "bench: --trace: %s@." msg)
+  | None -> ());
+  Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. started)

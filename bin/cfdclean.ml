@@ -111,12 +111,18 @@ let with_inputs ?(force = false) ?(analyze_gate = false) data_path cfd_path k =
                    cfd_path;
              }))
 
+(* A numeric option out of its range is a usage error (exit 2), caught
+   here before the library's own precondition would raise. *)
+let require ok fmt =
+  Fmt.kstr
+    (fun msg -> if ok then Ok () else Error (Dq_error.Invalid_input msg))
+    fmt
+
 (* Validate --jobs and run [k] with a pool of that many domains. *)
 let with_jobs jobs k =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  if jobs < 1 then
-    Error (Dq_error.Invalid_input (Fmt.str "--jobs must be at least 1 (got %d)" jobs))
-  else Pool.with_pool ~jobs k
+  let* () = require (jobs >= 1) "--jobs must be at least 1 (got %d)" jobs in
+  Pool.with_pool ~jobs k
 
 (* What a subcommand hands back on success: the structured report, the
    exit code, extra diagnostics for the JSON envelope, and a thunk that
@@ -394,24 +400,6 @@ let detect_cmd =
 
 (* ---- repair ---- *)
 
-type algorithm = Batch | Inc of Inc_repair.ordering
-
-let algorithm_conv =
-  let parse = function
-    | "batch" -> Ok Batch
-    | "inc" | "v-inc" -> Ok (Inc Inc_repair.By_violations)
-    | "l-inc" -> Ok (Inc Inc_repair.Linear)
-    | "w-inc" -> Ok (Inc Inc_repair.By_weight)
-    | s -> Error (`Msg (Fmt.str "unknown algorithm %S" s))
-  in
-  let print ppf = function
-    | Batch -> Fmt.string ppf "batch"
-    | Inc Inc_repair.By_violations -> Fmt.string ppf "v-inc"
-    | Inc Inc_repair.Linear -> Fmt.string ppf "l-inc"
-    | Inc Inc_repair.By_weight -> Fmt.string ppf "w-inc"
-  in
-  Arg.conv (parse, print)
-
 let same_file a b =
   match (Unix.realpath a, Unix.realpath b) with
   | ra, rb -> String.equal ra rb
@@ -442,39 +430,12 @@ let print_explain ppf report =
       "pass  tuple  attr       old            -> new            clause           cost@.";
     List.iter (fun e -> Fmt.pf ppf "%a@." Provenance.pp_entry e) entries
 
-(* The legacy -a/--algorithm spellings map onto registry names; --engine,
-   when given, wins.  Any use of the legacy flag draws a W101 deprecation
-   diagnostic (stderr in text mode, the envelope's diagnostics in json). *)
-let algorithm_engine = function
-  | Batch -> "batch"
-  | Inc Inc_repair.By_violations -> "inc"
-  | Inc Inc_repair.Linear -> "l-inc"
-  | Inc Inc_repair.By_weight -> "w-inc"
-
-let repair data_path cfd_path output in_place explain algorithm engine force
-    analyze_gate partition jobs format metrics trace progress fault deadline
-    deadline_passes checkpoint checkpoint_every resume =
+let repair data_path cfd_path output in_place explain engine force analyze_gate
+    partition jobs format metrics trace progress fault deadline deadline_passes
+    checkpoint checkpoint_every resume =
   run_command ~command:"repair" ~format ~metrics ~trace ~progress ~fault
   @@ fun () ->
-  let warnings =
-    match algorithm with
-    | Some _ ->
-      [
-        Dq_error.Deprecated_flag
-          { flag = "-a/--algorithm"; replacement = "--engine" };
-      ]
-    | None -> []
-  in
-  List.iter
-    (fun w -> Fmt.epr "cfdclean: warning: %s@." (Dq_error.warning_to_string w))
-    warnings;
-  let* (module E : Engine.ENGINE) =
-    Engine.find
-      (match (engine, algorithm) with
-      | Some name, _ -> name
-      | None, Some a -> algorithm_engine a
-      | None, None -> "batch")
-  in
+  let* (module E : Engine.ENGINE) = Engine.find engine in
   with_inputs ~force ~analyze_gate data_path cfd_path @@ fun rel sigma ->
   if not (Satisfiability.is_satisfiable (Relation.schema rel) sigma) then
     Error Dq_error.Unsatisfiable
@@ -532,8 +493,7 @@ let repair data_path cfd_path output in_place explain algorithm engine force
     let* () =
       match out with Some path -> save_csv repaired path | None -> Ok ()
     in
-    succeed ~diagnostics:(List.map Dq_error.warning_to_json warnings) report
-      (fun () ->
+    succeed report (fun () ->
         Fmt.epr "%s@." stats_line;
         Fmt.epr "repair cost: %.3f; dif: %d cells@."
           (Cost.repair_cost ~original:rel ~repair:repaired)
@@ -584,28 +544,16 @@ let repair_cmd =
             "Print the cell-level provenance table: every changed cell with \
              its old and new value, resolving clause, plan cost and pass.")
   in
-  let algorithm =
-    Arg.(
-      value
-      & opt (some algorithm_conv) None
-      & info [ "a"; "algorithm" ] ~docv:"ALGO"
-          ~doc:
-            "Deprecated (W101): legacy spelling of $(b,--engine), one of \
-             batch, v-inc, l-inc, w-inc.  Will be removed; use \
-             $(b,--engine).")
-  in
   let engine =
     Arg.(
-      value
-      & opt (some string) None
+      value & opt string "batch"
       & info [ "engine" ] ~docv:"NAME"
           ~doc:
             "Repair engine: $(b,batch) (BATCHREPAIR, any ruleset), $(b,inc) \
              / $(b,l-inc) / $(b,w-inc) (INCREPAIR orderings), or \
              $(b,opt-fd) (optimal value repair, acyclic FD-only rulesets).  \
-             Overrides $(b,--algorithm).  An unknown name or an engine \
-             whose Σ fragment does not cover the ruleset exits 2 with a \
-             stable diagnostic.")
+             An unknown name or an engine whose Σ fragment does not cover \
+             the ruleset exits 2 with a stable diagnostic.")
   in
   let partition =
     Arg.(
@@ -661,8 +609,8 @@ let repair_cmd =
     (Cmd.info "repair" ~doc:"Compute a repair satisfying the CFDs")
     Term.(
       ret
-        (const repair $ data $ cfds $ output $ in_place $ explain $ algorithm
-       $ engine $ force_arg $ analyze_gate_arg $ partition $ jobs_arg
+        (const repair $ data $ cfds $ output $ in_place $ explain $ engine
+       $ force_arg $ analyze_gate_arg $ partition $ jobs_arg
        $ format_arg $ metrics_arg $ trace_arg $ progress_arg $ fault_arg
        $ deadline_arg $ deadline_passes $ checkpoint $ checkpoint_every
        $ resume))
@@ -1205,6 +1153,10 @@ let sample_cmd =
 let generate n rate seed out_prefix format metrics trace progress fault =
   run_command ~command:"generate" ~format ~metrics ~trace ~progress ~fault
   @@ fun () ->
+  let* () = require (n >= 1) "-n must be at least 1 (got %d)" n in
+  let* () =
+    require (rate >= 0. && rate <= 1.) "--rate must be in [0, 1] (got %g)" rate
+  in
   let ds = Datagen.generate (Datagen.default_params ~n_tuples:n ~seed ()) in
   let noise = Noise.inject (Noise.default_params ~rate ~seed ()) ds in
   let clean_path = out_prefix ^ "_clean.csv" in
@@ -1244,6 +1196,9 @@ let discover data_path out min_support min_confidence max_lhs jobs format
     metrics trace progress fault =
   run_command ~command:"discover" ~format ~metrics ~trace ~progress ~fault
   @@ fun () ->
+  let* () =
+    require (max_lhs >= 1) "--max-lhs must be at least 1 (got %d)" max_lhs
+  in
   let* rel = load_csv data_path in
   with_jobs jobs @@ fun pool ->
   let config =

@@ -99,6 +99,8 @@ let prop_opt_fd_cost_le_batch =
         QCheck.Test.fail_reportf "opt-fd cost %.6f > batch cost %.6f"
           (cost opt) (cost batch))
 
+(* The report must agree as well: summary, provenance trail and degraded
+   marker, everything but the phase timings. *)
 let prop_engines_jobs_invariant =
   QCheck.Test.make
     ~name:"each engine's repair is byte-identical at jobs 1 and 4" ~count:40
@@ -108,9 +110,11 @@ let prop_engines_jobs_invariant =
         (fun name ->
           let at jobs =
             Dq_parallel.Pool.with_pool ~jobs @@ fun pool ->
-            Csv.save_string (repair_of ~pool name rel sigma)
+            let (repaired, _), report = run ~pool name rel sigma in
+            (Csv.save_string repaired, report)
           in
-          String.equal (at 1) (at 4))
+          let csv1, report1 = at 1 and csv4, report4 = at 4 in
+          String.equal csv1 csv4 && Dq_obs.Report.equal report1 report4)
         all_names)
 
 let prop_partition_invariant =
