@@ -551,7 +551,8 @@ let repair_cmd =
           ~doc:
             "Repair engine: $(b,batch) (BATCHREPAIR, any ruleset), $(b,inc) \
              / $(b,l-inc) / $(b,w-inc) (INCREPAIR orderings), or \
-             $(b,opt-fd) (optimal value repair, acyclic FD-only rulesets).  \
+             $(b,opt-fd) (value repair for acyclic FD-only rulesets, optimal \
+             when no RHS attribute is on an LHS).  \
              An unknown name or an engine whose Σ fragment does not cover \
              the ruleset exits 2 with a stable diagnostic.")
   in

@@ -82,9 +82,10 @@ let check_delta_tids base delta =
              or an earlier delta tuple"
             tid))
 
-let run ?pool ?k ?max_candidates ?use_cluster_index
-    ?(ordering = By_violations) ?(phases = ref [])
-    ?(deadline = Deadline.never) base delta sigma =
+let stats_line ordering stats =
+  Format.asprintf "%s: %a" (ordering_name ordering) pp_stats stats
+
+let span base delta sigma f =
   Trace.span ~cat:"engine"
     ~args:(fun () ->
       [
@@ -92,23 +93,24 @@ let run ?pool ?k ?max_candidates ?use_cluster_index
         ("delta", Dq_obs.Json.Int (List.length delta));
         ("clauses", Dq_obs.Json.Int (Array.length sigma));
       ])
-    "inc_repair"
-  @@ fun () ->
-  let started = Unix.gettimeofday () in
-  match check_delta_tids base delta with
+    "inc_repair" f
+
+(* The insertion loop every entry point shares: resolve [delta] into the
+   environment's relation in place.  [started] is when the caller began,
+   so [runtime] covers its setup too. *)
+let run ~started ~phases ?pool ~ordering ~deadline env delta =
+  let repr = Tuple_resolve.relation env in
+  match check_delta_tids repr delta with
   | Error _ as e -> e
   | Ok () ->
-    let repr = Relation.copy base in
-    let env =
-      Tuple_resolve.make_env ?k ?max_candidates ?use_cluster_index repr sigma
-    in
     match
       Report.phase_m phases "order" m_t_order (fun () ->
-          order_tuples ?pool ~deadline ordering base delta sigma)
+          order_tuples ?pool ~deadline ordering repr delta
+            (Tuple_resolve.sigma env))
     with
     | exception Deadline.Expired -> Error Dq_error.Deadline_exceeded
     | delta -> (
-      let schema = Relation.schema base in
+      let schema = Relation.schema repr in
       let trail = Provenance.create () in
       let tuples_changed = ref 0 in
       let cells_changed = ref 0 in
@@ -124,10 +126,10 @@ let run ?pool ?k ?max_candidates ?use_cluster_index
                 (* Past the deadline: the rest of the delta is appended
                    unrepaired, so the caller still gets a complete (if
                    possibly still violating) relation. *)
-                Relation.add repr (Tuple.copy t)
+                Tuple_resolve.add env (Tuple.copy t)
               else if Deadline.expired deadline then begin
                 cut_at := Some pass;
-                Relation.add repr (Tuple.copy t)
+                Tuple_resolve.add env (Tuple.copy t)
               end
               else begin
                 Fault.hit "resolve.tuple";
@@ -173,8 +175,7 @@ let run ?pool ?k ?max_candidates ?use_cluster_index
                         pass;
                       })
                   diffs;
-                Relation.add repr rt;
-                Tuple_resolve.register env rt;
+                Tuple_resolve.add env rt;
                 Deadline.tick deadline
               end)
             delta);
@@ -216,12 +217,30 @@ let run ?pool ?k ?max_candidates ?use_cluster_index
             ~provenance:(Provenance.entries trail)
             ?degraded ()
         in
-        Ok ((repr, stats), report))
+        Ok (stats, report))
+
+let insert ?pool ?(ordering = By_violations) ?(deadline = Deadline.never) env
+    delta =
+  let started = Unix.gettimeofday () in
+  span (Tuple_resolve.relation env) delta (Tuple_resolve.sigma env)
+  @@ fun () -> run ~started ~phases:(ref []) ?pool ~ordering ~deadline env delta
+
+(* The CLI's entry points: one fresh relation, one environment over it,
+   then the same loop a serve session runs batch by batch. *)
+let repair_fresh ~started ~phases ?pool ?k ?max_candidates ?use_cluster_index
+    ?(ordering = By_violations) ?(deadline = Deadline.never) repr delta sigma =
+  let env =
+    Tuple_resolve.make_env ?k ?max_candidates ?use_cluster_index repr sigma
+  in
+  run ~started ~phases ?pool ~ordering ~deadline env delta
+  |> Result.map (fun (stats, report) -> ((repr, stats), report))
 
 let repair_inserts ?pool ?k ?max_candidates ?use_cluster_index ?ordering
     ?deadline base delta sigma =
-  run ?pool ?k ?max_candidates ?use_cluster_index ?ordering ?deadline base
-    delta sigma
+  let started = Unix.gettimeofday () in
+  span base delta sigma @@ fun () ->
+  repair_fresh ~started ~phases:(ref []) ?pool ?k ?max_candidates
+    ?use_cluster_index ?ordering ?deadline (Relation.copy base) delta sigma
 
 let consistent_core ?pool ?deadline rel sigma =
   let counts = Violation.vio_counts ?pool ?deadline rel sigma in
@@ -250,5 +269,7 @@ let repair_dirty ?pool ?k ?max_candidates ?use_cluster_index ?ordering
           Relation.add base (Tuple.copy t)
         else delta := Tuple.copy t :: !delta)
       rel;
-    run ?pool ?k ?max_candidates ?use_cluster_index ?ordering ?deadline
-      ~phases base (List.rev !delta) sigma
+    let delta = List.rev !delta in
+    span base delta sigma @@ fun () ->
+    repair_fresh ~started:(Unix.gettimeofday ()) ~phases ?pool ?k
+      ?max_candidates ?use_cluster_index ?ordering ?deadline base delta sigma

@@ -3,9 +3,11 @@
 
     Given a clean database [D] and insertions [ΔD], each tuple is repaired
     by {!Tuple_resolve} in some order and added to the repair, so that the
-    growing repair supplies ever more context for later tuples; [D] itself
-    is never modified.  Deletions never create violations and need no
-    repairing (Section 3.3).
+    growing repair supplies ever more context for later tuples.
+    {!insert} grows a caller's relation in place through a kept
+    {!Tuple_resolve.env}; {!repair_inserts} and {!repair_dirty} run it
+    over a fresh relation and leave their inputs unmodified.  Deletions
+    never create violations and need no repairing (Section 3.3).
 
     The processing {e ordering} matters for quality (Section 5.2):
     - {!Linear} (L-INCREPAIR): the given order, no extra cost;
@@ -35,6 +37,33 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
+val stats_line : ordering -> stats -> string
+(** ["L-IncRepair: processed=… changed=…"]: the ordering's name and
+    {!pp_stats}, the line the CLI prints and serve returns. *)
+
+val insert :
+  ?pool:Dq_parallel.Pool.t ->
+  ?ordering:ordering ->
+  ?deadline:Dq_fault.Deadline.t ->
+  Tuple_resolve.env ->
+  Tuple.t list ->
+  (stats * Dq_obs.Report.t, Dq_error.t) result
+(** [insert env delta] repairs [delta] into the environment's relation
+    in place, appending each tuple after the ones it already holds, and
+    keeps [env] valid for the next call.  This is the loop every entry
+    point below runs.  A serve session keeps one environment across
+    batches, so a batch costs O(|ΔD|) resolution steps rather than a
+    rebuild of the indices over the whole relation.
+
+    The relation must satisfy [sigma]; delta tids must be fresh, else
+    [Error (Invalid_input _)] and nothing is added.  [deadline] behaves
+    as in {!repair_inserts}: after a cut the rest of the delta is
+    appended unrepaired, and a cut before the first tuple still appends
+    the whole delta before returning [Error Deadline_exceeded].  On any
+    [Error], a degraded report or an exception (a [resolve.tuple]
+    fault), the relation may hold some of the delta: the caller undoes
+    that by deleting the newest tuples and discarding [env]. *)
+
 val repair_inserts :
   ?pool:Dq_parallel.Pool.t ->
   ?k:int ->
@@ -48,7 +77,8 @@ val repair_inserts :
   ((Relation.t * stats) * Dq_obs.Report.t, Dq_error.t) result
 (** [repair_inserts d delta sigma] assumes [d |= sigma] and returns a fresh
     relation [d ⊕ ΔD_repr] satisfying [sigma], leaving [d]'s tuples
-    untouched, together with statistics and a {!Dq_obs.Report.t} whose
+    untouched: it runs {!insert} over one copy of [d] and a new
+    environment.  It returns statistics and a {!Dq_obs.Report.t} whose
     provenance trail holds one entry per changed cell of the repaired
     insertions — replaying it over [d ⊕ ΔD] reconstructs the repair.
     The tuples of [delta] must carry tids distinct from [d]'s and from each

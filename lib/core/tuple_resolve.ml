@@ -39,7 +39,13 @@ let make_env ?(k = 2) ?(max_candidates = 6) ?(use_cluster_index = true) repr
     rhs_clauses;
   }
 
-let register env t = Lhs_index.add_tuple env.index t
+let relation env = env.repr
+
+let sigma env = env.sigma
+
+let add env t =
+  Relation.add env.repr t;
+  Lhs_index.add_tuple env.index t
 
 let vio_against env t = Lhs_index.vio env.index t
 
@@ -47,9 +53,10 @@ let vio_against env t = Lhs_index.vio env.index t
    far, not of when a cluster happened to be built — otherwise repairing
    a delta in one call and in several calls (serve's per-batch ingest)
    tie-breaks equal-cost repairs differently.  The tree depends only on
-   the attribute's set of distinct values, and the relation only grows,
-   so an unchanged active-domain size means an unchanged set and the
-   cached tree is the one a rebuild would produce. *)
+   the attribute's set of distinct values, and the relation only grows
+   while the environment lives, so an unchanged active-domain size means
+   an unchanged set and the cached tree is the one a rebuild would
+   produce. *)
 let cluster env pos =
   let size = Relation.active_domain_size env.repr pos in
   match env.clusters.(pos) with

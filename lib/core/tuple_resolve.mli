@@ -23,7 +23,16 @@ open Dq_relation
 type env
 (** Shared state for resolving a stream of tuples against a growing repair:
     the repair relation, its LHS-indices, and per-attribute cluster
-    indices. *)
+    indices.
+
+    An environment is valid while it equals [make_env] over its relation
+    in insertion order.  {!add} keeps it so.  Deleting or changing a
+    tuple of the relation breaks it: the LHS-indices keep the first RHS
+    value seen per key, and the cluster cache is keyed by active-domain
+    size.  Whoever shrinks or edits the relation discards the
+    environment and builds a new one before the next {!resolve}.  A serve
+    session does this when a batch quarantines a tuple or is rolled
+    back. *)
 
 val make_env :
   ?k:int ->
@@ -36,18 +45,25 @@ val make_env :
     number of attributes fixed per greedy step; [max_candidates] (default
     6) caps candidate values per attribute; [use_cluster_index] (default
     true) toggles the cost-based index (the ablation of DESIGN.md §5.2).
-    While the environment is in use, [repr] may only grow: tuples are
-    added, never deleted or changed. *)
+    The environment keeps [repr] by reference and grows it through
+    {!add}. *)
 
-val register : env -> Tuple.t -> unit
-(** Record a tuple that has been added to the repair, keeping the
-    LHS-indices current ([Repr] grows tuple by tuple in INCREPAIR). *)
+val relation : env -> Relation.t
+(** The repair relation the environment indexes. *)
+
+val sigma : env -> Dq_cfd.Cfd.t array
+
+val add : env -> Tuple.t -> unit
+(** Add a tuple to the relation and register it in the LHS-indices
+    ([Repr] grows tuple by tuple in INCREPAIR).  The tuple is stored by
+    reference.  @raise Invalid_argument as {!Relation.add} does. *)
 
 val cluster : env -> int -> Cluster_index.t
 (** The cost-based index over an attribute's active domain in [repr].
     It is built on first use and rebuilt only when the attribute's
-    active-domain size has changed since, which (as [repr] only grows)
-    is exactly when its set of values has. *)
+    active-domain size has changed since, which (as [repr] only grows
+    while the environment is valid) is exactly when its set of values
+    has. *)
 
 val resolve : env -> Tuple.t -> Tuple.t
 (** A repaired copy of the tuple (same tid and weights) such that adding it

@@ -12,25 +12,11 @@ type ctx = {
   checkpoint : checkpoint_spec option;
   resume : Checkpoint.t option;
   partition : int array option;
-  request_id : string option;
 }
 
 let ctx ?pool ?(deadline = Dq_fault.Deadline.never) ?checkpoint ?resume
-    ?partition ?request_id relation sigma =
-  { relation; sigma; pool; deadline; checkpoint; resume; partition; request_id }
-
-(* When the ctx carries a serving request id, every engine invocation
-   opens one span annotated with it — the engine's phase spans nest
-   inside, so a trace of the daemon groups repair work under the request
-   that caused it.  Without an id (the CLI) this is a direct call and
-   trace output is unchanged. *)
-let with_request_span c f =
-  match c.request_id with
-  | None -> f ()
-  | Some id ->
-    Dq_obs.Trace.span ~cat:"serve"
-      ~args:(fun () -> [ ("request_id", Dq_obs.Json.String id) ])
-      "engine.request" f
+    ?partition relation sigma =
+  { relation; sigma; pool; deadline; checkpoint; resume; partition }
 
 module type ENGINE = sig
   val name : string
@@ -41,28 +27,13 @@ module type ENGINE = sig
 
   val supports_partition : bool
 
-  val supports_ingest : bool
+  val ingest : Inc_repair.ordering option
 
   val fragment : Schema.t -> Cfd.t array -> (unit, string) result
 
   val run :
     ctx -> ((Relation.t * string) * Dq_obs.Report.t, Dq_error.t) result
-
-  val ingest :
-    ctx ->
-    Tuple.t list ->
-    ((Relation.t * string) * Dq_obs.Report.t, Dq_error.t) result
 end
-
-let no_ingest name _ _ =
-  Error
-    (Dq_error.Engine_unsupported
-       {
-         engine = name;
-         reason =
-           "no incremental ingest: this engine repairs whole relations (use \
-            an INCREPAIR engine: inc, l-inc or w-inc)";
-       })
 
 (* ---- built-in engines -------------------------------------------------- *)
 
@@ -77,12 +48,11 @@ module Batch : ENGINE = struct
 
   let supports_partition = true
 
-  let supports_ingest = false
+  let ingest = None
 
   let fragment _ _ = Ok ()
 
   let run c =
-    with_request_span c @@ fun () ->
     let checkpoint =
       Option.map
         (fun { path; every } -> { Batch_repair.path; every })
@@ -98,15 +68,14 @@ module Batch : ENGINE = struct
             Format.asprintf "batchrepair: %a" Batch_repair.pp_stats stats ),
           report )
     | Error _ as e -> e
-
-  let ingest = no_ingest name
 end
 
 (* The three INCREPAIR orderings share one adapter: tuple-at-a-time
    resolution keeps no pass-boundary state, so neither checkpointing nor
    the shard partition applies — but precisely because each tuple is
    resolved against the repair built so far, they are the engines that
-   can ingest a delta into a clean relation (what serve sessions do). *)
+   can ingest a delta into a clean relation (what serve sessions do,
+   through [Inc_repair.insert] in their ordering). *)
 let inc_engine engine_name ordering : (module ENGINE) =
   (module struct
     let name = engine_name
@@ -121,33 +90,17 @@ let inc_engine engine_name ordering : (module ENGINE) =
 
     let supports_partition = false
 
-    let supports_ingest = true
+    let ingest = Some ordering
 
     let fragment _ _ = Ok ()
 
-    let stats_line stats =
-      Format.asprintf "%s: %a"
-        (Inc_repair.ordering_name ordering)
-        Inc_repair.pp_stats stats
-
     let run c =
-      with_request_span c @@ fun () ->
       match
         Inc_repair.repair_dirty ?pool:c.pool ~ordering ~deadline:c.deadline
           c.relation c.sigma
       with
       | Ok ((repaired, stats), report) ->
-        Ok ((repaired, stats_line stats), report)
-      | Error _ as e -> e
-
-    let ingest c delta =
-      with_request_span c @@ fun () ->
-      match
-        Inc_repair.repair_inserts ?pool:c.pool ~ordering ~deadline:c.deadline
-          c.relation delta c.sigma
-      with
-      | Ok ((repaired, stats), report) ->
-        Ok ((repaired, stats_line stats), report)
+        Ok ((repaired, Inc_repair.stats_line ordering stats), report)
       | Error _ as e -> e
   end)
 
@@ -155,9 +108,9 @@ module Opt_fd : ENGINE = struct
   let name = Opt_fd_repair.engine_name
 
   let doc =
-    "optimal value repair for acyclic FD-only rulesets \
-     (Livshits-Kimelfeld-Roy): one topological sweep, per-class \
-     weighted-medoid assignment"
+    "value repair for acyclic FD-only rulesets (Livshits-Kimelfeld-Roy), \
+     optimal when no RHS attribute is on an LHS: one topological sweep, \
+     per-class weighted-medoid assignment"
 
   let supports_checkpoint = true
 
@@ -166,12 +119,11 @@ module Opt_fd : ENGINE = struct
      provable no-op rather than a refusal. *)
   let supports_partition = true
 
-  let supports_ingest = false
+  let ingest = None
 
   let fragment = Opt_fd_repair.fragment
 
   let run c =
-    with_request_span c @@ fun () ->
     let checkpoint =
       Option.map
         (fun { path; every } -> { Opt_fd_repair.path; every })
@@ -188,8 +140,6 @@ module Opt_fd : ENGINE = struct
               Opt_fd_repair.pp_stats stats ),
           report )
     | Error _ as e -> e
-
-  let ingest = no_ingest name
 end
 
 (* ---- registry ---------------------------------------------------------- *)

@@ -5,12 +5,13 @@
     invocation needs — the relation, Σ, and the shared execution hooks
     (worker pool, cooperative deadline, checkpoint/resume, shard
     partition) — travels in one {!type-ctx} record, built once by the
-    caller with {!val-ctx}.  The CLI's [repair --engine NAME], the serve
-    daemon's sessions, the differential test harness and the bench
-    head-to-head all hand engines the same record, so no layer re-parses
-    another layer's option spelling, and a new engine becomes a drop-in
-    everywhere by implementing {!ENGINE} and calling {!register} (or
-    joining the built-in list).
+    caller with {!val-ctx}.  The CLI's [repair --engine NAME], the
+    differential test harness and the bench head-to-head all hand
+    engines the same record, so no layer re-parses another layer's
+    option spelling, and a new engine becomes a drop-in everywhere by
+    implementing {!ENGINE} and calling {!register} (or joining the
+    built-in list).  The serve daemon's sessions pick an engine by name
+    and read only its {!ENGINE.ingest} ordering.
 
     Contract every engine must honour (what the differential suite
     checks):
@@ -28,24 +29,19 @@ open Dq_cfd
 
 type checkpoint_spec = { path : string; every : int }
 
-(** The one context record shared by every engine invocation, CLI and
-    serve alike: the instance itself plus the execution hooks.  Engines
-    ignore hooks they do not support only after the caller has gated on
-    the capability flags — the CLI refuses [--checkpoint]/[--partition]
-    for engines that would silently drop them, and the daemon refuses
-    sessions on engines without [supports_ingest]. *)
+(** The one context record shared by every engine invocation: the
+    instance itself plus the execution hooks.  Engines ignore hooks they
+    do not support only after the caller has gated on the capability
+    flags — the CLI refuses [--checkpoint]/[--partition] for engines
+    that would silently drop them. *)
 type ctx = {
-  relation : Relation.t;  (** the instance to repair (or ingest into) *)
+  relation : Relation.t;  (** the instance to repair *)
   sigma : Cfd.t array;  (** the ruleset Σ, already resolved *)
   pool : Dq_parallel.Pool.t option;
   deadline : Dq_fault.Deadline.t;
   checkpoint : checkpoint_spec option;
   resume : Dq_core.Checkpoint.t option;
   partition : int array option;
-  request_id : string option;
-      (** the serve daemon's per-request correlation id; when present,
-          every engine invocation opens a trace span carrying it so the
-          engine's phase spans group under the request that caused them *)
 }
 
 val ctx :
@@ -54,12 +50,11 @@ val ctx :
   ?checkpoint:checkpoint_spec ->
   ?resume:Dq_core.Checkpoint.t ->
   ?partition:int array ->
-  ?request_id:string ->
   Relation.t ->
   Cfd.t array ->
   ctx
 (** Build a context.  Defaults: no pool, no deadline, no checkpointing,
-    no partition, no request id. *)
+    no partition. *)
 
 module type ENGINE = sig
   val name : string
@@ -74,10 +69,14 @@ module type ENGINE = sig
   val supports_partition : bool
   (** Whether [ctx.partition] is honoured (or provably a no-op). *)
 
-  val supports_ingest : bool
-  (** Whether {!ingest} maintains a clean relation incrementally — what
-      a serve session needs.  Engines built for whole-relation repair
-      (batch, opt-fd) say [false] and their {!ingest} fails. *)
+  val ingest : Dq_core.Inc_repair.ordering option
+  (** [Some ordering] when a serve session can run on this engine: the
+      session keeps one {!Dq_core.Tuple_resolve.env} over its relation
+      and repairs each batch into it with {!Dq_core.Inc_repair.insert}
+      in this ordering.  The session, not the engine, owns that state
+      and undoes a batch that does not commit.  Engines built for
+      whole-relation repair (batch, opt-fd) say [None], and the daemon
+      refuses sessions on them. *)
 
   val fragment : Schema.t -> Cfd.t array -> (unit, string) result
   (** [Ok ()] when the engine can repair this Σ; otherwise a one-line
@@ -90,20 +89,6 @@ module type ENGINE = sig
       engine's rendered stats line (what the CLI prints to stderr in
       text mode); everything machine-readable lives in the report's
       summary. *)
-
-  val ingest :
-    ctx ->
-    Tuple.t list ->
-    ((Relation.t * string) * Dq_obs.Report.t, Dq_error.t) result
-  (** [ingest ctx delta] assumes [ctx.relation |= ctx.sigma] and returns
-      a fresh relation [ctx.relation ⊕ ΔD_repr] with the delta tuples
-      repaired into it, leaving [ctx.relation] untouched — INCREPAIR's
-      insertion mode, the serve ingest path.  The result holds
-      [ctx.relation]'s tuples unchanged and in order, followed by the
-      repaired delta tuples (the serve journal records only those).
-      Delta tids must be fresh.
-      Engines with [supports_ingest = false] return
-      [Error (Engine_unsupported _)]. *)
 end
 
 val all : unit -> (module ENGINE) list

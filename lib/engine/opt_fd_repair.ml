@@ -27,11 +27,12 @@ let engine_name = "opt-fd"
 
 (* ---- fragment check ---------------------------------------------------- *)
 
-(* The sweep is only optimal (and only terminates in one pass) when Σ is
-   pure embedded FDs over an acyclic attribute dependency graph: constant
-   patterns reintroduce the committed-constant conflicts the topological
-   order is there to avoid, and a cycle leaves no order to process
-   strata in. *)
+(* The sweep only terminates in one pass when Σ is pure embedded FDs
+   over an acyclic attribute dependency graph: constant patterns
+   reintroduce the committed-constant conflicts the topological order is
+   there to avoid, and a cycle leaves no order to process strata in.  It
+   is optimal only when, besides, no RHS attribute is on an LHS (see the
+   interface). *)
 let fragment schema sigma =
   match
     Array.to_list sigma

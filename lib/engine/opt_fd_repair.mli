@@ -1,10 +1,10 @@
-(** Optimal value repair for the FD-only fragment of Σ.
+(** Value repair for the FD-only fragment of Σ, optimal on chain-free Σ.
 
     The algorithm is the stratified variant of Livshits–Kimelfeld–Roy
     (arXiv:1712.07705): when every clause is an embedded FD (all pattern
-    cells wildcards) and the attribute dependency graph is acyclic, an
-    optimal {e value} repair can be computed in one sweep, with no
-    fixpoint iteration:
+    cells wildcards) and the attribute dependency graph is acyclic, a
+    {e value} repair can be computed in one sweep, with no fixpoint
+    iteration:
 
     - process RHS attributes in topological order of the dependency
       graph, so every LHS value a stratum groups on is already final;
@@ -20,6 +20,16 @@
     conflicts that force BATCHREPAIR into LHS fixes or null
     introductions — so on this fragment its cost never exceeds the batch
     engine's, and it introduces no nulls at all.
+
+    The repair is optimal only when Σ is also {e chain-free}: no RHS
+    attribute is on some clause's LHS.  On a chain the sweep fixes an
+    attribute group by group before reading it as an LHS, so it may
+    pay downstream for a value a cheaper repair would have chosen to
+    suit the next stratum.  With Σ = \{A → B, B → C\} over (xyz, xbc,
+    abc), (xbc, abc, xbc), (xyz, abc, abc), it gives the A = xyz group
+    B = abc and then changes a C, at cost 0.667; changing the third
+    tuple's B to xbc costs 0.333.  What holds on chains is one sweep
+    whose cost never exceeds BATCHREPAIR's.
 
     The engine is deterministic by construction (no decision depends on
     hash-table iteration order or the job count), emits the same

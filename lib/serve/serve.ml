@@ -714,12 +714,16 @@ let check_breaker (s : Session.t) =
 
 (* The two mutating endpoints share this shape: queue the job on the
    session's FIFO lane (shedding at [queue_depth]), run the engine under
-   the session lock on a worker domain, checkpoint, answer. *)
+   the session lock on a worker domain, checkpoint, answer.  A job that
+   fails leaves the session as it was; a checkpoint that fails takes the
+   committed job back before the error answer goes out, so a client that
+   retries it cannot apply it twice. *)
 let run_engine_job d (s : Session.t) job =
   match
     Session.with_lane ~depth:d.limits.queue_depth s (fun () ->
         exec_job d (fun () ->
             Session.with_lock s (fun () ->
+                let before = Session.mark s in
                 let res =
                   try
                     Fault.hit "serve.ingest";
@@ -729,8 +733,12 @@ let run_engine_job d (s : Session.t) job =
                 in
                 note_engine_result d s res;
                 let* payload = res in
-                save_session d s;
-                Ok payload)))
+                match save_session d s with
+                | () -> Ok payload
+                | exception e ->
+                  let bt = Printexc.get_raw_backtrace () in
+                  Session.rollback s before;
+                  Printexc.raise_with_backtrace e bt)))
   with
   | None ->
     Error

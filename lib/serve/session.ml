@@ -2,6 +2,8 @@ open Dq_relation
 open Dq_cfd
 open Dq_analysis
 module Engine = Dq_engine.Engine
+module Inc_repair = Dq_core.Inc_repair
+module Tuple_resolve = Dq_core.Tuple_resolve
 
 let ( let* ) = Result.bind
 
@@ -27,7 +29,9 @@ type t = {
   rules : string;
   sigma : Cfd.t array;
   engine : string;
-  mutable relation : Relation.t;
+  ordering : Inc_repair.ordering;
+  relation : Relation.t;
+  mutable env : Tuple_resolve.env option;
   mutable next_tid : int;
   mutable quarantine : quarantined list;
   mutable batches : int;
@@ -138,13 +142,14 @@ let resolve_rules schema ltabs =
   | sigma -> Ok sigma
   | exception Invalid_argument msg -> Error (Dq_error.Invalid_input msg)
 
-(* The engine behind a session must repair incrementally: sessions only
-   ever call [ingest]. *)
+(* The engine behind a session must repair incrementally: a session
+   resolves every batch with INCREPAIR in the engine's ordering. *)
 let resolve_engine ~engine schema sigma =
   let* (module E : Engine.ENGINE) = Engine.find engine in
-  let* () =
-    if E.supports_ingest then Ok ()
-    else
+  let* ordering =
+    match E.ingest with
+    | Some ordering -> Ok ordering
+    | None ->
       Error
         (Dq_error.Engine_unsupported
            {
@@ -155,17 +160,20 @@ let resolve_engine ~engine schema sigma =
            })
   in
   let* () = Engine.check_fragment (module E) schema sigma in
-  Ok (module E : Engine.ENGINE)
+  Ok ordering
 
-let session ~id ~schema ~rules ~sigma ~engine ~relation ~next_tid ~quarantine
-    ~batches ~repaired ~quarantined_total ~resolved ~seq ~checkpoint =
+let session ~id ~schema ~rules ~sigma ~engine ~ordering ~relation ~next_tid
+    ~quarantine ~batches ~repaired ~quarantined_total ~resolved ~seq
+    ~checkpoint =
   {
     id;
     schema;
     rules;
     sigma;
     engine;
+    ordering;
     relation;
+    env = None;
     next_tid;
     quarantine;
     batches;
@@ -226,9 +234,9 @@ let create ~id ~schema_name ~attributes ~rules ~engine ?(force = false) () =
                   force";
              })
   in
-  let* (module _ : Engine.ENGINE) = resolve_engine ~engine schema sigma in
+  let* ordering = resolve_engine ~engine schema sigma in
   Ok
-    (session ~id ~schema ~rules ~sigma ~engine
+    (session ~id ~schema ~rules ~sigma ~engine ~ordering
        ~relation:(Relation.create schema) ~next_tid:1 ~quarantine:[]
        ~batches:0 ~repaired:0 ~quarantined_total:0 ~resolved:0 ~seq:0
        ~checkpoint:Unsaved)
@@ -238,10 +246,10 @@ let restore ~id ~schema_name ~attributes ~rules ~engine ~relation ~next_tid
   let* schema = make_schema ~schema_name ~attributes in
   let* ltabs = parse_rules ~id rules in
   let* sigma = resolve_rules schema ltabs in
-  let* (module _ : Engine.ENGINE) = resolve_engine ~engine schema sigma in
+  let* ordering = resolve_engine ~engine schema sigma in
   Ok
-    (session ~id ~schema ~rules ~sigma ~engine ~relation ~next_tid ~quarantine
-       ~batches ~repaired ~quarantined_total ~resolved ~seq
+    (session ~id ~schema ~rules ~sigma ~engine ~ordering ~relation ~next_tid
+       ~quarantine ~batches ~repaired ~quarantined_total ~resolved ~seq
        ~checkpoint:Snapshot_due)
 
 (* Number a committed mutation and, while the session journals, keep
@@ -260,6 +268,58 @@ let note_change t ~added ~queued ~dropped =
           dropped = List.rev_append dropped j.dropped;
         }
   | Unsaved | Snapshot_due -> ()
+
+(* ---- the kept environment and undo ------------------------------------ *)
+
+(* The session's INCREPAIR environment, built over the relation when the
+   last one was discarded.  It depends only on the relation's tuples in
+   insertion order, so building it again after a reload or a deletion
+   changes no repair. *)
+let env t =
+  match t.env with
+  | Some env -> env
+  | None ->
+    let env = Tuple_resolve.make_env t.relation t.sigma in
+    t.env <- Some env;
+    env
+
+(* Return the relation to its first [size] tuples.  A mutation only
+   appends to the relation (a quarantine deletes tuples of its own
+   batch), so the tuples past [size] are the newest: deleting them
+   leaves the rest in order, with the active domains they had.  The
+   environment indexed them, so it goes too. *)
+let truncate t size =
+  let extra = Relation.cardinality t.relation - size in
+  if extra > 0 then begin
+    List.iter
+      (fun tu -> ignore (Relation.delete t.relation (Tuple.tid tu)))
+      (Relation.last t.relation extra);
+    t.env <- None
+  end
+
+(* The fields a mutation may change are the quarantine list and the
+   counters, all immutable values: a shallow copy of the session keeps
+   them. *)
+type mark = { was : t; size : int }
+
+let mark t =
+  { was = { t with seq = t.seq }; size = Relation.cardinality t.relation }
+
+let rollback t { was; size } =
+  truncate t size;
+  (* The journal's pending changes include the undone mutations, so only
+     a snapshot is safe next.  An unsaved session writes one anyway. *)
+  (match t.checkpoint with
+  | Snapshot_due | Journal _ when t.seq <> was.seq ->
+    t.checkpoint <- Snapshot_due
+  | Unsaved | Snapshot_due | Journal _ -> ());
+  t.quarantine <- was.quarantine;
+  t.next_tid <- was.next_tid;
+  t.batches <- was.batches;
+  t.repaired <- was.repaired;
+  t.quarantined_total <- was.quarantined_total;
+  t.resolved <- was.resolved;
+  t.seq <- was.seq
 
 (* ---- ingest ------------------------------------------------------------ *)
 
@@ -300,35 +360,56 @@ let nulled_positions ~submitted ~repaired =
   done;
   !out
 
-let ingest_delta ?pool ?(deadline = Dq_fault.Deadline.never) ?request_id t
-    delta =
-  let* (module E : Engine.ENGINE) =
-    resolve_engine ~engine:t.engine t.schema t.sigma
-  in
-  let ctx = Engine.ctx ?pool ~deadline ?request_id t.relation t.sigma in
-  let* (repaired_rel, stats), report = E.ingest ctx delta in
-  (* A deadline cut mid-batch commits nothing: the session keeps its
-     last consistent relation and the client retries the whole batch. *)
-  if report.Dq_obs.Report.degraded <> None then Error Dq_error.Deadline_exceeded
-  else Ok ((repaired_rel, stats), report)
+(* A request id makes the batch one trace span carrying it, so the
+   engine's phase spans group under the request that caused them. *)
+let request_span request_id f =
+  match request_id with
+  | None -> f ()
+  | Some id ->
+    Dq_obs.Trace.span ~cat:"serve"
+      ~args:(fun () -> [ ("request_id", Dq_obs.Json.String id) ])
+      "engine.request" f
+
+(* Repair [delta] into the relation through the kept environment.  A
+   deadline cut, an error or an exception commits nothing: the session
+   keeps its last consistent relation and the client retries the whole
+   batch. *)
+let insert ?pool ?(deadline = Dq_fault.Deadline.never) ?request_id t delta =
+  let size = Relation.cardinality t.relation in
+  match
+    request_span request_id (fun () ->
+        Inc_repair.insert ?pool ~ordering:t.ordering ~deadline (env t) delta)
+  with
+  | Ok (stats, report) when report.Dq_obs.Report.degraded = None ->
+    Ok (Inc_repair.stats_line t.ordering stats, report)
+  | cut_or_failed ->
+    truncate t size;
+    Error
+      (Result.fold cut_or_failed ~error:Fun.id ~ok:(fun _ ->
+           Dq_error.Deadline_exceeded))
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    truncate t size;
+    Printexc.raise_with_backtrace e bt
 
 (* Classify each delta tuple against its repaired form, removing the
-   unrepairable ones from [rel] (a deletion never creates a violation,
-   Section 3.3) and returning them as quarantine entries, in submission
-   order. *)
-let classify ~batch rel delta =
+   unrepairable ones from the relation (a deletion never creates a
+   violation, Section 3.3, but it does invalidate the environment) and
+   returning them as quarantine entries, in submission order. *)
+let classify ~batch t delta =
   let queued = ref [] in
   let outcomes =
     List.map
       (fun submitted ->
         let tid = Tuple.tid submitted in
-        let repaired = Relation.find_exn rel tid in
+        let repaired = Relation.find_exn t.relation tid in
         match nulled_positions ~submitted ~repaired with
         | [] ->
           let changed = List.length (Tuple.diff_positions submitted repaired) in
           if changed = 0 then Clean tid else Repaired (tid, changed)
         | attrs ->
-          ignore (Relation.delete rel tid);
+          ignore (Relation.delete t.relation tid);
+          t.env <- None;
           queued := { tuple = submitted; attrs; batch } :: !queued;
           Quarantined (tid, attrs))
       delta
@@ -347,19 +428,15 @@ let ingest ?pool ?deadline ?request_id t rows =
         Tuple.create ?weights ~tid:(t.next_tid + i) values)
       rows
   in
-  let* (repaired_rel, stats), report =
-    ingest_delta ?pool ?deadline ?request_id t delta
-  in
+  let size = Relation.cardinality t.relation in
+  let* stats, report = insert ?pool ?deadline ?request_id t delta in
   let batch = t.batches + 1 in
-  let outcomes, queued = classify ~batch repaired_rel delta in
-  (* The engine returns the old relation's tuples, unchanged and in
-     order, followed by the delta's: the batch's rows are the newest. *)
+  let outcomes, queued = classify ~batch t delta in
+  (* The batch's surviving rows are the relation's newest. *)
   let added =
-    Relation.last repaired_rel
-      (Relation.cardinality repaired_rel - Relation.cardinality t.relation)
+    Relation.last t.relation (Relation.cardinality t.relation - size)
   in
-  t.relation <- repaired_rel;
-  t.quarantine <- t.quarantine @ queued;
+  if queued <> [] then t.quarantine <- t.quarantine @ queued;
   t.quarantined_total <- t.quarantined_total + List.length queued;
   t.next_tid <- t.next_tid + List.length rows;
   t.batches <- batch;
@@ -398,12 +475,14 @@ let resolve ?pool ?deadline ?request_id t tid resolution =
   | Replace (values, weights) ->
     let* () = check_row t.schema (values, weights) in
     let submitted = Tuple.create ?weights ~tid values in
-    let* (repaired_rel, _stats), _report =
-      ingest_delta ?pool ?deadline ?request_id t [ submitted ]
+    let size = Relation.cardinality t.relation in
+    let* _stats, _report =
+      insert ?pool ?deadline ?request_id t [ submitted ]
     in
-    let repaired = Relation.find_exn repaired_rel tid in
+    let repaired = Relation.find_exn t.relation tid in
     (match nulled_positions ~submitted ~repaired with
     | _ :: _ as attrs ->
+      truncate t size;
       Error
         (Dq_error.Invalid_input
            (Printf.sprintf
@@ -411,7 +490,6 @@ let resolve ?pool ?deadline ?request_id t tid resolution =
               (String.concat ", "
                  (List.map (Schema.attribute t.schema) attrs))))
     | [] ->
-      t.relation <- repaired_rel;
       drop_quarantined t tid;
       note_change t ~added:[ repaired ] ~queued:[] ~dropped:[ tid ];
       let changed = List.length (Tuple.diff_positions submitted repaired) in

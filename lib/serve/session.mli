@@ -2,19 +2,30 @@
     ruleset Σ while tuple batches stream in.
 
     A session is created from a schema, a ruleset and an engine name
-    (the engine must have [supports_ingest]); creation runs the same
-    gates as the CLI — lint errors, the Σ-interaction termination
-    verdict, satisfiability — so a session that exists is one whose
-    ingest path is safe to run unattended.
+    (the engine's {!Dq_engine.Engine.ENGINE.ingest} must name an
+    ordering, resolved once at creation and at restore); creation runs
+    the same gates as the CLI — lint errors, the Σ-interaction
+    termination verdict, satisfiability — so a session that exists is
+    one whose ingest path is safe to run unattended.
 
-    Ingest drains each batch through the engine's incremental repair
-    ({!Dq_engine.Engine.ENGINE.ingest}, INCREPAIR's insertion mode
-    underneath): tuples the repair could settle join the relation
-    (possibly modified); tuples the repair could only settle by
-    introducing nulls — the paper's "no certain value" outcome — are
-    {e quarantined} instead: removed from the relation (deletions never
-    introduce violations, Section 3.3) and held aside in submitted form
-    for a later {!resolve}.  The batch as a whole still succeeds.
+    Ingest repairs each batch straight into the relation with
+    {!Dq_core.Inc_repair.insert}, through one INCREPAIR environment
+    ({!Dq_core.Tuple_resolve.env}: LHS-indices and cluster cache) the
+    session keeps across batches.  Tuples the repair could settle join
+    the relation (possibly modified); tuples the repair could only
+    settle by introducing nulls — the paper's "no certain value"
+    outcome — are {e quarantined} instead: removed from the relation
+    (deletions never introduce violations, Section 3.3) and held aside
+    in submitted form for a later {!resolve}.  The batch as a whole
+    still succeeds.
+
+    The kept environment always equals [make_env] over the relation in
+    insertion order.  Growth keeps it so; any deletion discards it (a
+    quarantine, a refused replacement, a rollback), and the next batch
+    builds it again from the relation.  A reloaded or evicted session
+    starts without one.  Since it depends only on the relation's
+    tuples, a restart repairs the next batch exactly as the live
+    session would have.
 
     All mutation happens under the session's lock via {!with_lock};
     the relation invariant between batches is [relation |= Σ]. *)
@@ -58,7 +69,12 @@ type t = {
   rules : string;  (** ruleset source text, persisted verbatim *)
   sigma : Cfd.t array;
   engine : string;
-  mutable relation : Relation.t;
+  ordering : Dq_core.Inc_repair.ordering;  (** the engine's, resolved once *)
+  relation : Relation.t;
+      (** grows in place; a batch that does not commit is undone *)
+  mutable env : Dq_core.Tuple_resolve.env option;
+      (** the INCREPAIR environment over [relation], or [None] until the
+          next batch builds it *)
   mutable next_tid : int;
   mutable quarantine : quarantined list;  (** oldest first *)
   mutable batches : int;  (** ingest batches committed *)
@@ -177,12 +193,14 @@ val ingest :
   (Value.t array * float array option) list ->
   (outcome list * string * Dq_obs.Report.t, Dq_error.t) result
 (** Assign fresh tids to a batch and repair it into the relation.
-    Commits — relation swap, counters, quarantine — only on full
-    success; a deadline cut ([degraded] report) commits nothing and
-    returns [Deadline_exceeded].  The string is the engine's stats
-    line.  [request_id] is threaded into the engine context so the
-    engine's trace spans carry the originating request.  Caller must
-    hold the lock. *)
+    Commits — rows, counters, quarantine — only on full success.  A
+    deadline cut ([degraded] report), an engine error or an exception
+    (an armed [resolve.tuple] fault) commits nothing: the relation loses
+    whatever the batch had appended, which discards the environment,
+    then [Deadline_exceeded], the error or the exception is returned.
+    The string is the engine's stats line.  With a [request_id] the
+    batch runs inside one [engine.request] trace span carrying it.
+    Caller must hold the lock. *)
 
 type resolution =
   | Discard  (** drop the quarantined tuple for good *)
@@ -198,7 +216,28 @@ val resolve :
   resolution ->
   (outcome, Dq_error.t) result
 (** Settle one quarantined tuple by tid.  [Replace] values that would
-    quarantine again are refused ([Invalid_input]) and the entry stays.
-    An unknown tid is [Invalid_input].  Caller must hold the lock. *)
+    quarantine again are refused ([Invalid_input]): the relation is left
+    as it was and the entry stays.  An unknown tid is [Invalid_input].
+    Caller must hold the lock. *)
 
 val find_quarantined : t -> int -> quarantined option
+
+(** {1 Undo}
+
+    How the daemon takes back a committed mutation whose checkpoint
+    failed, so that an error answer always means nothing changed. *)
+
+type mark
+
+val mark : t -> mark
+(** The session's state before a mutation. *)
+
+val rollback : t -> mark -> unit
+(** Undo every mutation since the mark.  The relation drops the tuples
+    added since (its newest), keeping the rest in order with the same
+    active domains, and the environment goes if any tuple did; the
+    quarantine, the counters, [next_tid] and [seq] return to their
+    marked values.  When
+    a committed mutation was undone, the next checkpoint is a snapshot,
+    so neither a torn journal line nor the undone mutation's pending
+    journal entry reaches disk.  Caller must hold the lock. *)

@@ -3,7 +3,10 @@
    Σ-consistent repair, byte-identical output at any job count (and under
    the shard partition where supported), a replayable provenance trail —
    and the opt-fd engine must additionally beat (or tie) BATCHREPAIR's
-   cost on its own fragment, since it is optimal there. *)
+   cost on its own fragment.  It is optimal there only when Σ has no
+   chain (an RHS attribute on some clause's LHS); on chains it is one
+   sweep whose cost never exceeds batch's, and the unit test below pins
+   a chain where both miss the optimum. *)
 
 open Dq_relation
 open Dq_cfd
@@ -52,6 +55,31 @@ let fd_sigma_gen =
   QCheck.Gen.(map (fun l -> Cfd.number l) (list_size (1 -- 5) fd_clause_gen))
 
 let fd_instance = QCheck.make QCheck.Gen.(pair relation_gen fd_sigma_gen)
+
+(* An FD-only Σ split over {A, B} and {C, D}: one clause per half, each
+   in a drawn direction, so the ruleset stays acyclic and opt-fd accepts
+   it, and the interaction analysis finds two shards. *)
+let split_fd_sigma_gen =
+  QCheck.Gen.(
+    let clause half =
+      let* perm = shuffle_l half in
+      return
+        (Cfd.make schema
+           ~lhs:[ (List.nth perm 0, Pattern.Wild) ]
+           ~rhs:(List.nth perm 1, Pattern.Wild))
+    in
+    let* left = clause [ "A"; "B" ] in
+    let* right = clause [ "C"; "D" ] in
+    return (Cfd.number [ left; right ]))
+
+let partition_instance_gen =
+  QCheck.Gen.(pair relation_gen (oneof [ fd_sigma_gen; split_fd_sigma_gen ]))
+
+let partition_of sigma =
+  (Dq_analysis.Interaction.analyze schema sigma).Dq_analysis.Interaction.partition
+
+let shards partition =
+  List.length (List.sort_uniq Int.compare (Array.to_list partition))
 
 (* ---- differential properties ------------------------------------------- *)
 
@@ -120,12 +148,10 @@ let prop_engines_jobs_invariant =
 let prop_partition_invariant =
   QCheck.Test.make
     ~name:"--partition leaves batch and opt-fd output byte-identical"
-    ~count:40 fd_instance
+    ~count:40
+    (QCheck.make partition_instance_gen)
     (fun (rel, sigma) ->
-      let partition =
-        (Dq_analysis.Interaction.analyze schema sigma)
-          .Dq_analysis.Interaction.partition
-      in
+      let partition = partition_of sigma in
       List.for_all
         (fun name ->
           let plain = Csv.save_string (repair_of name rel sigma) in
@@ -235,6 +261,60 @@ let test_fault_plan_differential () =
         plain faulted)
     all_names
 
+(* [prop_partition_invariant] checks batch's partitioned path only when
+   an instance has two shards: a third of its draws at least must. *)
+let test_partition_instances_have_two_shards () =
+  let rand = Random.State.make [| 20 |] in
+  let n = 300 in
+  let two =
+    List.length
+      (List.filter
+         (fun _ -> shards (partition_of (snd (partition_instance_gen rand))) >= 2)
+         (List.init n Fun.id))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d instances have two shards" two n)
+    true
+    (3 * two >= n)
+
+(* A chain: B is the RHS of A -> B and the LHS of B -> C.  opt-fd's
+   sweep gives the A = xyz group B = abc and must then change a C, and
+   batch pays as much.  Changing the third tuple's B to xbc satisfies Σ
+   at half that cost, which l-inc finds.  So opt-fd is optimal only on
+   chain-free Σ. *)
+let test_opt_fd_not_optimal_on_chains () =
+  let schema = Schema.make ~name:"chain" [ "A"; "B"; "C" ] in
+  let fd lhs rhs =
+    Cfd.make schema ~lhs:[ (lhs, Pattern.Wild) ] ~rhs:(rhs, Pattern.Wild)
+  in
+  let sigma = Cfd.number [ fd "A" "B"; fd "B" "C" ] in
+  let dirty () =
+    let rel = Relation.create schema in
+    List.iter
+      (fun row -> ignore (Relation.insert rel (Array.map Value.string row)))
+      [
+        [| "xyz"; "xbc"; "abc" |];
+        [| "xbc"; "abc"; "xbc" |];
+        [| "xyz"; "abc"; "abc" |];
+      ];
+    rel
+  in
+  let cost name =
+    let rel = dirty () in
+    let repaired = repair_of name rel sigma in
+    Alcotest.(check int) (name ^ " satisfies Σ") 0 (Violation.total repaired sigma);
+    (Cost.repair_cost ~original:rel ~repair:repaired, repaired)
+  in
+  let opt_fd, _ = cost "opt-fd" and batch, _ = cost "batch" in
+  let l_inc, l_inc_repair = cost "l-inc" in
+  Alcotest.(check (float 1e-3)) "opt-fd changes two cells" 0.667 opt_fd;
+  Alcotest.(check (float 1e-3)) "batch changes two cells" 0.667 batch;
+  Alcotest.(check (float 1e-3)) "l-inc changes one" 0.333 l_inc;
+  Alcotest.(check string)
+    "l-inc sets the third tuple's B to xbc"
+    "A,B,C\nxyz,xbc,abc\nxbc,abc,xbc\nxyz,xbc,abc\n"
+    (Csv.save_string l_inc_repair)
+
 let test_unknown_engine () =
   match Engine.find "bogus" with
   | Ok _ -> Alcotest.fail "found an engine named bogus"
@@ -275,6 +355,10 @@ let suite =
       test_cross_engine_resume_refused;
     Alcotest.test_case "delay fault plans never change output" `Quick
       test_fault_plan_differential;
+    Alcotest.test_case "partition instances: a third have two shards" `Quick
+      test_partition_instances_have_two_shards;
+    Alcotest.test_case "opt-fd is not optimal on a chain" `Quick
+      test_opt_fd_not_optimal_on_chains;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -417,6 +417,22 @@ let test_journal_stale_at_create () =
   Alcotest.(check (list string)) "delete removes both files" []
     (Array.to_list (Sys.readdir dir))
 
+(* Rolling back a committed batch restores everything a reload would
+   compare, and the journal never learns of the batch: the next record
+   holds only what was committed after the rollback. *)
+let test_rollback_restores_session () =
+  with_tmp_dir @@ fun dir ->
+  let s = journaled_session dir in
+  let before = session_state s in
+  let mark = Session.mark s in
+  ingest_ok s [ (ints [ 1; 10 ], None); (ints [ 3; 30 ], None) ];
+  Session.rollback s mark;
+  Alcotest.(check string) "rollback restores the session" before
+    (session_state s);
+  ingest_ok s [ (ints [ 4; 40 ], None) ];
+  let (_ : int) = Store.save ~dir s in
+  check_reload ~dir "the undone batch never reaches disk" s
+
 (* A record covers every mutation committed since the last save: one in
    the daemon's normal path, several when a caller saves less often or a
    save failed before it wrote anything. *)
@@ -639,6 +655,258 @@ let prop_batches_equal_one_shot =
       String.equal split_1 one_shot_1
       && String.equal split_1 (at 4 batches)
       && String.equal one_shot_1 (at 4 [ rows ]))
+
+(* ---- the kept environment ------------------------------------------------ *)
+
+(* The soak's ruleset: two FDs, plus A = 1 forced to both B = 10 and
+   B = 20, so a tuple with A = 1 can only be settled by nulling B. *)
+let soak_rules =
+  "p1: [A] -> [B]\np2: [C] -> [D]\nq1: [A] -> [B] {\n  (1 || 10)\n}\n\
+   q2: [A] -> [B] {\n  (1 || 20)\n}\n"
+
+(* A quarantined tuple leaves the relation, so the environment that
+   indexed it goes with it.  Kept, its C = 3 -> D = 7 entry would
+   repair the next batch's D from 8 to 7. *)
+let test_quarantine_discards_environment () =
+  let s =
+    unwrap
+      (Session.create ~id:"s1" ~schema_name:"soak"
+         ~attributes:[ "A"; "B"; "C"; "D" ] ~rules:soak_rules ~engine:"l-inc"
+         ~force:true ())
+  in
+  Session.with_lock s @@ fun () ->
+  (match unwrap (Session.ingest s [ (ints [ 1; 10; 3; 7 ], None) ]) with
+  | [ Session.Quarantined (1, [ 1 ]) ], _, _ -> ()
+  | _ -> Alcotest.fail "expected tid 1 quarantined on B");
+  (match unwrap (Session.ingest s [ (ints [ 2; 20; 3; 8 ], None) ]) with
+  | [ Session.Clean 2 ], _, _ -> ()
+  | _ -> Alcotest.fail "expected tid 2 clean");
+  Alcotest.(check string)
+    "relation" "A,B,C,D\n2,20,3,8\n"
+    (Csv.save_string s.Session.relation)
+
+(* The reference a kept environment must match: repair each batch with
+   [repair_inserts] on a copy of the relation, then delete the
+   quarantined tids. *)
+type reference = {
+  mutable rel : Relation.t;
+  mutable queue : Session.quarantined list;
+  mutable next_tid : int;
+  mutable batches : int;
+}
+
+type env_op =
+  | Batch of Value.t array list * int option * int option
+      (** rows; a deadline of so many passes; a [resolve.tuple] fault at
+          that hit *)
+  | Replace_first of Value.t array
+      (** resolve the oldest quarantine entry with these values *)
+
+let outcome_string = function
+  | Session.Clean tid -> Printf.sprintf "clean %d" tid
+  | Session.Repaired (tid, n) -> Printf.sprintf "repaired %d/%d" tid n
+  | Session.Quarantined (tid, attrs) ->
+    Printf.sprintf "quarantined %d [%s]" tid
+      (String.concat "," (List.map string_of_int attrs))
+
+(* Run [f] with a [resolve.tuple] fault armed at hit [fault], if any; an
+   injected fault is a result. *)
+let under_fault fault f =
+  (match fault with
+  | None -> ()
+  | Some n ->
+    Dq_fault.Fault.arm
+      [ { Dq_fault.Fault.site = "resolve.tuple"; hits = n; action = Raise } ]);
+  Fun.protect ~finally:Dq_fault.Fault.disarm (fun () ->
+      try f () with Dq_fault.Fault.Injected site -> Error ("injected " ^ site))
+
+(* How the reference settles one repaired tuple: quarantined on the
+   positions the repair nulled, else clean or repaired. *)
+let settle ~submitted ~repaired =
+  let tid = Tuple.tid submitted in
+  match
+    List.filter
+      (fun p ->
+        Value.is_null (Tuple.get repaired p)
+        && not (Value.is_null (Tuple.get submitted p)))
+      (List.init (Tuple.arity submitted) Fun.id)
+  with
+  | _ :: _ as nulled -> Session.Quarantined (tid, nulled)
+  | [] -> (
+    match List.length (Tuple.diff_positions submitted repaired) with
+    | 0 -> Session.Clean tid
+    | n -> Session.Repaired (tid, n))
+
+let reference_batch r ~ordering ~sigma ?deadline rows =
+  let delta =
+    List.mapi (fun i values -> Tuple.create ~tid:(r.next_tid + i) values) rows
+  in
+  match
+    Dq_core.Inc_repair.repair_inserts ~ordering ?deadline r.rel delta sigma
+  with
+  | Error e -> Error (Dq_error.to_string e)
+  | Ok (_, report) when report.Dq_obs.Report.degraded <> None ->
+    Error (Dq_error.to_string Dq_error.Deadline_exceeded)
+  | Ok ((rel, _), _) ->
+    let batch = r.batches + 1 in
+    let outcomes =
+      List.map
+        (fun submitted ->
+          let outcome =
+            settle ~submitted ~repaired:(Relation.find_exn rel (Tuple.tid submitted))
+          in
+          (match outcome with
+          | Session.Quarantined (tid, attrs) ->
+            ignore (Relation.delete rel tid);
+            r.queue <- r.queue @ [ { Session.tuple = submitted; attrs; batch } ]
+          | Session.Clean _ | Session.Repaired _ -> ());
+          outcome_string outcome)
+        delta
+    in
+    r.rel <- rel;
+    r.next_tid <- r.next_tid + List.length rows;
+    r.batches <- batch;
+    Ok outcomes
+
+let reference_replace r ~ordering ~sigma (q : Session.quarantined) values =
+  let tid = Tuple.tid q.Session.tuple in
+  let submitted = Tuple.create ~tid values in
+  match Dq_core.Inc_repair.repair_inserts ~ordering r.rel [ submitted ] sigma with
+  | Error e -> Error (Dq_error.to_string e)
+  | Ok ((rel, _), _) -> (
+    match settle ~submitted ~repaired:(Relation.find_exn rel tid) with
+    | Session.Quarantined _ -> Error "refused"
+    | outcome ->
+      r.rel <- rel;
+      r.queue <- List.filter (fun x -> x != q) r.queue;
+      Ok [ outcome_string outcome ])
+
+let queue_string queue =
+  String.concat "\n"
+    (List.map
+       (fun (q : Session.quarantined) ->
+         Printf.sprintf "%d [%s] batch %d: %s" (Tuple.tid q.Session.tuple)
+           (String.concat "," (List.map string_of_int q.Session.attrs))
+           q.Session.batch
+           (String.concat ";"
+              (List.map Value.to_string (Array.to_list (Tuple.values q.Session.tuple)))))
+       queue)
+
+(* Half the rulesets force A = v1 to both B = v2 and B = v3, so rows
+   quarantine. *)
+let env_instance =
+  let open QCheck.Gen in
+  let conflict =
+    "q1: [A] -> [B] {\n  (v1 || v2)\n}\nq2: [A] -> [B] {\n  (v1 || v3)\n}\n"
+  in
+  let rules =
+    map2 (fun fds c -> if c then fds ^ conflict else fds) fd_rules_gen bool
+  in
+  let op =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun rows deadline fault -> Batch (rows, deadline, fault))
+            (list_size (1 -- 5) Helpers.Gen.tuple_gen)
+            (frequency [ (4, return None); (1, map Option.some (0 -- 4)) ])
+            (frequency [ (4, return None); (1, map Option.some (1 -- 5)) ]) );
+        (1, map (fun v -> Replace_first v) Helpers.Gen.tuple_gen);
+      ]
+  in
+  let print (rules, engine, ops) =
+    let row v = "[" ^ String.concat ";" (List.map Value.to_string (Array.to_list v)) ^ "]" in
+    let opt name = function None -> "" | Some n -> Printf.sprintf " %s %d" name n in
+    Printf.sprintf "%s\nrules:\n%s\n%s" engine rules
+      (String.concat "\n"
+         (List.map
+            (function
+              | Batch (rows, d, f) ->
+                "batch " ^ String.concat " " (List.map row rows) ^ opt "deadline" d
+                ^ opt "fault" f
+              | Replace_first v -> "replace first " ^ row v)
+            ops))
+  in
+  QCheck.make ~print
+    (triple rules (oneofl [ "l-inc"; "inc"; "w-inc" ]) (list_size (1 -- 8) op))
+
+let prop_kept_env_equals_reference =
+  QCheck.Test.make ~count:150
+    ~name:"kept environment: every batch equals repair_inserts on a copy"
+    env_instance (fun (rules, engine, ops) ->
+      let s =
+        match
+          Session.create ~id:"s1" ~schema_name:"r" ~attributes:Helpers.Gen.attrs
+            ~rules ~engine ~force:true ()
+        with
+        | Ok s -> s
+        | Error e -> QCheck.Test.fail_reportf "create: %s" (Dq_error.to_string e)
+      in
+      let ordering = s.Session.ordering and sigma = s.Session.sigma in
+      let r =
+        {
+          rel = Relation.create s.Session.schema;
+          queue = [];
+          next_tid = 1;
+          batches = 0;
+        }
+      in
+      let deadline = Option.map Dq_fault.Deadline.after_passes in
+      let step op =
+        let want, got =
+          match op with
+          | Batch (rows, passes, fault) ->
+            let want =
+              under_fault fault (fun () ->
+                  reference_batch r ~ordering ~sigma ?deadline:(deadline passes) rows)
+            in
+            let got =
+              under_fault fault (fun () ->
+                  match
+                    Session.ingest ?deadline:(deadline passes) s
+                      (List.map (fun v -> (v, None)) rows)
+                  with
+                  | Ok (outcomes, _, _) -> Ok (List.map outcome_string outcomes)
+                  | Error e -> Error (Dq_error.to_string e))
+            in
+            (want, got)
+          | Replace_first values -> (
+            match r.queue with
+            | [] -> (Ok [], Ok [])
+            | q :: _ ->
+              let want = reference_replace r ~ordering ~sigma q values in
+              let got =
+                match
+                  Session.resolve s (Tuple.tid q.Session.tuple)
+                    (Session.Replace (values, None))
+                with
+                | Ok outcome -> Ok [ outcome_string outcome ]
+                | Error (Dq_error.Invalid_input _) -> Error "refused"
+                | Error e -> Error (Dq_error.to_string e)
+              in
+              (want, got))
+        in
+        let show = function
+          | Ok l -> String.concat ", " l
+          | Error e -> "error: " ^ e
+        in
+        if want <> got then
+          QCheck.Test.fail_reportf "outcomes: reference %s, session %s" (show want)
+            (show got);
+        let state rel queue next_tid batches =
+          Printf.sprintf "%s%s\nnext_tid %d batches %d" (Csv.save_string rel)
+            (queue_string queue) next_tid batches
+        in
+        let want = state r.rel r.queue r.next_tid r.batches in
+        let got =
+          state s.Session.relation s.Session.quarantine s.Session.next_tid
+            s.Session.batches
+        in
+        if want <> got then
+          QCheck.Test.fail_reportf "state:\nreference\n%s\nsession\n%s" want got
+      in
+      Session.with_lock s (fun () -> List.iter step ops);
+      true)
 
 (* ---- end-to-end over sockets --------------------------------------------- *)
 
@@ -1307,6 +1575,93 @@ let test_evict_and_reload () =
     "session live again" true
     (not (Helpers.contains body "evicted"))
 
+(* A checkpoint that fails takes the committed mutation back: the error
+   answer means nothing changed, and a retry commits exactly once.  The
+   state on disk afterwards is the state the last 200 answered. *)
+let test_failed_checkpoint_commits_nothing () =
+  with_tmp_dir @@ fun dir ->
+  let status p =
+    let _, body = request p "GET" "/v1/sessions/s1" "" in
+    let _, relation = request p "GET" "/v1/sessions/s1/relation" "" in
+    (member "report" (json_of body), relation)
+  in
+  let same msg (r1, c1) (r2, c2) =
+    Alcotest.(check string) msg
+      (Json.to_string ~minify:true r1 ^ "\n" ^ c1)
+      (Json.to_string ~minify:true r2 ^ "\n" ^ c2)
+  in
+  let ingest p rows =
+    fst (request p "POST" "/v1/sessions/s1/tuples" (Printf.sprintf {|{"tuples":%s}|} rows))
+  in
+  let failing_write f =
+    with_fault_plan "io.write@1" (fun () ->
+        Alcotest.(check int) "a failed checkpoint answers 500" 500 (f ()))
+  in
+  let last =
+    with_daemon ~state_dir:dir Serve.telemetry_off @@ fun p ->
+    let created, _ =
+      request p "POST" "/v1/sessions"
+        (Printf.sprintf
+           {|{"schema":{"name":"r","attributes":["A","B"]},"rules":%s,"force":true}|}
+           (Json.to_string ~minify:true (Json.String conflicting_rules)))
+    in
+    Alcotest.(check int) "create" 201 created;
+    Alcotest.(check int) "first batch" 200 (ingest p "[[2,20]]");
+    (* an ingest *)
+    let before = status p in
+    failing_write (fun () -> ingest p "[[3,30],[4,40]]");
+    same "the failed ingest left the session as it was" before (status p);
+    Alcotest.(check int) "retry" 200 (ingest p "[[3,30],[4,40]]");
+    let _, body = request p "GET" "/v1/sessions/s1" "" in
+    (match member "tuples" (member "report" (json_of body)) with
+    | Json.Int 3 -> ()
+    | j -> Alcotest.failf "the retry committed once: %s" (Json.to_string ~minify:true j));
+    (* a discard *)
+    Alcotest.(check int) "quarantining batch" 200 (ingest p "[[1,10]]");
+    let tid =
+      let _, body = request p "GET" "/v1/sessions/s1/quarantine" "" in
+      match member "entries" (member "report" (json_of body)) with
+      | Json.List [ entry ] -> (
+        match member "tid" entry with
+        | Json.Int tid -> tid
+        | _ -> Alcotest.fail "entry without a tid")
+      | _ -> Alcotest.fail "expected one quarantine entry"
+    in
+    let discard () =
+      fst
+        (request p "POST"
+           (Printf.sprintf "/v1/sessions/s1/quarantine/%d/resolve" tid)
+           {|{"action":"discard"}|})
+    in
+    let before = status p in
+    failing_write discard;
+    same "the failed discard kept the entry" before (status p);
+    Alcotest.(check int) "retry" 200 (discard ());
+    let _, body = request p "GET" "/v1/sessions/s1" "" in
+    let report = member "report" (json_of body) in
+    (match (member "quarantine" report, member "resolved" report) with
+    | Json.Int 0, Json.Int 1 -> ()
+    | _ -> Alcotest.failf "the retry discarded once: %s" (Json.to_string ~minify:true report));
+    status p
+  in
+  let report, relation = last in
+  let loaded = reload ~dir "s1" in
+  Alcotest.(check string) "on disk: the acknowledged relation" relation
+    (Csv.save_string loaded.Session.relation);
+  List.iter
+    (fun (name, value) ->
+      Alcotest.(check bool)
+        ("on disk: the acknowledged " ^ name)
+        true
+        (member name report = Json.Int value))
+    [
+      ("next_tid", loaded.Session.next_tid);
+      ("batches", loaded.Session.batches);
+      ("quarantine", List.length loaded.Session.quarantine);
+      ("quarantined_total", loaded.Session.quarantined_total);
+      ("resolved", loaded.Session.resolved);
+    ]
+
 (* The lane property behind the whole design: concurrent clients
    ingesting into distinct sessions commit exactly what a sequential
    client would, batch for batch — checked at daemon jobs 1 and 4 with
@@ -1484,10 +1839,17 @@ let suite =
       test_journal_stale_at_create;
     Alcotest.test_case "store: one record may cover several mutations" `Quick
       test_journal_record_covers_several;
+    Alcotest.test_case "session: a quarantine discards the environment" `Quick
+      test_quarantine_discards_environment;
+    Alcotest.test_case "session: rollback undoes a committed batch" `Quick
+      test_rollback_restores_session;
+    Alcotest.test_case "e2e: a failed checkpoint commits nothing" `Quick
+      test_failed_checkpoint_commits_nothing;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_journal_reload;
         prop_batches_equal_one_shot;
         prop_concurrent_sessions_equal_sequential;
+        prop_kept_env_equals_reference;
       ]

@@ -89,8 +89,7 @@ let test_register_affects_later_tuples () =
     fresh [| "a77"; "Vase"; "12.00"; "215"; "8983490"; "Walnut"; "PHI"; "PA"; "19014" |]
   in
   let r1 = Tuple_resolve.resolve env first in
-  Relation.add repr r1;
-  Tuple_resolve.register env r1;
+  Tuple_resolve.add env r1;
   (* ... a second tuple with the same id but another name now conflicts
      and must be reconciled against the first. *)
   let second =
@@ -116,15 +115,13 @@ let test_cluster_rebuilt_only_when_domain_grows () =
   Alcotest.(check bool) "cached between uses" true
     (Tuple_resolve.cluster env ct == before);
   let known = Tuple.create ~tid:900 (Tuple.values (List.hd (Relation.to_list repr))) in
-  Relation.add repr known;
-  Tuple_resolve.register env known;
+  Tuple_resolve.add env known;
   Alcotest.(check bool) "known values keep the cluster" true
     (Tuple_resolve.cluster env ct == before);
   let newcomer =
     fresh [| "a90"; "Lamp"; "5.00"; "215"; "1111111"; "Oak"; "Springfield"; "PA"; "19014" |]
   in
-  Relation.add repr newcomer;
-  Tuple_resolve.register env newcomer;
+  Tuple_resolve.add env newcomer;
   let after = Tuple_resolve.cluster env ct in
   Alcotest.(check bool) "a new value replaces the cluster" false (after == before);
   Alcotest.(check int) "the new tree holds the new value"
