@@ -47,6 +47,10 @@ let add_tuple idx t =
       end)
     idx.wild
 
+let reindex idx rel =
+  List.iter (fun (_, table) -> Vkey.Table.clear table) idx.wild;
+  Relation.iter (add_tuple idx) rel
+
 let build sigma rel =
   let plain, anchored = partition sigma in
   let tables =
@@ -78,18 +82,20 @@ let violates idx cfd t =
     let v = Tuple.get t (Cfd.rhs cfd) in
     (not (Value.is_null v)) && not (Value.equal v expected)
 
-let vio idx t =
-  let n = ref 0 in
-  let check cfd = if violates idx cfd t then incr n in
+(* Every clause the tuple can match is filed under the one (position,
+   constant) key of its anchor, and the tuple has one value per
+   position, so each such clause is visited once.  A null never matches
+   a constant, so a null at the anchor rightly skips the clause. *)
+let iter_violated idx t f =
+  let check cfd = if violates idx cfd t then f cfd in
   List.iter check idx.plain;
   for p = 0 to Tuple.arity t - 1 do
     match Hashtbl.find_opt idx.anchored (p, Tuple.get t p) with
     | Some cfds -> List.iter check cfds
     | None -> ()
-  done;
-  !n
+  done
 
-let vio_subset idx clauses t =
-  List.fold_left
-    (fun n cfd -> if violates idx cfd t then n + 1 else n)
-    0 clauses
+let vio idx t =
+  let n = ref 0 in
+  iter_violated idx t (fun _ -> incr n);
+  !n

@@ -62,7 +62,8 @@ val insert :
     the whole delta before returning [Error Deadline_exceeded].  On any
     [Error], a degraded report or an exception (a [resolve.tuple]
     fault), the relation may hold some of the delta: the caller undoes
-    that by deleting the newest tuples and discarding [env]. *)
+    that by deleting the newest tuples through {!Tuple_resolve.delete},
+    which keeps [env] valid. *)
 
 val repair_inserts :
   ?pool:Dq_parallel.Pool.t ->

@@ -47,16 +47,37 @@ let add env t =
   Relation.add env.repr t;
   Lhs_index.add_tuple env.index t
 
+(* Deleting values can only shrink a domain, so a domain that kept its
+   size kept its set, and its tree stays valid; a tree whose domain
+   lost a value goes, since later growth could bring the size back with
+   another set. *)
+let delete env tids =
+  let sizes =
+    Array.mapi
+      (fun pos built ->
+        Option.map (fun _ -> Relation.active_domain_size env.repr pos) built)
+      env.clusters
+  in
+  List.iter (fun tid -> ignore (Relation.delete env.repr tid)) tids;
+  Lhs_index.reindex env.index env.repr;
+  Array.iteri
+    (fun pos size ->
+      match size with
+      | Some size when Relation.active_domain_size env.repr pos < size ->
+        env.clusters.(pos) <- None
+      | Some _ | None -> ())
+    sizes
+
 let vio_against env t = Lhs_index.vio env.index t
 
 (* Candidate enumeration must be a function of the tuples registered so
    far, not of when a cluster happened to be built — otherwise repairing
    a delta in one call and in several calls (serve's per-batch ingest)
    tie-breaks equal-cost repairs differently.  The tree depends only on
-   the attribute's set of distinct values, and the relation only grows
-   while the environment lives, so an unchanged active-domain size means
-   an unchanged set and the cached tree is the one a rebuild would
-   produce. *)
+   the attribute's set of distinct values, and a cached tree's set has
+   only grown since it was built ([delete] drops the tree otherwise), so
+   an unchanged active-domain size means an unchanged set and the cached
+   tree is the one a rebuild would produce. *)
 let cluster env pos =
   let size = Relation.active_domain_size env.repr pos in
   match env.clusters.(pos) with
@@ -101,21 +122,6 @@ let candidates env rt pos =
     List.iter push (Cluster_index.nearest (cluster env pos) current ~k:4);
   List.rev (Value.null :: !out)
 
-(* Clauses that must hold once the attributes in [positions] are fixed:
-   every attribute is already fixed or being fixed now, and at least one is
-   being fixed now (clauses fully inside the previously fixed set were
-   checked when their last attribute froze and cannot be re-broken). *)
-let clauses_in_scope env fixed positions =
-  let in_step pos = List.mem pos positions in
-  let ok pos = fixed.(pos) || in_step pos in
-  let result = ref [] in
-  Array.iteri
-    (fun cid attrs ->
-      if List.exists in_step attrs && List.for_all ok attrs then
-        result := cid :: !result)
-    env.clause_attrs;
-  !result
-
 let rec cross_product = function
   | [] -> [ [] ]
   | cands :: rest ->
@@ -124,14 +130,10 @@ let rec cross_product = function
 
 let resolve env t =
   let rt = Tuple.copy t in
-  let violated =
-    let out = ref [] in
-    Array.iter
-      (fun cfd -> if Lhs_index.violates env.index cfd rt then out := Cfd.id cfd :: !out)
-      env.sigma;
-    !out
-  in
-  if violated = [] then rt
+  let violated = ref [] in
+  Lhs_index.iter_violated env.index rt (fun cfd ->
+      violated := Cfd.id cfd :: !violated);
+  if !violated = [] then rt
   else begin
     let fixed = Array.make env.arity true in
     let remaining = ref [] in
@@ -146,7 +148,7 @@ let resolve env t =
               remaining := pos :: !remaining
             end)
           env.clause_attrs.(cid))
-      violated;
+      !violated;
     let remaining = ref (List.sort Int.compare !remaining) in
     while !remaining <> [] do
       let step_k = min env.k (List.length !remaining) in
@@ -158,22 +160,31 @@ let resolve env t =
       in
       List.iter
         (fun positions ->
-          let scope = clauses_in_scope env fixed positions in
+          (* A clause must hold once the attributes in [positions] are
+             fixed when every attribute it mentions is already fixed or
+             being fixed now, and at least one is being fixed now
+             (clauses fully inside the previously fixed set were checked
+             when their last attribute froze and cannot be re-broken). *)
+          let in_step pos = List.mem pos positions in
+          let in_scope cid =
+            let attrs = env.clause_attrs.(cid) in
+            List.exists in_step attrs
+            && List.for_all (fun pos -> fixed.(pos) || in_step pos) attrs
+          in
           let cand_lists = List.map (candidates env rt) positions in
           List.iter
             (fun values ->
               let scratch = Tuple.copy rt in
               List.iter2 (Tuple.set scratch) positions values;
-              let scope_ok =
-                List.for_all
-                  (fun cid ->
-                    not (Lhs_index.violates env.index env.sigma.(cid) scratch))
-                  scope
-              in
-              if scope_ok then begin
+              (* One pass over the violated clauses gives both the
+                 verdict (none of them in scope) and [vio]. *)
+              let vio = ref 0 and scope_ok = ref true in
+              Lhs_index.iter_violated env.index scratch (fun cfd ->
+                  incr vio;
+                  if !scope_ok && in_scope (Cfd.id cfd) then scope_ok := false);
+              if !scope_ok then begin
                 let change = Cost.tuple_change ~original:t ~repaired:scratch in
-                let vio = Lhs_index.vio env.index scratch in
-                consider (change *. float_of_int (1 + vio)) positions values
+                consider (change *. float_of_int (1 + !vio)) positions values
               end)
             (cross_product cand_lists))
         (combinations step_k !remaining);

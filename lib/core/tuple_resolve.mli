@@ -12,11 +12,14 @@
     multiplies by [vio] alone; we add 1 so that among violation-free
     candidates the cheaper change still wins rather than all tying at 0.)
 
-    Optimizations from Section 5.2 are built in: LHS-indices answer the
-    satisfaction and [vio] checks in O(|Σ|), and cost-based cluster indices
+    Optimizations from Section 5.2 are built in: LHS-indices
+    ({!Dq_cfd.Lhs_index}) list the clauses a tuple violates while testing
+    only the clauses its values can match, and cost-based cluster indices
     ({!Cluster_index}) propose candidate values near the current one.
     Attributes mentioned in no violated clause are frozen immediately at
-    zero cost, so clean tuples resolve in O(|Σ|). *)
+    zero cost, so a clean tuple costs one index pass.  Each candidate of
+    a greedy step costs one more: the clauses it violates give both its
+    [vio] and whether it breaks a clause the step must satisfy. *)
 
 open Dq_relation
 
@@ -26,13 +29,12 @@ type env
     indices.
 
     An environment is valid while it equals [make_env] over its relation
-    in insertion order.  {!add} keeps it so.  Deleting or changing a
-    tuple of the relation breaks it: the LHS-indices keep the first RHS
-    value seen per key, and the cluster cache is keyed by active-domain
-    size.  Whoever shrinks or edits the relation discards the
-    environment and builds a new one before the next {!resolve}.  A serve
-    session does this when a batch quarantines a tuple or is rolled
-    back. *)
+    in insertion order.  {!add} and {!delete} keep it so.  Deleting or
+    changing a tuple of the relation directly breaks it: the LHS-indices
+    keep the first RHS value seen per key, and the cluster cache is
+    keyed by active-domain size.  A serve session deletes through
+    {!delete} when a batch quarantines a tuple, a replacement is refused
+    or a batch is cut or rolled back, and keeps its environment. *)
 
 val make_env :
   ?k:int ->
@@ -45,8 +47,8 @@ val make_env :
     number of attributes fixed per greedy step; [max_candidates] (default
     6) caps candidate values per attribute; [use_cluster_index] (default
     true) toggles the cost-based index (the ablation of DESIGN.md §5.2).
-    The environment keeps [repr] by reference and grows it through
-    {!add}. *)
+    The environment keeps [repr] by reference and changes it through
+    {!add} and {!delete}. *)
 
 val relation : env -> Relation.t
 (** The repair relation the environment indexes. *)
@@ -58,12 +60,20 @@ val add : env -> Tuple.t -> unit
     ([Repr] grows tuple by tuple in INCREPAIR).  The tuple is stored by
     reference.  @raise Invalid_argument as {!Relation.add} does. *)
 
+val delete : env -> int list -> unit
+(** Delete the tuples with these tids from the relation (absent tids are
+    ignored) and bring the environment back to [make_env] over what is
+    left.  The LHS-index tables are registered again from the relation,
+    which costs O(|relation| · |Σ_wild|); the partition of Σ and the
+    per-clause lists stay.  A cached cluster stays unless its
+    attribute's active domain shrank. *)
+
 val cluster : env -> int -> Cluster_index.t
 (** The cost-based index over an attribute's active domain in [repr].
     It is built on first use and rebuilt only when the attribute's
-    active-domain size has changed since, which (as [repr] only grows
-    while the environment is valid) is exactly when its set of values
-    has. *)
+    active-domain size has changed since.  A cached tree's value set has
+    only grown since it was built ({!delete} drops the tree of a domain
+    that shrank), so a changed size is exactly a changed set. *)
 
 val resolve : env -> Tuple.t -> Tuple.t
 (** A repaired copy of the tuple (same tid and weights) such that adding it

@@ -610,10 +610,14 @@ let handle_create d ~request ~id:rid (r : Http.request) =
             Session.create ~id ~schema_name ~attributes ~rules ~engine ~force ()
           in
           d.next_id <- d.next_id + 1;
-          Hashtbl.replace d.sessions id (Live s);
           Ok s)
     in
+    (* The session joins the registry only once its snapshot is on
+       disk: a create whose checkpoint fails answers 500 and leaves no
+       session behind. *)
     Session.with_lock s (fun () -> save_session d s);
+    Mutex.protect d.registry (fun () ->
+        Hashtbl.replace d.sessions s.Session.id (Live s));
     Ok s
   in
   match result with

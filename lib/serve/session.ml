@@ -271,10 +271,10 @@ let note_change t ~added ~queued ~dropped =
 
 (* ---- the kept environment and undo ------------------------------------ *)
 
-(* The session's INCREPAIR environment, built over the relation when the
-   last one was discarded.  It depends only on the relation's tuples in
-   insertion order, so building it again after a reload or a deletion
-   changes no repair. *)
+(* The session's INCREPAIR environment, built over the relation by the
+   first batch after creation, reload or eviction.  It depends only on
+   the relation's tuples in insertion order, so building it again after
+   a reload changes no repair. *)
 let env t =
   match t.env with
   | Some env -> env
@@ -286,16 +286,14 @@ let env t =
 (* Return the relation to its first [size] tuples.  A mutation only
    appends to the relation (a quarantine deletes tuples of its own
    batch), so the tuples past [size] are the newest: deleting them
-   leaves the rest in order, with the active domains they had.  The
-   environment indexed them, so it goes too. *)
+   leaves the rest in order, with the active domains they had.  They
+   are deleted through the environment, which stays valid; truncation
+   follows an insert, which has built it. *)
 let truncate t size =
   let extra = Relation.cardinality t.relation - size in
-  if extra > 0 then begin
-    List.iter
-      (fun tu -> ignore (Relation.delete t.relation (Tuple.tid tu)))
-      (Relation.last t.relation extra);
-    t.env <- None
-  end
+  if extra > 0 then
+    Tuple_resolve.delete (env t)
+      (List.map Tuple.tid (Relation.last t.relation extra))
 
 (* The fields a mutation may change are the quarantine list and the
    counters, all immutable values: a shallow copy of the session keeps
@@ -393,9 +391,9 @@ let insert ?pool ?(deadline = Dq_fault.Deadline.never) ?request_id t delta =
     Printexc.raise_with_backtrace e bt
 
 (* Classify each delta tuple against its repaired form, removing the
-   unrepairable ones from the relation (a deletion never creates a
-   violation, Section 3.3, but it does invalidate the environment) and
-   returning them as quarantine entries, in submission order. *)
+   unrepairable ones from the relation through the environment (a
+   deletion never creates a violation, Section 3.3) and returning them
+   as quarantine entries, in submission order. *)
 let classify ~batch t delta =
   let queued = ref [] in
   let outcomes =
@@ -408,13 +406,14 @@ let classify ~batch t delta =
           let changed = List.length (Tuple.diff_positions submitted repaired) in
           if changed = 0 then Clean tid else Repaired (tid, changed)
         | attrs ->
-          ignore (Relation.delete t.relation tid);
-          t.env <- None;
           queued := { tuple = submitted; attrs; batch } :: !queued;
           Quarantined (tid, attrs))
       delta
   in
-  (outcomes, List.rev !queued)
+  let queued = List.rev !queued in
+  if queued <> [] then
+    Tuple_resolve.delete (env t) (List.map (fun q -> Tuple.tid q.tuple) queued);
+  (outcomes, queued)
 
 let ingest ?pool ?deadline ?request_id t rows =
   let* () =

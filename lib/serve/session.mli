@@ -20,12 +20,13 @@
     still succeeds.
 
     The kept environment always equals [make_env] over the relation in
-    insertion order.  Growth keeps it so; any deletion discards it (a
-    quarantine, a refused replacement, a rollback), and the next batch
-    builds it again from the relation.  A reloaded or evicted session
-    starts without one.  Since it depends only on the relation's
-    tuples, a restart repairs the next batch exactly as the live
-    session would have.
+    insertion order.  Growth keeps it so, and so does every deletion (a
+    quarantine, a refused replacement, a cut or failed batch, a
+    rollback), which goes through {!Dq_core.Tuple_resolve.delete}.  The
+    first batch after creation builds it; a reloaded or evicted session
+    starts without one and its next batch builds it again.  Since it
+    depends only on the relation's tuples, a restart repairs the next
+    batch exactly as the live session would have.
 
     All mutation happens under the session's lock via {!with_lock};
     the relation invariant between batches is [relation |= Σ]. *)
@@ -74,7 +75,7 @@ type t = {
       (** grows in place; a batch that does not commit is undone *)
   mutable env : Dq_core.Tuple_resolve.env option;
       (** the INCREPAIR environment over [relation], or [None] until the
-          next batch builds it *)
+          first batch after creation or reload builds it *)
   mutable next_tid : int;
   mutable quarantine : quarantined list;  (** oldest first *)
   mutable batches : int;  (** ingest batches committed *)
@@ -195,9 +196,9 @@ val ingest :
 (** Assign fresh tids to a batch and repair it into the relation.
     Commits — rows, counters, quarantine — only on full success.  A
     deadline cut ([degraded] report), an engine error or an exception
-    (an armed [resolve.tuple] fault) commits nothing: the relation loses
-    whatever the batch had appended, which discards the environment,
-    then [Deadline_exceeded], the error or the exception is returned.
+    (an armed [resolve.tuple] fault) commits nothing: the relation and
+    the environment lose whatever the batch had appended, then
+    [Deadline_exceeded], the error or the exception is returned.
     The string is the engine's stats line.  With a [request_id] the
     batch runs inside one [engine.request] trace span carrying it.
     Caller must hold the lock. *)
@@ -235,7 +236,7 @@ val mark : t -> mark
 val rollback : t -> mark -> unit
 (** Undo every mutation since the mark.  The relation drops the tuples
     added since (its newest), keeping the rest in order with the same
-    active domains, and the environment goes if any tuple did; the
+    active domains, and the environment drops them with it; the
     quarantine, the counters, [next_tid] and [seq] return to their
     marked values.  When
     a committed mutation was undone, the next checkpoint is a snapshot,

@@ -106,18 +106,26 @@ let test_add_tuple_updates_index () =
   Alcotest.(check bool) "conflict detected" true
     (Lhs_index.violates idx phi3_name probe)
 
-let test_vio_subset () =
+(* The clauses [iter_violated] visits, by id, in visiting order. *)
+let visited idx t =
+  let ids = ref [] in
+  Lhs_index.iter_violated idx t (fun cfd -> ids := Cfd.id cfd :: !ids);
+  List.rev !ids
+
+let test_iter_violated () =
   let db, sigma = clean_db_and_sigma () in
   let idx = Lhs_index.build sigma db in
   let t =
     fresh [| "a23"; "Wrong"; "99.99"; "215"; "8983490"; "Walnut"; "PHI"; "PA"; "19014" |]
   in
-  let phi3_clauses =
-    Array.to_list sigma |> List.filter (fun c -> String.equal (Cfd.name c) "phi3")
-  in
-  let sub = Lhs_index.vio_subset idx phi3_clauses t in
-  Alcotest.(check bool) "phi3 violations found" true (sub >= 2);
-  Alcotest.(check int) "subset of total" (Lhs_index.vio idx t) sub
+  let ids = visited idx t in
+  Alcotest.(check bool) "phi3 violations found" true (List.length ids >= 2);
+  Alcotest.(check bool) "all of them phi3's" true
+    (List.for_all (fun cid -> String.equal (Cfd.name sigma.(cid)) "phi3") ids);
+  Alcotest.(check (list int)) "each clause once" (List.sort_uniq Int.compare ids)
+    (List.sort Int.compare ids);
+  Alcotest.(check int) "vio counts the visits" (List.length ids)
+    (Lhs_index.vio idx t)
 
 (* ---- the index against an all-clause reference ------------------------ *)
 
@@ -159,10 +167,10 @@ module Reference = struct
       let v = Tuple.get t (Cfd.rhs cfd) in
       (not (Value.is_null v)) && not (Value.equal v expected)
 
-  let vio_subset idx clauses t =
-    List.length (List.filter (fun cfd -> violates idx cfd t) clauses)
+  let violated idx t =
+    List.filter (fun cfd -> violates idx cfd t) (Array.to_list idx.sigma)
 
-  let vio idx t = vio_subset idx (Array.to_list idx.sigma) t
+  let vio idx t = List.length (violated idx t)
 end
 
 (* Rulesets mixing constant-RHS and wildcard-RHS clauses, and tuples with
@@ -213,15 +221,15 @@ end
 
 let prop_index_oracle =
   QCheck.Test.make ~count:300
-    ~name:"expected_rhs, violates, vio and vio_subset equal the all-clause index"
+    ~name:"expected_rhs, violates, vio and visited clauses equal the all-clause index"
     Index_gen.instance (fun (rows, sigma, inserts, probes) ->
       let rel = Relation.create Index_gen.schema in
       List.iter (fun r -> ignore (Relation.insert rel r)) rows;
       let idx = Lhs_index.build sigma rel in
       let oracle = Reference.build sigma rel in
       let clauses = Array.to_list sigma in
-      let wild = List.filter (fun c -> not (Cfd.is_constant c)) clauses in
-      let odd = List.filteri (fun i _ -> i mod 2 = 1) clauses in
+      (* [iter_violated] visits exactly the violated clauses, each once:
+         sorted, its visits are the reference's ids in Σ order. *)
       let agree t =
         List.for_all
           (fun cfd ->
@@ -231,10 +239,8 @@ let prop_index_oracle =
             && Lhs_index.violates idx cfd t = Reference.violates oracle cfd t)
           clauses
         && Lhs_index.vio idx t = Reference.vio oracle t
-        && List.for_all
-             (fun sub ->
-               Lhs_index.vio_subset idx sub t = Reference.vio_subset oracle sub t)
-             [ clauses; wild; odd ]
+        && List.sort Int.compare (visited idx t)
+           = List.map Cfd.id (Reference.violated oracle t)
       in
       let probes = List.mapi (fun i r -> Tuple.create ~tid:(1000 + i) r) probes in
       let all_agree extra =
@@ -256,6 +262,7 @@ let suite =
     Alcotest.test_case "vio counting" `Quick test_vio_counts_clauses;
     Alcotest.test_case "nulls resolve" `Quick test_nulls_resolve;
     Alcotest.test_case "add_tuple updates" `Quick test_add_tuple_updates_index;
-    Alcotest.test_case "vio_subset" `Quick test_vio_subset;
+    Alcotest.test_case "iter_violated visits each violated clause once" `Quick
+      test_iter_violated;
     QCheck_alcotest.to_alcotest prop_index_oracle;
   ]

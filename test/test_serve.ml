@@ -664,10 +664,10 @@ let soak_rules =
   "p1: [A] -> [B]\np2: [C] -> [D]\nq1: [A] -> [B] {\n  (1 || 10)\n}\n\
    q2: [A] -> [B] {\n  (1 || 20)\n}\n"
 
-(* A quarantined tuple leaves the relation, so the environment that
-   indexed it goes with it.  Kept, its C = 3 -> D = 7 entry would
+(* A quarantined tuple leaves the relation and the kept environment's
+   LHS-indices with it.  Left indexed, its C = 3 -> D = 7 entry would
    repair the next batch's D from 8 to 7. *)
-let test_quarantine_discards_environment () =
+let test_quarantine_leaves_environment () =
   let s =
     unwrap
       (Session.create ~id:"s1" ~schema_name:"soak"
@@ -1662,6 +1662,38 @@ let test_failed_checkpoint_commits_nothing () =
       ("resolved", loaded.Session.resolved);
     ]
 
+(* A create whose first checkpoint fails answers 500 and leaves nothing
+   behind: no session is listed and the state directory holds no file.
+   A retry commits exactly one session. *)
+let test_failed_create_commits_nothing () =
+  with_tmp_dir @@ fun dir ->
+  with_daemon ~state_dir:dir Serve.telemetry_off @@ fun p ->
+  let create () =
+    fst
+      (request p "POST" "/v1/sessions"
+         (Printf.sprintf
+            {|{"schema":{"name":"r","attributes":["A","B"]},"rules":%s}|}
+            (Json.to_string ~minify:true (Json.String plain_rules))))
+  in
+  let listed () =
+    let _, body = request p "GET" "/v1/sessions" "" in
+    match member "sessions" (member "report" (json_of body)) with
+    | Json.List l -> List.length l
+    | j -> Alcotest.failf "sessions: %s" (Json.to_string ~minify:true j)
+  in
+  let files () =
+    if Sys.file_exists dir then List.sort compare (Array.to_list (Sys.readdir dir))
+    else []
+  in
+  with_fault_plan "io.write@1" (fun () ->
+      Alcotest.(check int) "a failed create answers 500" 500 (create ()));
+  Alcotest.(check int) "no session listed" 0 (listed ());
+  Alcotest.(check (list string)) "no state file" [] (files ());
+  Alcotest.(check int) "retry" 201 (create ());
+  Alcotest.(check int) "one session listed" 1 (listed ());
+  Alcotest.(check int) "one snapshot on disk" 1
+    (List.length (List.filter (fun f -> Filename.check_suffix f ".json") (files ())))
+
 (* The lane property behind the whole design: concurrent clients
    ingesting into distinct sessions commit exactly what a sequential
    client would, batch for batch — checked at daemon jobs 1 and 4 with
@@ -1839,12 +1871,14 @@ let suite =
       test_journal_stale_at_create;
     Alcotest.test_case "store: one record may cover several mutations" `Quick
       test_journal_record_covers_several;
-    Alcotest.test_case "session: a quarantine discards the environment" `Quick
-      test_quarantine_discards_environment;
+    Alcotest.test_case "session: a quarantined tuple leaves the environment"
+      `Quick test_quarantine_leaves_environment;
     Alcotest.test_case "session: rollback undoes a committed batch" `Quick
       test_rollback_restores_session;
     Alcotest.test_case "e2e: a failed checkpoint commits nothing" `Quick
       test_failed_checkpoint_commits_nothing;
+    Alcotest.test_case "e2e: a failed create commits nothing" `Quick
+      test_failed_create_commits_nothing;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
