@@ -4,10 +4,11 @@
     maps the LHS key [t'[X]] of every tuple matching [tp[X]] to the unique
     RHS value the relation holds for it.  A candidate tuple is then
     checked against Σ without scanning it — the workhorse of
-    [TUPLERESOLVE].  Each clause is filed under the first constant of
-    its LHS pattern (its {e anchor}), so a check looks up one anchor per
-    attribute of the tuple and tests only the clauses filed there, plus
-    those with no constant in their LHS pattern: O(arity + clauses the
+    [TUPLERESOLVE].  The clauses are filed by the first constant of
+    their LHS pattern (their {e anchor}) in an {!Anchor_index}, so a
+    check looks the tuple's value up at each position some clause is
+    anchored at and tests only the clauses filed there, plus those with
+    no constant in their LHS pattern: O(anchor positions + clauses the
     tuple can match) per tuple, not O(|Σ|).
 
     Constant-RHS clauses need no table: the expected value is [tp[A]]
@@ -32,7 +33,7 @@ val add_tuple : t -> Tuple.t -> unit
 val reindex : t -> Relation.t -> unit
 (** Empty the tables and register every tuple of the relation again, in
     its insertion order.  The index then equals [build] over the
-    relation, with the partition of Σ kept.  This is how the index
+    relation, with the anchored clauses kept.  This is how the index
     follows a relation that lost tuples: a table keeps the first RHS
     value seen per key, which a deletion can leave stale. *)
 

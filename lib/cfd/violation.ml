@@ -57,52 +57,10 @@ let pair_conflict cfd t1 t2 =
 
 (* ---- constant clauses ------------------------------------------------- *)
 
-(* Pattern tableaus can hold thousands of rows, so scanning every clause
-   per tuple is ruinous; instead each constant clause is anchored on its
-   first constant LHS pattern and looked up by the tuple's own value at
-   that position — O(arity) probes per tuple plus the matching rows. *)
-type const_index = {
-  plain : Cfd.t list; (* all-wildcard-LHS constant clauses, in Σ order *)
-  anchored : (int * Value.t, Cfd.t list) Hashtbl.t;
-}
-
+(* The constant clauses, probed per tuple through the anchored index. *)
 let const_index sigma =
-  let plain = ref [] in
-  let anchored = Hashtbl.create 256 in
-  Array.iter
-    (fun cfd ->
-      if Cfd.is_constant cfd then begin
-        let lhs = Cfd.lhs cfd and pats = Cfd.lhs_patterns cfd in
-        let anchor = ref None in
-        Array.iteri
-          (fun i pos ->
-            if !anchor = None then
-              match pats.(i) with
-              | Pattern.Const c -> anchor := Some (pos, c)
-              | Pattern.Wild -> ())
-          lhs;
-        match !anchor with
-        | None -> plain := cfd :: !plain
-        | Some key ->
-          let prev =
-            match Hashtbl.find_opt anchored key with Some l -> l | None -> []
-          in
-          Hashtbl.replace anchored key (cfd :: prev)
-      end)
-    sigma;
-  { plain = List.rev !plain; anchored }
-
-(* Probe the index with one tuple, calling [check] on every candidate
-   clause in the canonical order: plain clauses first (Σ order), then
-   anchored clauses by anchor position.  Pure reads only — safe to run
-   concurrently over disjoint tuple chunks. *)
-let iter_tuple_candidates idx arity t check =
-  List.iter check idx.plain;
-  for p = 0 to arity - 1 do
-    match Hashtbl.find_opt idx.anchored (p, Tuple.get t p) with
-    | Some cfds -> List.iter check cfds
-    | None -> ()
-  done
+  Anchor_index.build Fun.id
+    (List.filter Cfd.is_constant (Array.to_list sigma))
 
 (* ---- wildcard clauses: grouping on interned codes --------------------- *)
 
@@ -309,14 +267,13 @@ let find_all ?pool rel sigma =
   Metrics.incr m_scans;
   let tuples = Relation.tuples rel in
   let n = Array.length tuples in
-  let arity = Schema.arity (Relation.schema rel) in
   let idx = const_index sigma in
   let singles =
     Pool.map_chunks ~label:"find_all.chunk" pool ~n (fun lo hi ->
         let out = ref [] in
         for i = lo to hi - 1 do
           let t = tuples.(i) in
-          iter_tuple_candidates idx arity t (fun cfd ->
+          Anchor_index.iter idx (Tuple.get t) (fun cfd ->
               if violates_constant cfd t then
                 out := Single { tid = Tuple.tid t; cfd } :: !out)
         done;
@@ -341,14 +298,13 @@ let find_all ?pool rel sigma =
    Chunks write only their own slots, so the array needs no locking. *)
 let counts_array ?pool ?deadline rel sigma tuples =
   let n = Array.length tuples in
-  let arity = Schema.arity (Relation.schema rel) in
   let idx = const_index sigma in
   let counts = Array.make n 0 in
   Pool.for_chunks ?deadline ~label:"vio_counts.chunk" pool ~n (fun lo hi ->
       for i = lo to hi - 1 do
         let t = tuples.(i) in
         let c = ref 0 in
-        iter_tuple_candidates idx arity t (fun cfd ->
+        Anchor_index.iter idx (Tuple.get t) (fun cfd ->
             if violates_constant cfd t then incr c);
         counts.(i) <- !c
       done);
@@ -420,7 +376,6 @@ let satisfies ?pool rel sigma =
   Metrics.incr m_scans;
   let tuples = Relation.tuples rel in
   let n = Array.length tuples in
-  let arity = Schema.arity (Relation.schema rel) in
   let idx = const_index sigma in
   let found = Atomic.make false in
   Pool.for_chunks ~label:"satisfies.chunk" pool ~n (fun lo hi ->
@@ -428,7 +383,7 @@ let satisfies ?pool rel sigma =
       while (not (Atomic.get found)) && !i < hi do
         let t = tuples.(!i) in
         (try
-           iter_tuple_candidates idx arity t (fun cfd ->
+           Anchor_index.iter idx (Tuple.get t) (fun cfd ->
                if violates_constant cfd t then raise Exit)
          with Exit -> Atomic.set found true);
         incr i

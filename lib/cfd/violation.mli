@@ -23,8 +23,8 @@
 
     {b Parallelism.}  The functions below accept an optional domain pool.
     The constant-clause scan partitions the tuple snapshot into chunks,
-    each probing a read-only anchored index, with chunk results merged in
-    chunk-index order.  The wildcard-clause kernel runs sequentially in
+    each probing a read-only {!Anchor_index} of the constant clauses,
+    with chunk results merged in chunk-index order.  The wildcard-clause kernel runs sequentially in
     the calling domain, one clause at a time in Σ order.  Results are
     {e byte-identical at any job count}, and the sequential path (no
     [pool]) runs the very same code on a single chunk. *)

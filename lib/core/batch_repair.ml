@@ -81,21 +81,14 @@ type state = {
   buckets : bucket Vkey.Table.t array; (* wild cfds only *)
   filed : (int, bucket * Value.t) Hashtbl.t array;
   (* tid -> the bucket it is filed in and the RHS value counted there *)
-  attr_cfds_plain : int list array;
-  (* attr -> clauses mentioning it whose LHS patterns are all wildcards *)
-  attr_cfds_anchored : (int * Value.t, int list) Hashtbl.t array;
-  (* attr -> (anchor position, anchor constant) -> clauses mentioning attr
-     whose LHS pattern holds that constant at that position.  A tuple can
-     only match such a clause if its effective value at the anchor equals
-     the constant, so lookups by the tuple's own values prune the
-     (potentially thousands of) pattern rows to the handful that apply. *)
+  touching : int Anchor_index.t array;
+  (* attr -> the clauses mentioning it, by anchor: looked up with a
+     tuple's own values, it prunes the (potentially thousands of) pattern
+     rows to the handful the tuple can match *)
   attr_wild : int list array;
   (* attr -> wildcard-RHS clauses mentioning attr: a change to it moves the
      tuple between buckets (LHS) or changes its bucket's counts (RHS) *)
-  const_plain : int list; (* constant-RHS clauses with all-wildcard LHS *)
-  const_anchored : (int * Value.t, int list) Hashtbl.t;
-  (* (anchor position, anchor constant) -> constant-RHS clauses, for the
-     full-relation rescans *)
+  const_index : int Anchor_index.t; (* constant-RHS clauses, by anchor *)
   strata : int array; (* cfd id -> dependency-graph stratum *)
   queue : (int * int) Heap.t;
   (* (cfd id, tid) keyed by plan cost, ties broken by (cfd id, tid).  The
@@ -106,7 +99,8 @@ type state = {
      other groups' traffic through the shared heap reorder equal-cost
      pairs of one group, and greedy repair is order-sensitive on ties. *)
   enqueued : (int * int, float) Hashtbl.t; (* pair -> its queued priority *)
-  findv : (int * int, int list Vkey.Table.t) Hashtbl.t; (* lazy FINDV indices *)
+  findv : (int array, int list Vkey.Table.t) Hashtbl.t;
+  (* lazy FINDV indices, by the positions they are keyed on *)
   class_weights : (int, (Value.t * float) list) Hashtbl.t;
   (* class root -> (distinct original value, aggregate weight of the
      members holding it), sorted by value; built lazily, dropped on union.
@@ -160,21 +154,9 @@ let offer st cid tid =
     Hashtbl.replace st.enqueued key optimistic;
     Heap.add st.queue ~priority:optimistic key
 
-(* Clauses mentioning [attr] that the tuple could currently match, given
-   its effective values read through [eff_at]. *)
-let clauses_touching st eff_at attr =
-  let out = ref st.attr_cfds_plain.(attr) in
-  for p = 0 to st.arity - 1 do
-    match Hashtbl.find_opt st.attr_cfds_anchored.(attr) (p, eff_at p) with
-    | Some cids -> out := List.rev_append cids !out
-    | None -> ()
-  done;
-  !out
-
 let mark_dirty st tid attr =
-  List.iter
-    (fun cid -> offer st cid tid)
-    (clauses_touching st (eff st tid) attr)
+  Anchor_index.iter st.touching.(attr) (eff st tid) (fun cid ->
+      offer st cid tid)
 
 (* Buckets: group tuples of each wildcard-RHS clause by their effective LHS
    key, maintained incrementally as targets change. *)
@@ -340,21 +322,21 @@ let pairs_cost pairs v =
 let class_cost st c v = pairs_cost (class_weights st c) v
 
 (* FINDV's relation-backed value source: tuples agreeing with [t] on
-   X ∪ {A} \ {B}.  The index is built once per (clause, LHS position) from
-   original values; candidates are re-validated against the current state
-   by the caller, so staleness only costs candidate quality, not
-   correctness. *)
+   X ∪ {A} \ {B}.  An index depends only on the positions it is keyed on
+   and on the original values, which stay put until write-back, so it is
+   built once per distinct position list, whatever clauses share it.
+   Candidates are re-validated against the current state by the caller,
+   so staleness only costs candidate quality, not correctness. *)
 let findv_positions st cid lhs_pos =
   let lhs = st.lhs_of.(cid) in
   let keep = ref [] in
   Array.iteri (fun i pos -> if i <> lhs_pos then keep := pos :: !keep) lhs;
   Array.of_list (List.rev (Cfd.rhs st.sigma.(cid) :: !keep))
 
-let findv_table st cid lhs_pos =
-  match Hashtbl.find_opt st.findv (cid, lhs_pos) with
+let findv_table st positions =
+  match Hashtbl.find_opt st.findv positions with
   | Some table -> table
   | None ->
-    let positions = findv_positions st cid lhs_pos in
     let table = Vkey.Table.create 256 in
     Relation.iter
       (fun t ->
@@ -365,13 +347,13 @@ let findv_table st cid lhs_pos =
         if List.length prev < 32 then
           Vkey.Table.replace table key (Tuple.tid t :: prev))
       st.rel;
-    Hashtbl.add st.findv (cid, lhs_pos) table;
+    Hashtbl.add st.findv positions table;
     table
 
 let findv_candidates st cid lhs_pos tid =
   let positions = findv_positions st cid lhs_pos in
   let key = Array.map (eff st tid) positions in
-  let table = findv_table st cid lhs_pos in
+  let table = findv_table st positions in
   let attr = st.lhs_of.(cid).(lhs_pos) in
   let current = eff st tid attr in
   match Vkey.Table.find_opt table key with
@@ -400,8 +382,7 @@ let findv_candidates st cid lhs_pos tid =
 let vio_estimate st tid attr v =
   let eff' tid' a = if tid' = tid && a = attr then v else eff st tid' a in
   let count = ref 0 in
-  List.iter
-    (fun cid ->
+  Anchor_index.iter st.touching.(attr) (eff' tid) (fun cid ->
       let cfd = st.sigma.(cid) in
       let lhs = st.lhs_of.(cid) and pats = st.lhs_pats_of.(cid) in
       let lhs_match =
@@ -423,8 +404,7 @@ let vio_estimate st tid attr v =
             | Some b when conflicts st cid b tid rv -> incr count
             | Some _ | None -> ()
           end
-      end)
-    (clauses_touching st (eff' tid) attr);
+      end);
   !count
 
 (* costfix-style score: weighted change cost, inflated by the violations
@@ -730,47 +710,16 @@ let init_state ?eq rel sigma ~use_dependency_graph =
   let n = Array.length sigma in
   let lhs_of = Array.map Cfd.lhs sigma in
   let lhs_pats_of = Array.map Cfd.lhs_patterns sigma in
-  let attr_cfds_plain = Array.make arity [] in
-  let attr_cfds_anchored =
-    Array.init arity (fun _ -> Hashtbl.create 64)
-  in
+  let mentioning = Array.make arity [] in
   let attr_wild = Array.make arity [] in
   let wild = ref [] in
-  let const_plain = ref [] in
-  let const_anchored = Hashtbl.create 256 in
+  let const = ref [] in
   Array.iteri
     (fun cid cfd ->
-      (* Anchor the clause on its first constant LHS pattern, if any. *)
-      let anchor = ref None in
-      Array.iteri
-        (fun i pos ->
-          if !anchor = None then
-            match lhs_pats_of.(cid).(i) with
-            | Pattern.Const c -> anchor := Some (pos, c)
-            | Pattern.Wild -> ())
-        lhs_of.(cid);
       List.iter
-        (fun attr ->
-          match !anchor with
-          | None -> attr_cfds_plain.(attr) <- cid :: attr_cfds_plain.(attr)
-          | Some key ->
-            let tbl = attr_cfds_anchored.(attr) in
-            let prev =
-              match Hashtbl.find_opt tbl key with Some l -> l | None -> []
-            in
-            Hashtbl.replace tbl key (cid :: prev))
+        (fun attr -> mentioning.(attr) <- cid :: mentioning.(attr))
         (Cfd.attrs cfd);
-      if Cfd.is_constant cfd then begin
-        match !anchor with
-        | None -> const_plain := cid :: !const_plain
-        | Some key ->
-          let prev =
-            match Hashtbl.find_opt const_anchored key with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace const_anchored key (cid :: prev)
-      end
+      if Cfd.is_constant cfd then const := cid :: !const
       else begin
         wild := cid :: !wild;
         List.iter
@@ -778,6 +727,7 @@ let init_state ?eq rel sigma ~use_dependency_graph =
           (Cfd.attrs cfd)
       end)
     sigma;
+  let by_anchor cids = Anchor_index.build (Array.get sigma) (List.rev cids) in
   let strata =
     if use_dependency_graph then Depgraph.strata schema sigma
     else Array.make n 0
@@ -800,11 +750,9 @@ let init_state ?eq rel sigma ~use_dependency_graph =
       wild = List.rev !wild;
       buckets = Array.map (fun _ -> Vkey.Table.create 256) sigma;
       filed = Array.map (fun _ -> Hashtbl.create 256) sigma;
-      attr_cfds_plain;
-      attr_cfds_anchored;
+      touching = Array.map by_anchor mentioning;
       attr_wild;
-      const_plain = !const_plain;
-      const_anchored;
+      const_index = by_anchor !const;
       strata;
       queue = Heap.create ~tie:compare ();
       enqueued = Hashtbl.create 1024;
@@ -860,42 +808,39 @@ let offer_wild_violations st ~offer =
         st.buckets.(cid))
     st.wild
 
+(* Call [f] on every constant clause the tuple violates, given its
+   values read through [value_at].  Pure reads only. *)
+let iter_const_violations st value_at f =
+  Anchor_index.iter st.const_index value_at (fun cid ->
+      let cfd = st.sigma.(cid) in
+      match Cfd.rhs_pattern cfd with
+      | Pattern.Wild -> ()
+      | Pattern.Const a ->
+        let lhs = st.lhs_of.(cid) and pats = st.lhs_pats_of.(cid) in
+        let rec matches i =
+          i >= Array.length lhs
+          || (Pattern.matches (value_at lhs.(i)) pats.(i) && matches (i + 1))
+        in
+        if matches 0 then
+          let v = value_at (Cfd.rhs cfd) in
+          if (not (Value.is_null v)) && not (Value.equal v a) then f cid)
+
 (* Offer every live violation under the current effective values: constant
    clauses by direct checks, wildcard clauses from conflicting buckets.
-   Used to re-verify at quiescence.  Returns how many (clause, tuple) pairs
-   were offered. *)
+   Used when the quiescence check finds a violation.  Returns how many
+   (clause, tuple) pairs were offered. *)
 let offer_all_violations st =
   let offered = ref 0 in
-  let offer st cid tid =
+  let offer cid tid =
     incr offered;
     offer st cid tid
-  in
-  (* Constant clauses: probe the anchored clause index with each tuple's
-     own effective values rather than scanning every pattern row per
-     tuple.  (Anchored clauses with a wildcard RHS are re-checked too,
-     harmlessly: [check] only offers genuinely violating constant rows.) *)
-  let check tid cid =
-    let cfd = st.sigma.(cid) in
-    match Cfd.rhs_pattern cfd with
-    | Pattern.Wild -> ()
-    | Pattern.Const a ->
-      if eff_matches_lhs st cid tid then
-        let v = eff st tid (Cfd.rhs cfd) in
-        if (not (Value.is_null v)) && not (Value.equal v a) then
-          offer st cid tid
   in
   Relation.iter
     (fun t ->
       let tid = Tuple.tid t in
-      let eff_at = eff st tid in
-      List.iter (check tid) st.const_plain;
-      for p = 0 to st.arity - 1 do
-        match Hashtbl.find_opt st.const_anchored (p, eff_at p) with
-        | Some cids -> List.iter (check tid) cids
-        | None -> ()
-      done)
+      iter_const_violations st (eff st tid) (fun cid -> offer cid tid))
     st.rel;
-  offer_wild_violations st ~offer:(fun cid tid -> offer st cid tid);
+  offer_wild_violations st ~offer;
   !offered
 
 (* Line 4 of Fig. 4: the initial Dirty_Tuples scan.  At this point every
@@ -914,28 +859,8 @@ let initial_offer ?pool ?deadline st =
     for i = lo to hi - 1 do
       let t = tuples.(i) in
       let tid = Tuple.tid t in
-      let check cid =
-        let cfd = st.sigma.(cid) in
-        match Cfd.rhs_pattern cfd with
-        | Pattern.Wild -> ()
-        | Pattern.Const a ->
-          let lhs = st.lhs_of.(cid) and pats = st.lhs_pats_of.(cid) in
-          let rec matches i =
-            i >= Array.length lhs
-            || Pattern.matches (Tuple.get t lhs.(i)) pats.(i)
-               && matches (i + 1)
-          in
-          if matches 0 then
-            let v = Tuple.get t (Cfd.rhs cfd) in
-            if (not (Value.is_null v)) && not (Value.equal v a) then
-              out := (cid, tid) :: !out
-      in
-      List.iter check st.const_plain;
-      for p = 0 to st.arity - 1 do
-        match Hashtbl.find_opt st.const_anchored (p, Tuple.get t p) with
-        | Some cids -> List.iter check cids
-        | None -> ()
-      done
+      iter_const_violations st (Tuple.get t) (fun cid ->
+          out := (cid, tid) :: !out)
     done;
     List.rev !out
   in
@@ -943,6 +868,17 @@ let initial_offer ?pool ?deadline st =
     (List.iter (fun (cid, tid) -> offer st cid tid))
     (Pool.map_chunks ?deadline ~label:"initial_scan.chunk" pool ~n chunk);
   offer_wild_violations st ~offer:(fun cid tid -> offer st cid tid)
+
+(* The relation the targets would write back: every tuple, in relation
+   order, holding its effective values. *)
+let effective_relation st =
+  let out = Relation.create (Relation.schema st.rel) in
+  Relation.iter
+    (fun t ->
+      let tid = Tuple.tid t in
+      Relation.add out (Tuple.create ~tid (Array.init st.arity (eff st tid))))
+    st.rel;
+  out
 
 type checkpoint_spec = { path : string; every : int }
 
@@ -1131,14 +1067,20 @@ let repair_single ?pool ?(use_dependency_graph = true)
               instantiate st)
         then drive ()
         else begin
-          (* Quiescent: cross-check against a full rebuild and rescan.
-             The incremental dirty propagation is designed to be complete,
+          (* Quiescent: cross-check the targets with the detector.  The
+             incremental dirty propagation is designed to be complete,
              but a missed pair here would silently break Theorem 4.2's
-             guarantee, so trust nothing and re-verify. *)
+             guarantee, so trust nothing and re-verify.  The detector
+             accepts exactly when a rebuild of the buckets and a full
+             rescan would offer nothing (DESIGN.md §4b), so those run
+             only when it finds a violation. *)
           let missed =
             Trace.span ~cat:"batch" "batch.rescan" (fun () ->
-                rebuild_buckets st;
-                offer_all_violations st)
+                if Violation.satisfies (effective_relation st) st.sigma then 0
+                else begin
+                  rebuild_buckets st;
+                  offer_all_violations st
+                end)
           in
           if missed > 0 then begin
             incr rescans;

@@ -38,19 +38,21 @@ let redirect_cost t lhs key candidate =
     lhs;
   !cost
 
-let nearest_key config t lhs key keys =
+(* The cheapest of the first [max_key_scan] keys in [order], the first
+   one on ties: a function of the keys' insertion order, not of hashing. *)
+let nearest_key config t lhs key order =
   let best = ref None in
   let scanned = ref 0 in
   (try
-     Vkey.Table.iter
-       (fun candidate () ->
+     Queue.iter
+       (fun candidate ->
          incr scanned;
          if !scanned > config.max_key_scan then raise Exit;
          let c = redirect_cost t lhs key candidate in
          match !best with
          | Some (_, bc) when bc <= c -> ()
          | _ -> best := Some (candidate, c))
-       keys
+       order
    with Exit -> ());
   !best
 
@@ -60,12 +62,19 @@ let resolve_ind config db ind =
   let r1 = Database.find_exn db (Ind.lhs_relation ind) in
   let r2 = Database.find_exn db (Ind.rhs_relation ind) in
   let lhs = Ind.lhs_positions ind and rhs = Ind.rhs_positions ind in
-  let keys = Vkey.Table.create 256 in
+  (* The referenced keys, as a set and in insertion order: [r2]'s
+     relation order, then the keys this repair inserts. *)
+  let keys = Vkey.Table.create 256 and order = Queue.create () in
+  let add_key key =
+    if not (Vkey.Table.mem keys key) then begin
+      Vkey.Table.add keys key ();
+      Queue.add key order
+    end
+  in
   Relation.iter
     (fun t ->
       let key = Array.map (Tuple.get t) rhs in
-      if not (Array.exists Value.is_null key) then
-        Vkey.Table.replace keys key ())
+      if not (Array.exists Value.is_null key) then add_key key)
     r2;
   let arity2 = Schema.arity (Relation.schema r2) in
   let insertion_cost =
@@ -83,7 +92,7 @@ let resolve_ind config db ind =
   in
   List.iter
     (fun (t, key) ->
-      let redirect = nearest_key config t lhs key keys in
+      let redirect = nearest_key config t lhs key order in
       match redirect with
       | Some (candidate, c) when c <= insertion_cost ->
         Array.iteri
@@ -101,7 +110,7 @@ let resolve_ind config db ind =
         Array.iteri (fun i pos -> values.(pos) <- key.(i)) rhs;
         ignore (Relation.insert r2 values);
         incr inserted;
-        Vkey.Table.replace keys key ())
+        add_key key)
     dangling;
   (!modified, !inserted)
 

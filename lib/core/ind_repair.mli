@@ -29,7 +29,9 @@ type config = {
           (default 0.5) *)
   max_key_scan : int;
       (** candidate referenced keys examined per dangling reference when
-          searching for the nearest redirect target (default 4096) *)
+          searching for the nearest redirect target (default 4096).  Keys
+          are examined in insertion order, the referenced relation's
+          first, and the first of equally near keys wins. *)
 }
 
 val default_config : ?max_rounds:int -> ?insertion_cost_per_null:float -> unit -> config

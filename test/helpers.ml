@@ -129,6 +129,19 @@ module Gen = struct
   let instance = QCheck.make instance_gen
 end
 
+(* Quiescence rescans a thunk triggered: the times BATCHREPAIR's check
+   at quiescence found a violation the queue had missed, so the buckets
+   were rebuilt and every violation offered again. *)
+let rescans_during f =
+  let module Metrics = Dq_obs.Metrics in
+  let c = Metrics.counter "batch.rescans" in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  let before = Metrics.counter_value c in
+  ignore (f ());
+  Metrics.counter_value c - before
+
 (* Substring check for error-message assertions. *)
 let contains haystack needle =
   let h = String.length haystack and n = String.length needle in

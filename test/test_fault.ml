@@ -337,6 +337,64 @@ let test_deadline_cut_resume_identity () =
         true (resumed = full))
     [ 1; 4 ]
 
+(* A checkpoint whose targets leave Σ violated: the queue it resumes
+   with is empty, so only the check at the first boundary can find the
+   violation, re-offer it and get it repaired.  Σ = [A] -> [B] with row
+   (a || b); the tuple (a, c) has its B class committed to c. *)
+let test_resume_quiescence_finds_violation () =
+  let module Cfd = Dq_cfd.Cfd in
+  let module Pattern = Dq_cfd.Pattern in
+  let schema = Schema.make ~name:"r" [ "A"; "B" ] in
+  let rel = Relation.create schema in
+  ignore (Relation.insert rel [| Value.string "a"; Value.string "c" |]);
+  let sigma =
+    Cfd.number
+      [
+        Cfd.make schema
+          ~lhs:[ ("A", Pattern.const (Value.string "a")) ]
+          ~rhs:("B", Pattern.const (Value.string "b"));
+      ]
+  in
+  let eq =
+    Eqclass.create ~arity:2 ~original:(fun ~tid ~attr ->
+        Tuple.get (Relation.find_exn rel tid) attr)
+  in
+  ignore (Eqclass.cell eq ~tid:0 ~attr:0);
+  Eqclass.set_target eq
+    (Eqclass.cell eq ~tid:0 ~attr:1)
+    (Eqclass.Const (Value.string "c"));
+  let cp =
+    {
+      Checkpoint.kind = Checkpoint.batch_kind;
+      fingerprint = Checkpoint.fingerprint rel sigma ~use_dependency_graph:true;
+      use_dependency_graph = true;
+      counters =
+        {
+          Checkpoint.pass = 1;
+          steps = 0;
+          rescans = 0;
+          merges = 0;
+          rhs_fixes = 0;
+          lhs_fixes = 0;
+          nulls_introduced = 0;
+        };
+      eq = Eqclass.snapshot eq;
+      trail = [];
+    }
+  in
+  let result = ref None in
+  let rescans =
+    Helpers.rescans_during (fun () ->
+        result := Some (Helpers.ok (Batch_repair.repair ~resume:cp rel sigma)))
+  in
+  Alcotest.(check int) "the first boundary finds the violation" 1 rescans;
+  match !result with
+  | None -> Alcotest.fail "no result"
+  | Some (repaired, stats) ->
+    Alcotest.(check int) "re-offered and resolved" 1 stats.Batch_repair.steps;
+    Alcotest.(check bool) "the repair satisfies Σ" true
+      (Dq_cfd.Violation.satisfies repaired sigma)
+
 let test_checkpoint_load_errors () =
   (match Checkpoint.load "/no/such/file.ckpt" with
   | Error _ -> ()
@@ -491,6 +549,8 @@ let suite =
       test_kill_resume_identity;
     Alcotest.test_case "batch: deadline cut, resume, identical" `Slow
       test_deadline_cut_resume_identity;
+    Alcotest.test_case "batch: a resumed violation is found at quiescence"
+      `Quick test_resume_quiescence_finds_violation;
     Alcotest.test_case "checkpoint: load failure modes" `Quick
       test_checkpoint_load_errors;
     Alcotest.test_case "checkpoint: fingerprint mismatch rejected" `Quick

@@ -79,6 +79,20 @@ let test_repair_redirects_typo () =
   Alcotest.(check bool) "redirected to a1" true
     (Value.equal (Tuple.get o 1) (v "a1"))
 
+let test_redirect_tie_goes_to_first_key () =
+  (* "a3" is one edit from both "a1" and "a2".  The tie goes to the key
+     the item relation holds first, whatever the keys hash to (here "a2"
+     comes first in hash order). *)
+  let db =
+    build
+      ~items:[ ("a1", "Pen", "2"); ("a2", "Ink", "5") ]
+      ~orders:[ ("o1", "a3", "1") ]
+  in
+  let repaired, stats = Ind_repair.repair db ~cfds:[] ~inds:[ fk ] in
+  Alcotest.(check int) "no insertion" 0 stats.Ind_repair.tuples_inserted;
+  let o = Relation.find_exn (Database.find_exn repaired "ord") 0 in
+  Alcotest.check Helpers.value "redirected to a1" (v "a1") (Tuple.get o 1)
+
 let test_repair_inserts_for_distant_key () =
   (* No existing key is close: inserting a stub item is cheaper. *)
   let db =
@@ -165,6 +179,8 @@ let suite =
     Alcotest.test_case "IND validation" `Quick test_ind_validation;
     Alcotest.test_case "violation detection" `Quick test_violation_detection;
     Alcotest.test_case "repair redirects typos" `Quick test_repair_redirects_typo;
+    Alcotest.test_case "redirect ties go to the first key" `Quick
+      test_redirect_tie_goes_to_first_key;
     Alcotest.test_case "repair inserts stubs" `Quick
       test_repair_inserts_for_distant_key;
     Alcotest.test_case "combined CFD + IND repair" `Quick test_combined_cfd_and_ind;

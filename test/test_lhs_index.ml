@@ -255,6 +255,82 @@ let prop_index_oracle =
              all_agree [ t ])
            inserts)
 
+(* ---- the anchored clause index against brute force -------------------- *)
+
+(* What [Anchor_index.iter] must visit for a tuple, written out: the
+   clauses with no constant in their LHS pattern, in Σ order, then, by
+   anchor position, the clauses whose anchor (first LHS constant) the
+   tuple holds, later clauses of Σ first. *)
+let anchor_of cfd =
+  let pats = Cfd.lhs_patterns cfd in
+  List.find_map
+    (fun i ->
+      match pats.(i) with
+      | Pattern.Const c -> Some ((Cfd.lhs cfd).(i), c)
+      | Pattern.Wild -> None)
+    (List.init (Array.length pats) Fun.id)
+
+let brute_force_visits clauses t =
+  let plain = List.filter (fun cfd -> anchor_of cfd = None) clauses in
+  let anchored_at p =
+    List.rev
+      (List.filter
+         (fun cfd ->
+           match anchor_of cfd with
+           | Some (q, c) -> q = p && Value.equal (Tuple.get t p) c
+           | None -> false)
+         clauses)
+  in
+  plain @ List.concat_map anchored_at (List.init (Tuple.arity t) Fun.id)
+
+let prop_anchor_index_brute_force =
+  let open QCheck.Gen in
+  (* Σ from the shared generator (string constants) or with look-alike
+     and absent constants; tuples mix nulls, look-alikes, constants no
+     clause holds and the shared generator's values. *)
+  let sigma_gen =
+    oneof
+      [
+        Helpers.Gen.sigma_gen;
+        map Cfd.number (list_size (1 -- 8) Index_gen.clause_gen);
+      ]
+  in
+  let value_gen =
+    frequency
+      [
+        (3, Helpers.Gen.value_gen);
+        ( 2,
+          oneofl
+            Value.
+              [ Null; Int 1; Float 1.; String "1"; String "x"; String "absent" ]
+        );
+      ]
+  in
+  let row_gen = array_size (return 4) value_gen in
+  QCheck.Test.make ~count:300
+    ~name:"anchored index visits what brute force finds, once, in order"
+    (QCheck.make (pair sigma_gen (list_size (1 -- 10) row_gen)))
+    (fun (sigma, rows) ->
+      let clauses = Array.to_list sigma in
+      let idx = Anchor_index.build Fun.id clauses in
+      let ids = List.map Cfd.id in
+      List.for_all
+        (fun values ->
+          let t = Tuple.create ~tid:0 values in
+          let visited = ref [] in
+          Anchor_index.iter idx (Tuple.get t) (fun cfd ->
+              visited := cfd :: !visited);
+          let visited = List.rev !visited in
+          ids visited = ids (brute_force_visits clauses t)
+          && List.for_all
+               (fun cfd ->
+                 (not (Cfd.applies_lhs cfd t)) || List.memq cfd visited)
+               clauses)
+        rows
+      && Anchor_index.positions idx
+         = List.sort_uniq Int.compare
+             (List.filter_map (fun c -> Option.map fst (anchor_of c)) clauses))
+
 let suite =
   [
     Alcotest.test_case "constant clause lookup" `Quick test_expected_rhs_constant_clause;
@@ -265,4 +341,5 @@ let suite =
     Alcotest.test_case "iter_violated visits each violated clause once" `Quick
       test_iter_violated;
     QCheck_alcotest.to_alcotest prop_index_oracle;
+    QCheck_alcotest.to_alcotest prop_anchor_index_brute_force;
   ]

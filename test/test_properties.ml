@@ -96,25 +96,15 @@ let prop_violation_detection_agrees_with_repair =
         stats.Batch_repair.cells_changed = 0
       else true)
 
-(* Quiescence rescans a thunk triggered.  The incremental dirty
-   propagation is meant to queue every live violation, so the full rescan
-   at quiescence — the backstop for Theorem 4.2 — should never find one. *)
-let rescans_during f =
-  let module Metrics = Dq_obs.Metrics in
-  let c = Metrics.counter "batch.rescans" in
-  let was = Metrics.enabled () in
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
-  let before = Metrics.counter_value c in
-  ignore (f ());
-  Metrics.counter_value c - before
-
+(* The incremental dirty propagation is meant to queue every live
+   violation, so the check at quiescence — the backstop for Theorem 4.2 —
+   should never find one. *)
 let prop_batch_repair_no_rescan =
   QCheck.Test.make ~name:"BATCHREPAIR never needs a quiescence rescan"
     ~count:150 instance
     (fun (rel, sigma) ->
       QCheck.assume (satisfiable sigma);
-      rescans_during (fun () -> Helpers.ok (Batch_repair.repair rel sigma)) = 0)
+      Helpers.rescans_during (fun () -> Helpers.ok (Batch_repair.repair rel sigma)) = 0)
 
 let test_fixtures_no_rescan () =
   List.iter
@@ -129,7 +119,7 @@ let test_fixtures_no_rescan () =
       Alcotest.(check int)
         (name ^ ": no rescan")
         0
-        (rescans_during (fun () -> Helpers.ok (Batch_repair.repair rel sigma))))
+        (Helpers.rescans_during (fun () -> Helpers.ok (Batch_repair.repair rel sigma))))
     [ "fd_only"; "constant"; "mixed" ]
 
 let suite =
