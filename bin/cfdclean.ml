@@ -250,8 +250,11 @@ let jobs_arg =
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel detection and scoring passes \
-           (default: the recommended domain count for this machine).  \
+          "Worker domains for the parallel passes: detection's \
+           constant-clause scan, the violation counts of the $(b,inc) \
+           engines and discovery's candidate levels (default: the \
+           recommended domain count for this machine).  The $(b,batch) and \
+           $(b,opt-fd) engines run on one domain whatever $(docv) is.  \
            Results are identical at any job count.")
 
 let format_arg =
@@ -431,8 +434,8 @@ let print_explain ppf report =
     List.iter (fun e -> Fmt.pf ppf "%a@." Provenance.pp_entry e) entries
 
 let repair data_path cfd_path output in_place explain engine force analyze_gate
-    partition jobs format metrics trace progress fault deadline deadline_passes
-    checkpoint checkpoint_every resume =
+    jobs format metrics trace progress fault deadline deadline_passes checkpoint
+    checkpoint_every resume =
   run_command ~command:"repair" ~format ~metrics ~trace ~progress ~fault
   @@ fun () ->
   let* (module E : Engine.ENGINE) = Engine.find engine in
@@ -469,26 +472,10 @@ let repair data_path cfd_path output in_place explain engine force analyze_gate
                 "--checkpoint/--resume are not supported by the %s engine \
                  (use --engine batch or --engine opt-fd)"
                 E.name))
-      else if partition && not E.supports_partition then
-        Error
-          (Dq_error.Invalid_input
-             (Fmt.str
-                "--partition is not supported by the %s engine (use --engine \
-                 batch or --engine opt-fd)"
-                E.name))
       else Ok ()
     in
     with_jobs jobs @@ fun pool ->
-    let partition =
-      if partition then
-        Some
-          (Interaction.analyze (Relation.schema rel) sigma)
-            .Interaction.partition
-      else None
-    in
-    let ctx =
-      Engine.ctx ~pool ~deadline ?checkpoint ?resume ?partition rel sigma
-    in
+    let ctx = Engine.ctx ~pool ~deadline ?checkpoint ?resume rel sigma in
     let* (repaired, stats_line), report = E.run ctx in
     let* () =
       match out with Some path -> save_csv repaired path | None -> Ok ()
@@ -556,17 +543,6 @@ let repair_cmd =
              An unknown name or an engine whose Σ fragment does not cover \
              the ruleset exits 2 with a stable diagnostic.")
   in
-  let partition =
-    Arg.(
-      value & flag
-      & info [ "partition" ]
-          ~doc:
-            "Split the ruleset into its shard-safe clause groups (see \
-             $(b,cfdclean analyze)) and repair each group independently — as \
-             parallel pool tasks when $(b,--jobs) allows.  The output is \
-             byte-identical to the unpartitioned repair.  Batch algorithm \
-             only.")
-  in
   let checkpoint =
     Arg.(
       value
@@ -611,10 +587,9 @@ let repair_cmd =
     Term.(
       ret
         (const repair $ data $ cfds $ output $ in_place $ explain $ engine
-       $ force_arg $ analyze_gate_arg $ partition $ jobs_arg
-       $ format_arg $ metrics_arg $ trace_arg $ progress_arg $ fault_arg
-       $ deadline_arg $ deadline_passes $ checkpoint $ checkpoint_every
-       $ resume))
+       $ force_arg $ analyze_gate_arg $ jobs_arg $ format_arg $ metrics_arg
+       $ trace_arg $ progress_arg $ fault_arg $ deadline_arg $ deadline_passes
+       $ checkpoint $ checkpoint_every $ resume))
 
 (* ---- check ---- *)
 
@@ -1079,9 +1054,9 @@ let analyze_cmd =
        ~doc:
          "Whole-ruleset interaction analysis: the attribute dependency graph \
           with cycle certificates and a termination verdict, the shard-safety \
-          partition consumed by $(b,repair --partition), oscillation pairs, \
-          and (with $(b,--data)) sampled per-clause cost estimates.  Exits 1 \
-          when the repair fixpoint may oscillate.")
+          partition into independently repairable clause groups, oscillation \
+          pairs, and (with $(b,--data)) sampled per-clause cost estimates.  \
+          Exits 1 when the repair fixpoint may oscillate.")
     Term.(
       ret
         (const analyze $ cfds $ data $ sample $ format_arg $ metrics_arg
@@ -1090,15 +1065,14 @@ let analyze_cmd =
 (* ---- sample ---- *)
 
 let sample data_path cfd_path truth_path epsilon confidence sample_size force
-    analyze_gate jobs format metrics trace progress fault deadline =
+    analyze_gate format metrics trace progress fault deadline =
   run_command ~command:"sample" ~format ~metrics ~trace ~progress ~fault
   @@ fun () ->
   with_inputs ~force ~analyze_gate data_path cfd_path @@ fun rel sigma ->
   let* truth = load_csv truth_path in
   let* deadline = resolve_deadline deadline in
-  with_jobs jobs @@ fun pool ->
   let* (repaired, _stats), _repair_report =
-    Batch_repair.repair ~pool ~deadline rel sigma
+    Batch_repair.repair ~deadline rel sigma
   in
   let oracle t' =
     match Relation.find truth (Tuple.tid t') with
@@ -1146,8 +1120,8 @@ let sample_cmd =
     Term.(
       ret
         (const sample $ data $ cfds $ truth $ epsilon $ confidence $ size
-       $ force_arg $ analyze_gate_arg $ jobs_arg $ format_arg $ metrics_arg
-       $ trace_arg $ progress_arg $ fault_arg $ deadline_arg))
+       $ force_arg $ analyze_gate_arg $ format_arg $ metrics_arg $ trace_arg
+       $ progress_arg $ fault_arg $ deadline_arg))
 
 (* ---- generate ---- *)
 

@@ -41,10 +41,9 @@
 
     Beyond the per-construct lint, {!Interaction} analyses the whole Σ at
     once — the attribute dependency graph with printable cycle certificates
-    ([A001]), direct oscillation pairs ([A002]), the shard-safety partition
-    {!Dq_core.Batch_repair} consumes to repair clause groups independently,
-    and data-aware cost estimates ([A003]) — surfaced as
-    [cfdclean analyze].
+    ([A001]), direct oscillation pairs ([A002]), the shard-safety
+    partition into independently repairable clause groups, and data-aware
+    cost estimates ([A003]) — surfaced as [cfdclean analyze].
 
     {!Lint.run} executes the checks; {!Render} presents the results as
     caret-annotated text or JSON for CI gating. *)

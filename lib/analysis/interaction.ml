@@ -37,7 +37,6 @@ type t = {
   cycles : cycle list;
   termination : termination;
   shards : shard list;
-  partition : int array;
   oscillations : oscillation list;
   costs : clause_cost list option;
 }
@@ -396,7 +395,6 @@ let analyze ?data ?(sample = 2000) schema sigma =
     cycles;
     termination;
     shards;
-    partition;
     oscillations;
     costs;
   }

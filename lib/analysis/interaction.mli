@@ -5,13 +5,14 @@
     SCC condensation (with printable cycle certificates generalizing the
     Example-4.1 lint), a termination verdict for the naive repair fixpoint,
     a {e shard-safety partition} grouping clauses into independently
-    repairable components (the static half of the ROADMAP sharding item),
-    direct clause-pair oscillation hazards, and — when a data instance is
-    supplied — per-clause cost estimates from a bounded sample.
+    repairable components, direct clause-pair oscillation hazards, and —
+    when a data instance is supplied — per-clause cost estimates from a
+    bounded sample.
 
-    Everything here is pure data: the [cfdclean analyze] subcommand and the
-    bench harness render it; {!Dq_core.Batch_repair} consumes
-    {!t.partition} to run clause groups as separate pool tasks. *)
+    Everything here is pure data, rendered by the [cfdclean analyze]
+    subcommand.  The termination verdict also gates: [--analyze-gate],
+    serve's session creation and opt-fd's fragment check read it.  No
+    engine reads the shard plan. *)
 
 open Dq_relation
 open Dq_cfd
@@ -83,7 +84,6 @@ type t = {
   cycles : cycle list;  (** one per SCC of size > 1, by smallest attr *)
   termination : termination;
   shards : shard list;
-  partition : int array;  (** clause id → shard id, for {!Dq_core.Batch_repair} *)
   oscillations : oscillation list;  (** ascending by (a, b) *)
   costs : clause_cost list option;  (** [Some _] iff [analyze] got [?data] *)
 }

@@ -8,9 +8,9 @@
     tuple's own value up at each position some clause is anchored at:
     O(anchor positions + clauses found) per tuple, not O(|Σ|).
 
-    {!Violation}'s constant-clause scans, {!Lhs_index} and BATCHREPAIR's
-    per-attribute clause lookups all use it.  It is read-only once built,
-    so domains may probe it concurrently. *)
+    {!Violation}'s constant-clause scans, {!Lhs_index}, and BATCHREPAIR's
+    per-attribute clause lookups and bucket filing all use it.  It is
+    read-only once built, so domains may probe it concurrently. *)
 
 open Dq_relation
 

@@ -1,6 +1,5 @@
 open Dq_relation
 open Dq_cfd
-module Pool = Dq_parallel.Pool
 module Metrics = Dq_obs.Metrics
 module Provenance = Dq_obs.Provenance
 module Report = Dq_obs.Report
@@ -32,7 +31,6 @@ type stats = {
   lhs_fixes : int;
   nulls_introduced : int;
   cells_changed : int;
-  instantiate_visits : int;
   runtime : float;
 }
 
@@ -78,6 +76,9 @@ type state = {
   eq : Eqclass.t;
   arity : int;
   wild : int list; (* wildcard-RHS clause ids, ascending *)
+  wild_index : int Anchor_index.t;
+  (* the wildcard-RHS clauses by anchor: probed with a tuple's effective
+     values, it finds every clause the tuple can be filed under *)
   buckets : bucket Vkey.Table.t array; (* wild cfds only *)
   filed : (int, bucket * Value.t) Hashtbl.t array;
   (* tid -> the bucket it is filed in and the RHS value counted there *)
@@ -93,11 +94,9 @@ type state = {
   queue : (int * int) Heap.t;
   (* (cfd id, tid) keyed by plan cost, ties broken by (cfd id, tid).  The
      tie-break is load-bearing: it makes the pop order a pure function of
-     the queue's contents, so a shard-partitioned run — whose queue holds
-     only its own group's pairs — replays exactly the full-width run's
-     per-shard pop subsequence.  A layout-dependent tie-break would let
-     other groups' traffic through the shared heap reorder equal-cost
-     pairs of one group, and greedy repair is order-sensitive on ties. *)
+     the queue's contents, so the order offers land in never shows — not
+     within a scan, and not in a resumed run, whose queue refills in a
+     different order.  Greedy repair is order-sensitive on ties. *)
   enqueued : (int * int, float) Hashtbl.t; (* pair -> its queued priority *)
   findv : (int array, int list Vkey.Table.t) Hashtbl.t;
   (* lazy FINDV indices, by the positions they are keyed on *)
@@ -110,10 +109,6 @@ type state = {
   mutable rhs_fixes : int;
   mutable lhs_fixes : int;
   mutable nulls_introduced : int;
-  mutable instantiate_visits : int;
-  (* class roots visited across all [instantiate] calls — the re-resolution
-     churn the shard partition is meant to cut: a full-width run revisits
-     every root each round, a per-shard run only its own columns' roots *)
   trail : Provenance.trail;
   (* Context for the provenance entries the next [with_change] records:
      the clause the resolution step is serving, its plan cost, and the
@@ -200,6 +195,13 @@ let bucket_insert st cid tid =
       Value_table.replace b.rhs_counts v (n + 1)
     end
   end
+
+(* File [tid] under every wildcard clause whose LHS pattern its effective
+   values match.  The index skips only clauses anchored on a constant the
+   tuple does not hold, which [bucket_insert] would reject anyway. *)
+let file_tuple st tid =
+  Anchor_index.iter st.wild_index (eff st tid) (fun cid ->
+      bucket_insert st cid tid)
 
 (* Whether a member of [b] other than [tid] holds a non-null RHS value
    other than [v] (itself non-null), read from the counts. *)
@@ -681,7 +683,6 @@ let instantiate st =
   let changed = ref false in
   Eqclass.iter_roots
     (fun root ->
-      st.instantiate_visits <- st.instantiate_visits + 1;
       if Eqclass.target st.eq root = Eqclass.Unfixed then
         match best_constant st root with
         | None ->
@@ -748,6 +749,7 @@ let init_state ?eq rel sigma ~use_dependency_graph =
       eq;
       arity;
       wild = List.rev !wild;
+      wild_index = by_anchor !wild;
       buckets = Array.map (fun _ -> Vkey.Table.create 256) sigma;
       filed = Array.map (fun _ -> Hashtbl.create 256) sigma;
       touching = Array.map by_anchor mentioning;
@@ -762,7 +764,6 @@ let init_state ?eq rel sigma ~use_dependency_graph =
       rhs_fixes = 0;
       lhs_fixes = 0;
       nulls_introduced = 0;
-      instantiate_visits = 0;
       trail = Provenance.create ();
       ctx_clause = None;
       ctx_cost = 0.;
@@ -779,7 +780,7 @@ let init_state ?eq rel sigma ~use_dependency_graph =
       for attr = 0 to arity - 1 do
         ignore (cellof st tid attr)
       done;
-      List.iter (fun cid -> bucket_insert st cid tid) st.wild)
+      file_tuple st tid)
     rel;
   st
 
@@ -790,44 +791,17 @@ let rebuild_buckets st =
   List.iter
     (fun cid ->
       Vkey.Table.reset st.buckets.(cid);
-      Hashtbl.reset st.filed.(cid);
-      Relation.iter (fun t -> bucket_insert st cid (Tuple.tid t)) st.rel)
-    st.wild
-
-(* Wildcard clauses: offer every member of any bucket holding two distinct
-   effective RHS values.  Bucket-table iteration order is a function of
-   insertion history, but the queue's total tie-break makes the offer
-   order irrelevant. *)
-let offer_wild_violations st ~offer =
-  List.iter
-    (fun cid ->
-      Vkey.Table.iter
-        (fun _key b ->
-          if Value_table.length b.rhs_counts >= 2 then
-            Hashtbl.iter (fun tid () -> offer cid tid) b.tids)
-        st.buckets.(cid))
-    st.wild
-
-(* Call [f] on every constant clause the tuple violates, given its
-   values read through [value_at].  Pure reads only. *)
-let iter_const_violations st value_at f =
-  Anchor_index.iter st.const_index value_at (fun cid ->
-      let cfd = st.sigma.(cid) in
-      match Cfd.rhs_pattern cfd with
-      | Pattern.Wild -> ()
-      | Pattern.Const a ->
-        let lhs = st.lhs_of.(cid) and pats = st.lhs_pats_of.(cid) in
-        let rec matches i =
-          i >= Array.length lhs
-          || (Pattern.matches (value_at lhs.(i)) pats.(i) && matches (i + 1))
-        in
-        if matches 0 then
-          let v = value_at (Cfd.rhs cfd) in
-          if (not (Value.is_null v)) && not (Value.equal v a) then f cid)
+      Hashtbl.reset st.filed.(cid))
+    st.wild;
+  Relation.iter (fun t -> file_tuple st (Tuple.tid t)) st.rel
 
 (* Offer every live violation under the current effective values: constant
-   clauses by direct checks, wildcard clauses from conflicting buckets.
-   Used when the quiescence check finds a violation.  Returns how many
+   clauses by direct checks, wildcard clauses from conflicting buckets
+   (every member of a bucket holding two distinct effective RHS values).
+   It is line 4 of Fig. 4, the initial Dirty_Tuples scan, and it runs
+   again when the quiescence check finds a violation.  Bucket-table
+   iteration order is a function of insertion history, but the queue's
+   total tie-break makes the offer order irrelevant.  Returns how many
    (clause, tuple) pairs were offered. *)
 let offer_all_violations st =
   let offered = ref 0 in
@@ -838,36 +812,22 @@ let offer_all_violations st =
   Relation.iter
     (fun t ->
       let tid = Tuple.tid t in
-      iter_const_violations st (eff st tid) (fun cid -> offer cid tid))
+      Anchor_index.iter st.const_index (eff st tid) (fun cid ->
+          match Cfd.rhs_pattern st.sigma.(cid) with
+          | Pattern.Const a when eff_matches_lhs st cid tid ->
+            let v = eff st tid (Cfd.rhs st.sigma.(cid)) in
+            if not (Value.is_null v || Value.equal v a) then offer cid tid
+          | Pattern.Const _ | Pattern.Wild -> ()))
     st.rel;
-  offer_wild_violations st ~offer;
-  !offered
-
-(* Line 4 of Fig. 4: the initial Dirty_Tuples scan.  At this point every
-   equivalence class is a fresh singleton whose effective value {e is} the
-   tuple's original value, so the constant-clause pass can read tuples
-   directly — pure, domain-safe — in parallel chunks over the tuple
-   snapshot.  The offers are then replayed in relation order, so the
-   queue's contents (and hence the whole repair) are byte-identical to the
-   sequential scan at any job count.  Wildcard conflicts come from the
-   just-built buckets, sequentially (bucket tables are not domain-safe). *)
-let initial_offer ?pool ?deadline st =
-  let tuples = Relation.tuples st.rel in
-  let n = Array.length tuples in
-  let chunk lo hi =
-    let out = ref [] in
-    for i = lo to hi - 1 do
-      let t = tuples.(i) in
-      let tid = Tuple.tid t in
-      iter_const_violations st (Tuple.get t) (fun cid ->
-          out := (cid, tid) :: !out)
-    done;
-    List.rev !out
-  in
   List.iter
-    (List.iter (fun (cid, tid) -> offer st cid tid))
-    (Pool.map_chunks ?deadline ~label:"initial_scan.chunk" pool ~n chunk);
-  offer_wild_violations st ~offer:(fun cid tid -> offer st cid tid)
+    (fun cid ->
+      Vkey.Table.iter
+        (fun _key b ->
+          if Value_table.length b.rhs_counts >= 2 then
+            Hashtbl.iter (fun tid () -> offer cid tid) b.tids)
+        st.buckets.(cid))
+    st.wild;
+  !offered
 
 (* The relation the targets would write back: every tuple, in relation
    order, holding its effective values. *)
@@ -882,8 +842,8 @@ let effective_relation st =
 
 type checkpoint_spec = { path : string; every : int }
 
-let repair_single ?pool ?(use_dependency_graph = true)
-    ?(deadline = Deadline.never) ?checkpoint ?resume db sigma =
+let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
+    ?checkpoint ?resume db sigma =
   Trace.span ~cat:"engine"
     ~args:(fun () ->
       [
@@ -1104,7 +1064,8 @@ let repair_single ?pool ?(use_dependency_graph = true)
         | None -> (
           match
             timed phases "initial_scan" m_t_scan (fun () ->
-                initial_offer ?pool ~deadline st)
+                Deadline.check deadline;
+                ignore (offer_all_violations st))
           with
           | () -> Ok `Fresh
           | exception Deadline.Expired -> Error Dq_error.Deadline_exceeded)
@@ -1142,7 +1103,6 @@ let repair_single ?pool ?(use_dependency_graph = true)
               lhs_fixes = st.lhs_fixes;
               nulls_introduced = st.nulls_introduced;
               cells_changed = !cells_changed;
-              instantiate_visits = st.instantiate_visits;
               runtime = Unix.gettimeofday () -. started;
             }
           in
@@ -1162,212 +1122,3 @@ let repair_single ?pool ?(use_dependency_graph = true)
               ?degraded:!degraded ()
           in
           Ok ((rel, stats), report))))
-
-(* ---- shard-partitioned repair ----------------------------------------- *)
-
-(* Repair each clause group of [partition] independently over the
-   projection of [db] onto the attributes the group touches.  Groups with
-   disjoint attribute sets cannot interact through any cell — no clause of
-   one group reads or writes an attribute of another — so the per-group
-   repairs compose: writing each group's changed cells back into a copy of
-   [db] yields the same relation a full-width run would produce, while
-   every group's queue, buckets and instantiation rounds only ever visit
-   its own columns. *)
-let repair_partitioned ?pool ~use_dependency_graph ~deadline db sigma
-    partition n_shards =
-  Trace.span ~cat:"engine"
-    ~args:(fun () ->
-      [
-        ("tuples", Dq_obs.Json.Int (Relation.cardinality db));
-        ("clauses", Dq_obs.Json.Int (Array.length sigma));
-        ("shards", Dq_obs.Json.Int n_shards);
-      ])
-    "batch_repair.partitioned"
-  @@ fun () ->
-  let started = Unix.gettimeofday () in
-  let schema = Relation.schema db in
-  let arity = Schema.arity schema in
-  let groups = Array.make n_shards [] in
-  for i = Array.length sigma - 1 downto 0 do
-    groups.(partition.(i)) <- i :: groups.(partition.(i))
-  done;
-  (* Shard ids with no member clause contribute nothing; drop them. *)
-  let groups =
-    Array.of_list (List.filter (fun l -> l <> []) (Array.to_list groups))
-  in
-  let n_groups = Array.length groups in
-  let shards =
-    Array.map
-      (fun cids ->
-        let mark = Array.make arity false in
-        List.iter
-          (fun cid ->
-            List.iter (fun a -> mark.(a) <- true) (Cfd.attrs sigma.(cid)))
-          cids;
-        let positions = ref [] in
-        for a = arity - 1 downto 0 do
-          if mark.(a) then positions := a :: !positions
-        done;
-        let positions = Array.of_list !positions in
-        let proj_schema =
-          Schema.make ~name:(Schema.name schema)
-            (Array.to_list (Array.map (Schema.attribute schema) positions))
-        in
-        let proj_sigma =
-          Cfd.number
-            (List.map (fun cid -> Cfd.with_schema proj_schema sigma.(cid)) cids)
-        in
-        let proj_rel = Relation.create proj_schema in
-        Relation.iter
-          (fun t ->
-            let values = Tuple.project t positions in
-            let weights = Array.map (Tuple.weight t) positions in
-            Relation.add proj_rel
-              (Tuple.create ~weights ~tid:(Tuple.tid t) values))
-          db;
-        (positions, proj_sigma, proj_rel))
-      groups
-  in
-  let results = Array.make n_groups None in
-  let task i () =
-    let _, proj_sigma, proj_rel = shards.(i) in
-    (* pool:None — tasks must not submit to the pool they run on; the
-       shard-level fan-out is the parallelism. *)
-    results.(i) <-
-      Some (repair_single ~use_dependency_graph ~deadline proj_rel proj_sigma)
-  in
-  (match pool with
-  | Some pool when Pool.jobs pool > 1 && n_groups > 1 ->
-    Pool.run pool (Array.init n_groups (fun i () -> task i ()))
-  | _ ->
-    for i = 0 to n_groups - 1 do
-      task i ()
-    done);
-  let first_error = ref None in
-  Array.iter
-    (fun r ->
-      match r with
-      | Some (Error e) when !first_error = None -> first_error := Some e
-      | _ -> ())
-    results;
-  match !first_error with
-  | Some e -> Error e
-  | None ->
-    (* Merge, in shard order: copy the input and write back each shard's
-       changed cells.  Disjoint attribute sets make the write-back order
-       irrelevant to the final relation; fixing it keeps the provenance
-       trail (and hence the report) deterministic. *)
-    let rel = Relation.copy db in
-    let cells_changed = ref 0 in
-    let acc =
-      ref
-        {
-          steps = 0;
-          merges = 0;
-          rhs_fixes = 0;
-          lhs_fixes = 0;
-          nulls_introduced = 0;
-          cells_changed = 0;
-          instantiate_visits = 0;
-          runtime = 0.;
-        }
-    in
-    let phases = ref [] in
-    let provenance = ref [] in
-    let degraded = ref None in
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Some (Ok ((shard_rel, s), (report : Report.t))) ->
-          let positions, _, _ = shards.(i) in
-          Relation.iter
-            (fun t ->
-              let full = Relation.find_exn rel (Tuple.tid t) in
-              Array.iteri
-                (fun j pos ->
-                  let v = Tuple.get t j in
-                  if not (Value.equal v (Tuple.get full pos)) then begin
-                    Relation.set_value rel full pos v;
-                    incr cells_changed
-                  end)
-                positions)
-            shard_rel;
-          acc :=
-            {
-              steps = !acc.steps + s.steps;
-              merges = !acc.merges + s.merges;
-              rhs_fixes = !acc.rhs_fixes + s.rhs_fixes;
-              lhs_fixes = !acc.lhs_fixes + s.lhs_fixes;
-              nulls_introduced = !acc.nulls_introduced + s.nulls_introduced;
-              cells_changed = 0;
-              instantiate_visits =
-                !acc.instantiate_visits + s.instantiate_visits;
-              runtime = 0.;
-            };
-          phases :=
-            !phases
-            @ List.map
-                (fun (name, secs) ->
-                  (Printf.sprintf "shard%d.%s" i name, secs))
-                report.Report.phases;
-          provenance :=
-            !provenance
-            @ List.map
-                (fun (e : Provenance.entry) ->
-                  { e with Provenance.attr = positions.(e.Provenance.attr) })
-                report.Report.provenance;
-          (match report.Report.degraded with
-          | Some d when !degraded = None -> degraded := Some d
-          | _ -> ())
-        | _ -> assert false)
-      results;
-    let stats =
-      {
-        !acc with
-        cells_changed = !cells_changed;
-        runtime = Unix.gettimeofday () -. started;
-      }
-    in
-    let report =
-      Report.make ~engine:"batch_repair"
-        ~summary:
-          [
-            ("steps", Dq_obs.Json.Int stats.steps);
-            ("merges", Dq_obs.Json.Int stats.merges);
-            ("rhs_fixes", Dq_obs.Json.Int stats.rhs_fixes);
-            ("lhs_fixes", Dq_obs.Json.Int stats.lhs_fixes);
-            ("nulls_introduced", Dq_obs.Json.Int stats.nulls_introduced);
-            ("cells_changed", Dq_obs.Json.Int stats.cells_changed);
-            ("shards", Dq_obs.Json.Int n_groups);
-          ]
-        ~phases:!phases ~provenance:!provenance ?degraded:!degraded ()
-    in
-    Ok ((rel, stats), report)
-
-let repair ?pool ?(use_dependency_graph = true) ?(deadline = Deadline.never)
-    ?checkpoint ?resume ?partition db sigma =
-  match partition with
-  | None ->
-    repair_single ?pool ~use_dependency_graph ~deadline ?checkpoint ?resume db
-      sigma
-  | Some partition ->
-    if checkpoint <> None || resume <> None then
-      Error
-        (Dq_error.Invalid_config
-           "partitioned repair does not support checkpoint/resume")
-    else if Array.length partition <> Array.length sigma then
-      Error
-        (Dq_error.Invalid_config
-           "partition length does not match the ruleset")
-    else if Array.exists (fun s -> s < 0) partition then
-      Error (Dq_error.Invalid_config "partition contains a negative shard id")
-    else begin
-      let n_shards =
-        Array.fold_left (fun acc s -> max acc (s + 1)) 0 partition
-      in
-      if n_shards <= 1 then
-        repair_single ?pool ~use_dependency_graph ~deadline db sigma
-      else
-        repair_partitioned ?pool ~use_dependency_graph ~deadline db sigma
-          partition n_shards
-    end

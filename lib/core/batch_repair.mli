@@ -31,11 +31,6 @@ type stats = {
   lhs_fixes : int;  (** case-1.2/2.2 LHS changes *)
   nulls_introduced : int;  (** targets upgraded to [null] *)
   cells_changed : int;  (** attribute values differing from the input *)
-  instantiate_visits : int;
-      (** class roots visited across all instantiation rounds — the
-          re-resolution churn metric the shard partition cuts: a
-          full-width run revisits every cell's root each round, a
-          partitioned run only the roots of each shard's own columns *)
   runtime : float;  (** wall-clock seconds *)
 }
 
@@ -47,12 +42,10 @@ type checkpoint_spec = {
 }
 
 val repair :
-  ?pool:Dq_parallel.Pool.t ->
   ?use_dependency_graph:bool ->
   ?deadline:Dq_fault.Deadline.t ->
   ?checkpoint:checkpoint_spec ->
   ?resume:Checkpoint.t ->
-  ?partition:int array ->
   Relation.t ->
   Cfd.t array ->
   ((Relation.t * stats) * Dq_obs.Report.t, Dq_error.t) result
@@ -62,16 +55,13 @@ val repair :
     effective-value change — replaying it over [d] with
     {!Dq_obs.Provenance.replay} reconstructs the repaired relation
     byte-for-byte — and its summary repeats the deterministic counters of
-    [stats], so reports are {!Dq_obs.Report.equal} across job counts.
-    [Error (Internal _)] signals a broken engine invariant (step budget or
-    rescan convergence) — a bug, not a property of the input.
+    [stats].  [Error (Internal _)] signals a broken engine invariant (step
+    budget or rescan convergence) — a bug, not a property of the input.
 
-    The optional [pool] parallelises the initial Dirty_Tuples scan over
-    constant clauses (valid because at initialisation effective values
-    equal original values, so the scan is a pure read); offers are
-    replayed in relation order, keeping the repair byte-identical at any
-    job count.  The resolution loop itself — one globally cheapest fix at
-    a time against shared union–find state — stays sequential.
+    The engine runs on the calling domain: its resolution loop applies
+    one globally cheapest fix at a time against shared union–find state,
+    and its initial scan, a small share of a run, measured slower on two
+    domains than on one.
 
     [PICKNEXT] is realised as a lazy priority queue over (clause, tuple)
     pairs keyed by plan cost: popped pairs are re-verified against the
@@ -113,24 +103,4 @@ val repair :
     instantiation visits roots in sorted order, and the queue's total
     tie-break makes offer order irrelevant.  So a run killed at any point
     and resumed from its last checkpoint produces output byte-identical
-    to a plain run without [checkpoint] or [resume].
-
-    {2 Shard partition}
-
-    [partition] maps each clause id to a shard id (the
-    [Dq_analysis.Interaction] shard plan).  Clause groups with disjoint
-    attribute sets are repaired independently — each over the projection
-    of the input onto its own attributes — and the per-shard results are
-    written back into one copy of the input.  Because no two shards touch
-    a common attribute, the merged relation equals the full-width result,
-    while each shard's queue, buckets and instantiation rounds only visit
-    its own columns (see [stats.instantiate_visits]).  With a [pool],
-    shards run as parallel pool tasks; the merge is in shard order either
-    way, so output does not depend on the job count.  The report's
-    summary gains a ["shards"] count and its phases are
-    ["shardN."]-prefixed.  A partition whose clauses share attributes
-    across shards would break the disjointness argument — use the
-    analyzer's partition, which is correct by construction.  Partitioned
-    repair refuses [checkpoint]/[resume]
-    ([Error (Invalid_config _)]); a partition with a single shard (or
-    [None]) falls back to the ordinary path. *)
+    to a plain run without [checkpoint] or [resume]. *)

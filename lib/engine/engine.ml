@@ -11,12 +11,11 @@ type ctx = {
   deadline : Dq_fault.Deadline.t;
   checkpoint : checkpoint_spec option;
   resume : Checkpoint.t option;
-  partition : int array option;
 }
 
 let ctx ?pool ?(deadline = Dq_fault.Deadline.never) ?checkpoint ?resume
-    ?partition relation sigma =
-  { relation; sigma; pool; deadline; checkpoint; resume; partition }
+    relation sigma =
+  { relation; sigma; pool; deadline; checkpoint; resume }
 
 module type ENGINE = sig
   val name : string
@@ -24,8 +23,6 @@ module type ENGINE = sig
   val doc : string
 
   val supports_checkpoint : bool
-
-  val supports_partition : bool
 
   val ingest : Inc_repair.ordering option
 
@@ -46,8 +43,6 @@ module Batch : ENGINE = struct
 
   let supports_checkpoint = true
 
-  let supports_partition = true
-
   let ingest = None
 
   let fragment _ _ = Ok ()
@@ -59,8 +54,8 @@ module Batch : ENGINE = struct
         c.checkpoint
     in
     match
-      Batch_repair.repair ?pool:c.pool ~deadline:c.deadline ?checkpoint
-        ?resume:c.resume ?partition:c.partition c.relation c.sigma
+      Batch_repair.repair ~deadline:c.deadline ?checkpoint ?resume:c.resume
+        c.relation c.sigma
     with
     | Ok ((repaired, stats), report) ->
       Ok
@@ -71,11 +66,11 @@ module Batch : ENGINE = struct
 end
 
 (* The three INCREPAIR orderings share one adapter: tuple-at-a-time
-   resolution keeps no pass-boundary state, so neither checkpointing nor
-   the shard partition applies — but precisely because each tuple is
-   resolved against the repair built so far, they are the engines that
-   can ingest a delta into a clean relation (what serve sessions do,
-   through [Inc_repair.insert] in their ordering). *)
+   resolution keeps no pass-boundary state, so checkpointing does not
+   apply — but precisely because each tuple is resolved against the
+   repair built so far, they are the engines that can ingest a delta
+   into a clean relation (what serve sessions do, through
+   [Inc_repair.insert] in their ordering). *)
 let inc_engine engine_name ordering : (module ENGINE) =
   (module struct
     let name = engine_name
@@ -87,8 +82,6 @@ let inc_engine engine_name ordering : (module ENGINE) =
         (Inc_repair.ordering_name ordering)
 
     let supports_checkpoint = false
-
-    let supports_partition = false
 
     let ingest = Some ordering
 
@@ -114,11 +107,6 @@ module Opt_fd : ENGINE = struct
 
   let supports_checkpoint = true
 
-  (* The sweep already treats every RHS attribute independently, so the
-     shard partition cannot change its result: accepting --partition is a
-     provable no-op rather than a refusal. *)
-  let supports_partition = true
-
   let ingest = None
 
   let fragment = Opt_fd_repair.fragment
@@ -130,8 +118,8 @@ module Opt_fd : ENGINE = struct
         c.checkpoint
     in
     match
-      Opt_fd_repair.repair ?pool:c.pool ~deadline:c.deadline ?checkpoint
-        ?resume:c.resume c.relation c.sigma
+      Opt_fd_repair.repair ~deadline:c.deadline ?checkpoint ?resume:c.resume
+        c.relation c.sigma
     with
     | Ok ((repaired, stats), report) ->
       Ok

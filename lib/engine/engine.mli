@@ -3,22 +3,20 @@
     An engine turns a dirty relation and a ruleset Σ into a repaired
     relation plus a structured {!Dq_obs.Report.t}.  Everything an
     invocation needs — the relation, Σ, and the shared execution hooks
-    (worker pool, cooperative deadline, checkpoint/resume, shard
-    partition) — travels in one {!type-ctx} record, built once by the
-    caller with {!val-ctx}.  The CLI's [repair --engine NAME], the
-    differential test harness and the bench head-to-head all hand
-    engines the same record, so no layer re-parses another layer's
-    option spelling, and a new engine becomes a drop-in everywhere by
-    implementing {!ENGINE} and calling {!register} (or joining the
-    built-in list).  The serve daemon's sessions pick an engine by name
+    (worker pool, cooperative deadline, checkpoint/resume) — travels in
+    one {!type-ctx} record, built once by the caller with {!val-ctx}.
+    The CLI's [repair --engine NAME], the differential test harness and
+    the bench head-to-head all hand engines the same record, so no layer
+    re-parses another layer's option spelling, and a new engine becomes
+    a drop-in everywhere by implementing {!ENGINE} and calling
+    {!register} (or joining the built-in list).  The serve daemon's sessions pick an engine by name
     and read only its {!ENGINE.ingest} ordering.
 
     Contract every engine must honour (what the differential suite
     checks):
     - the returned relation satisfies Σ ([Violation.total] = 0), unless
       the report is marked degraded by a deadline cut;
-    - output is byte-identical at any job count, and under [--partition]
-      when [supports_partition];
+    - output is byte-identical at any job count;
     - the report's provenance trail replays: [Provenance.replay] over
       the dirty input reproduces the repaired relation;
     - unsupported Σ fragments are rejected up front by {!val-fragment}
@@ -30,18 +28,19 @@ open Dq_cfd
 type checkpoint_spec = { path : string; every : int }
 
 (** The one context record shared by every engine invocation: the
-    instance itself plus the execution hooks.  Engines ignore hooks they
-    do not support only after the caller has gated on the capability
-    flags — the CLI refuses [--checkpoint]/[--partition] for engines
-    that would silently drop them. *)
+    instance itself plus the execution hooks.  Engines ignore checkpoint
+    hooks only after the caller has gated on {!ENGINE.supports_checkpoint}
+    — the CLI refuses [--checkpoint]/[--resume] for engines that would
+    silently drop them. *)
 type ctx = {
   relation : Relation.t;  (** the instance to repair *)
   sigma : Cfd.t array;  (** the ruleset Σ, already resolved *)
   pool : Dq_parallel.Pool.t option;
+      (** read by the inc family's violation counts; batch and opt-fd
+          run on the calling domain *)
   deadline : Dq_fault.Deadline.t;
   checkpoint : checkpoint_spec option;
   resume : Dq_core.Checkpoint.t option;
-  partition : int array option;
 }
 
 val ctx :
@@ -49,12 +48,10 @@ val ctx :
   ?deadline:Dq_fault.Deadline.t ->
   ?checkpoint:checkpoint_spec ->
   ?resume:Dq_core.Checkpoint.t ->
-  ?partition:int array ->
   Relation.t ->
   Cfd.t array ->
   ctx
-(** Build a context.  Defaults: no pool, no deadline, no checkpointing,
-    no partition. *)
+(** Build a context.  Defaults: no pool, no deadline, no checkpointing. *)
 
 module type ENGINE = sig
   val name : string
@@ -65,9 +62,6 @@ module type ENGINE = sig
 
   val supports_checkpoint : bool
   (** Whether [ctx.checkpoint]/[ctx.resume] are honoured. *)
-
-  val supports_partition : bool
-  (** Whether [ctx.partition] is honoured (or provably a no-op). *)
 
   val ingest : Dq_core.Inc_repair.ordering option
   (** [Some ordering] when a serve session can run on this engine: the

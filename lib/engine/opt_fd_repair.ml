@@ -61,7 +61,7 @@ let fragment schema sigma =
 
 (* ---- the stratified sweep ---------------------------------------------- *)
 
-let repair ?pool:_ ?(deadline = Deadline.never) ?checkpoint ?resume db sigma =
+let repair ?(deadline = Deadline.never) ?checkpoint ?resume db sigma =
   Trace.span ~cat:"engine"
     ~args:(fun () ->
       [

@@ -22,10 +22,13 @@
     engine's, and it introduces no nulls at all.
 
     The repair is optimal only when Σ is also {e chain-free}: no RHS
-    attribute is on some clause's LHS.  On a chain the sweep fixes an
-    attribute group by group before reading it as an LHS, so it may
-    pay downstream for a value a cheaper repair would have chosen to
-    suit the next stratum.  With Σ = \{A → B, B → C\} over (xyz, xbc,
+    attribute is on some clause's LHS.  Optimal means cheapest among the
+    repairs that change only RHS cells, each to a value of its
+    attribute's active domain; an exhaustive oracle in the engine suite
+    enumerates that class on small random instances.  On a chain the
+    sweep fixes an attribute group by group before reading it as an
+    LHS, so it may pay downstream for a value a cheaper repair would
+    have chosen to suit the next stratum.  With Σ = \{A → B, B → C\} over (xyz, xbc,
     abc), (xbc, abc, xbc), (xyz, abc, abc), it gives the A = xyz group
     B = abc and then changes a C, at cost 0.667; changing the third
     tuple's B to xbc costs 0.333.  What holds on chains is one sweep
@@ -62,7 +65,6 @@ val fragment : Schema.t -> Cfd.t array -> (unit, string) result
     first offending clause or the cycle count. *)
 
 val repair :
-  ?pool:Dq_parallel.Pool.t ->
   ?deadline:Dq_fault.Deadline.t ->
   ?checkpoint:checkpoint_spec ->
   ?resume:Dq_core.Checkpoint.t ->
@@ -72,6 +74,5 @@ val repair :
 (** Fragment violations return [Error (Engine_unsupported _)].  A
     deadline cut before any stratum completed (on a fresh run) returns
     [Error Deadline_exceeded]; later cuts return the strata finished so
-    far with [degraded] set and progress = strata done / total.  [pool]
-    is accepted for signature parity and unused: the sweep is cheap and
-    already independent per attribute. *)
+    far with [degraded] set and progress = strata done / total.  The
+    sweep runs on the calling domain. *)

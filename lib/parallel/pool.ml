@@ -20,7 +20,8 @@ type t = {
   lock : Mutex.t;
   work_available : Condition.t;
   mutable closed : bool;
-  mutable workers : unit Domain.t array;
+  mutable spawned : bool;
+  mutable workers : unit Domain.t list;
 }
 
 let default_jobs () = Domain.recommended_domain_count ()
@@ -58,26 +59,36 @@ let worker pool () =
 let create ~jobs =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Pool.create: jobs must be >= 1 (got %d)" jobs);
-  let pool =
-    {
-      jobs;
-      queue = Queue.create ();
-      lock = Mutex.create ();
-      work_available = Condition.create ();
-      closed = false;
-      workers = [||];
-    }
-  in
-  pool.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (worker pool));
-  pool
+  {
+    jobs;
+    queue = Queue.create ();
+    lock = Mutex.create ();
+    work_available = Condition.create ();
+    closed = false;
+    spawned = false;
+    workers = [];
+  }
+
+(* Called with [pool.lock] held, at the first batch that can use workers,
+   so a pool whose holder never submits two tasks at once spawns none.
+   Each worker is recorded as soon as it exists: if a spawn fails, the
+   ones before it are still joined by [shutdown], and no later batch
+   tries again. *)
+let spawn_workers pool =
+  if not (pool.spawned || pool.closed) then begin
+    pool.spawned <- true;
+    for _ = 2 to pool.jobs do
+      pool.workers <- Domain.spawn (worker pool) :: pool.workers
+    done
+  end
 
 let shutdown pool =
   Mutex.lock pool.lock;
   pool.closed <- true;
   Condition.broadcast pool.work_available;
   Mutex.unlock pool.lock;
-  Array.iter Domain.join pool.workers;
-  pool.workers <- [||]
+  List.iter Domain.join pool.workers;
+  pool.workers <- []
 
 let with_pool ?jobs f =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
@@ -152,9 +163,12 @@ let run ?(deadline = Deadline.never) pool tasks =
       end
     in
     Mutex.lock pool.lock;
-    Array.iter (fun f -> Queue.add (wrap f) pool.queue) tasks;
-    Condition.broadcast pool.work_available;
-    Mutex.unlock pool.lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock pool.lock)
+      (fun () ->
+        spawn_workers pool;
+        Array.iter (fun f -> Queue.add (wrap f) pool.queue) tasks;
+        Condition.broadcast pool.work_available);
     (* The caller helps drain the queue instead of idling: with j jobs the
        batch runs on j domains, and a busy pool can never deadlock its
        submitter. *)

@@ -9,7 +9,9 @@
 
     A pool with [jobs = 1] spawns no domains and runs everything in the
     calling domain, making the sequential path literally the same code as
-    the parallel one.  The caller also participates in draining the task
+    the parallel one.  A larger pool spawns its [jobs - 1] workers at its
+    first batch of two or more tasks, so a holder that never submits one
+    costs no domains.  The caller also participates in draining the task
     queue while waiting on a batch, so a pool of [jobs = n] uses [n]
     domains in total ([n - 1] workers plus the caller).
 
@@ -32,15 +34,17 @@ val default_jobs : unit -> int
     [--jobs]. *)
 
 val create : jobs:int -> t
-(** A pool of [jobs] domains ([jobs - 1] spawned workers; the caller is
-    the last).  @raise Invalid_argument if [jobs < 1]. *)
+(** A pool of [jobs] domains ([jobs - 1] workers, spawned by the first
+    {!run} of two or more tasks; the caller is the last).
+    @raise Invalid_argument if [jobs < 1]. *)
 
 val jobs : t -> int
 
 val shutdown : t -> unit
-(** Join the worker domains.  Idempotent.  Outstanding batches must have
-    completed (every [run] returns only once its tasks are done, so this
-    only matters for exceptional control flow). *)
+(** Join the worker domains, if any were spawned.  Idempotent.
+    Outstanding batches must have completed (every [run] returns only
+    once its tasks are done, so this only matters for exceptional control
+    flow). *)
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] — even on exceptions.  [jobs] defaults to

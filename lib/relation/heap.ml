@@ -18,9 +18,9 @@ let swap h i j =
    priority compare unordered and pop in an order that depends on the
    heap's internal layout — i.e. on the interleaved history of every add
    and pop.  With [tie], the order is total, so [pop_min] is a pure
-   function of the heap's *contents*: callers that need replayable or
-   composable pop sequences (the repair queue, whose shard-partitioned
-   runs must replay the full-width run's per-shard decisions) pass one. *)
+   function of the heap's *contents*: callers that need replayable pop
+   sequences (the repair queue, whose resumed runs must replay the
+   uninterrupted run's decisions) pass one. *)
 let before h i j =
   let pi, xi = Vec.get h.data i and pj, xj = Vec.get h.data j in
   pi < pj

@@ -12,7 +12,8 @@ type t
 val create : workers:int -> t
 (** Spawn [workers] (>= 1) worker domains.  Each worker domain counts
     against the runtime's domain budget alongside the repair pool's
-    [jobs - 1] domains. *)
+    [jobs - 1] domains, which that pool spawns at its first parallel
+    batch. *)
 
 val exec : t -> (unit -> 'a) -> 'a
 (** Run the job on a worker domain, blocking the calling thread until it

@@ -1,12 +1,14 @@
 (* Differential cross-engine suite: every registered engine must satisfy
    the {!Dq_engine.Engine.ENGINE} contract on random instances — a
-   Σ-consistent repair, byte-identical output at any job count (and under
-   the shard partition where supported), a replayable provenance trail —
-   and the opt-fd engine must additionally beat (or tie) BATCHREPAIR's
-   cost on its own fragment.  It is optimal there only when Σ has no
-   chain (an RHS attribute on some clause's LHS); on chains it is one
-   sweep whose cost never exceeds batch's, and the unit test below pins
-   a chain where both miss the optimum. *)
+   Σ-consistent repair, byte-identical output at any job count, a
+   replayable provenance trail — and the opt-fd engine must additionally
+   beat (or tie) BATCHREPAIR's cost on its own fragment.  An exhaustive
+   oracle checks opt-fd against the cheapest repair that changes only RHS
+   cells, each to a value of its attribute's active domain: it is never
+   below that optimum, and equal to it when Σ has no chain (an RHS
+   attribute on some clause's LHS).  On chains it is one sweep whose cost
+   never exceeds batch's, and the unit test below pins a chain where both
+   miss the optimum. *)
 
 open Dq_relation
 open Dq_cfd
@@ -21,14 +23,12 @@ let engine name =
   | Ok e -> e
   | Error e -> Alcotest.failf "Engine.find %s: %s" name (Dq_error.to_string e)
 
-let run ?pool ?deadline ?checkpoint ?resume ?partition name rel sigma =
+let run ?pool ?deadline ?checkpoint ?resume name rel sigma =
   let (module E : Engine.ENGINE) = engine name in
-  Helpers.ok2
-    (E.run (Engine.ctx ?pool ?deadline ?checkpoint ?resume ?partition rel sigma))
+  Helpers.ok2 (E.run (Engine.ctx ?pool ?deadline ?checkpoint ?resume rel sigma))
 
-let repair_of ?pool ?deadline ?checkpoint ?resume ?partition name rel sigma =
-  fst
-    (fst (run ?pool ?deadline ?checkpoint ?resume ?partition name rel sigma))
+let repair_of ?pool ?deadline ?checkpoint ?resume name rel sigma =
+  fst (fst (run ?pool ?deadline ?checkpoint ?resume name rel sigma))
 
 let all_names = [ "batch"; "inc"; "l-inc"; "w-inc"; "opt-fd" ]
 
@@ -71,15 +71,6 @@ let split_fd_sigma_gen =
     let* left = clause [ "A"; "B" ] in
     let* right = clause [ "C"; "D" ] in
     return (Cfd.number [ left; right ]))
-
-let partition_instance_gen =
-  QCheck.Gen.(pair relation_gen (oneof [ fd_sigma_gen; split_fd_sigma_gen ]))
-
-let partition_of sigma =
-  (Dq_analysis.Interaction.analyze schema sigma).Dq_analysis.Interaction.partition
-
-let shards partition =
-  List.length (List.sort_uniq Int.compare (Array.to_list partition))
 
 (* ---- differential properties ------------------------------------------- *)
 
@@ -144,20 +135,6 @@ let prop_engines_jobs_invariant =
           let csv1, report1 = at 1 and csv4, report4 = at 4 in
           String.equal csv1 csv4 && Dq_obs.Report.equal report1 report4)
         all_names)
-
-let prop_partition_invariant =
-  QCheck.Test.make
-    ~name:"--partition leaves batch and opt-fd output byte-identical"
-    ~count:40
-    (QCheck.make partition_instance_gen)
-    (fun (rel, sigma) ->
-      let partition = partition_of sigma in
-      List.for_all
-        (fun name ->
-          let plain = Csv.save_string (repair_of name rel sigma) in
-          let sharded = Csv.save_string (repair_of ~partition name rel sigma) in
-          String.equal plain sharded)
-        [ "batch"; "opt-fd" ])
 
 let prop_provenance_replays =
   QCheck.Test.make
@@ -261,22 +238,6 @@ let test_fault_plan_differential () =
         plain faulted)
     all_names
 
-(* [prop_partition_invariant] checks batch's partitioned path only when
-   an instance has two shards: a third of its draws at least must. *)
-let test_partition_instances_have_two_shards () =
-  let rand = Random.State.make [| 20 |] in
-  let n = 300 in
-  let two =
-    List.length
-      (List.filter
-         (fun _ -> shards (partition_of (snd (partition_instance_gen rand))) >= 2)
-         (List.init n Fun.id))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d of %d instances have two shards" two n)
-    true
-    (3 * two >= n)
-
 (* A chain: B is the RHS of A -> B and the LHS of B -> C.  opt-fd's
    sweep gives the A = xyz group B = abc and must then change a C, and
    batch pays as much.  Changing the third tuple's B to xbc satisfies Σ
@@ -314,6 +275,128 @@ let test_opt_fd_not_optimal_on_chains () =
     "l-inc sets the third tuple's B to xbc"
     "A,B,C\nxyz,xbc,abc\nxbc,abc,xbc\nxyz,xbc,abc\n"
     (Csv.save_string l_inc_repair)
+
+(* ---- exhaustive oracle ------------------------------------------------- *)
+
+(* Instances small enough to enumerate: 2–4 tuples over A..D with values
+   from four strings, and an opt-fd Σ of 1–3 FDs, half of the draws split
+   over {A, B} and {C, D} so two-shard rulesets stay in the suite. *)
+let oracle_instance_gen =
+  QCheck.Gen.(
+    let value = map Value.string (oneofl [ "ab"; "abc"; "xbc"; "xyz" ]) in
+    let rel =
+      map
+        (fun rows ->
+          let rel = Relation.create schema in
+          List.iter (fun row -> ignore (Relation.insert rel row)) rows;
+          rel)
+        (list_size (2 -- 4) (array_size (return (List.length attrs)) value))
+    in
+    let fds = map Cfd.number (list_size (1 -- 3) fd_clause_gen) in
+    pair rel (oneof [ fds; split_fd_sigma_gen ]))
+
+let print_oracle_instance (rel, sigma) =
+  Csv.save_string rel
+  ^ String.concat "\n" (Array.to_list (Array.map (Fmt.str "%a" Cfd.pp) sigma))
+
+(* No RHS attribute is on any clause's LHS. *)
+let chain_free sigma =
+  Array.for_all
+    (fun c ->
+      Array.for_all (fun c' -> not (Array.mem (Cfd.rhs c) (Cfd.lhs c'))) sigma)
+    sigma
+
+(* The cost, by [Cost.repair_cost], of the cheapest repair satisfying Σ
+   among those that change only RHS cells, each to a value of its
+   attribute's active domain; [None] when there are more than [limit]
+   such assignments.  The enumeration cuts a branch once its partial
+   cost reaches the best found, since costs only grow.  Some assignment
+   always satisfies Σ: every RHS column set to a single value. *)
+let oracle_optimum ?(limit = 65_536) rel sigma =
+  let tuples = Relation.tuples rel in
+  let adom attr =
+    List.sort_uniq Value.compare
+      (Array.to_list (Array.map (fun t -> Tuple.get t attr) tuples))
+  in
+  let rhs_attrs =
+    List.sort_uniq Int.compare (Array.to_list (Array.map Cfd.rhs sigma))
+  in
+  let cells =
+    List.concat
+      (List.init (Array.length tuples) (fun i ->
+           List.map (fun a -> (i, a, adom a)) rhs_attrs))
+  in
+  let space =
+    List.fold_left
+      (fun acc (_, _, dom) -> min (limit + 1) (acc * List.length dom))
+      1 cells
+  in
+  if space > limit then None
+  else begin
+    let values =
+      Array.map (fun t -> Array.init (Tuple.arity t) (Tuple.get t)) tuples
+    in
+    let n = Array.length values in
+    let satisfied cfd =
+      let lhs = Cfd.lhs cfd and rhs = Cfd.rhs cfd in
+      let rec pairs i j =
+        if i >= n then true
+        else if j >= n then pairs (i + 1) (i + 2)
+        else if
+          Array.for_all (fun a -> Value.equal values.(i).(a) values.(j).(a)) lhs
+          && not (Value.equal values.(i).(rhs) values.(j).(rhs))
+        then false
+        else pairs i (j + 1)
+      in
+      pairs 0 1
+    in
+    let best = ref (infinity, [||]) in
+    let rec go cost = function
+      | [] ->
+        if Array.for_all satisfied sigma then
+          best := (cost, Array.map Array.copy values)
+      | (i, a, dom) :: rest ->
+        let t = tuples.(i) in
+        List.iter
+          (fun v ->
+            let cost =
+              cost +. Cost.change ~weight:(Tuple.weight t a) (Tuple.get t a) v
+            in
+            if cost < fst !best then begin
+              values.(i).(a) <- v;
+              go cost rest
+            end)
+          dom;
+        values.(i).(a) <- Tuple.get t a
+    in
+    go 0. cells;
+    let repair = Relation.create (Relation.schema rel) in
+    Array.iteri
+      (fun i t ->
+        Relation.add repair (Tuple.create ~tid:(Tuple.tid t) (snd !best).(i)))
+      tuples;
+    Some (Cost.repair_cost ~original:rel ~repair)
+  end
+
+let prop_opt_fd_oracle =
+  QCheck.Test.make ~count:1000
+    ~name:"opt-fd is never below the exhaustive optimum, equal on chain-free Σ"
+    (QCheck.make ~print:print_oracle_instance oracle_instance_gen)
+    (fun (rel, sigma) ->
+      match oracle_optimum rel sigma with
+      | None -> true (* too many assignments to enumerate *)
+      | Some optimum ->
+        let cost =
+          Cost.repair_cost ~original:rel ~repair:(repair_of "opt-fd" rel sigma)
+        in
+        if cost < optimum -. 1e-9 then
+          QCheck.Test.fail_reportf "opt-fd cost %.6f below the optimum %.6f"
+            cost optimum
+        else if chain_free sigma && cost > optimum +. 1e-9 then
+          QCheck.Test.fail_reportf
+            "opt-fd cost %.6f above the optimum %.6f on chain-free Σ" cost
+            optimum
+        else true)
 
 let test_unknown_engine () =
   match Engine.find "bogus" with
@@ -355,8 +438,6 @@ let suite =
       test_cross_engine_resume_refused;
     Alcotest.test_case "delay fault plans never change output" `Quick
       test_fault_plan_differential;
-    Alcotest.test_case "partition instances: a third have two shards" `Quick
-      test_partition_instances_have_two_shards;
     Alcotest.test_case "opt-fd is not optimal on a chain" `Quick
       test_opt_fd_not_optimal_on_chains;
   ]
@@ -366,6 +447,6 @@ let suite =
         prop_fd_fragment_differential;
         prop_opt_fd_cost_le_batch;
         prop_engines_jobs_invariant;
-        prop_partition_invariant;
         prop_provenance_replays;
+        prop_opt_fd_oracle;
       ]

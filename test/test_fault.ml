@@ -217,27 +217,18 @@ let degraded_of = function
 let test_batch_deadline_determinism () =
   let rel, sigma = dirty_fixture 250 in
   (* A pass-count cut is deterministic: the same k yields the same bytes
-     at any job count, and a cut run is marked degraded. *)
-  let cut k jobs =
-    Pool.with_pool ~jobs @@ fun pool ->
-    let r =
-      Batch_repair.repair ~pool ~deadline:(Deadline.after_passes k) rel sigma
-    in
+     on every run, and a cut run is marked degraded. *)
+  let cut k =
+    let r = Batch_repair.repair ~deadline:(Deadline.after_passes k) rel sigma in
     (batch_key (Helpers.ok r), degraded_of r <> None)
   in
-  let k1, d1 = cut 1 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "cut at pass 1 identical (jobs=%d)" jobs)
-        true
-        ((k1, d1) = cut 1 jobs))
-    job_counts;
+  let k1, d1 = cut 1 in
+  Alcotest.(check bool) "cut at pass 1 identical" true ((k1, d1) = cut 1);
   Alcotest.(check bool) "cut run is degraded" true d1;
   (* A budget the run never exhausts leaves the result — and the absence
      of a degraded marker — untouched. *)
   let full = batch_key (Helpers.ok (Batch_repair.repair rel sigma)) in
-  let huge, dh = cut 10_000 4 in
+  let huge, dh = cut 10_000 in
   Alcotest.(check bool) "unreached budget = no deadline" true (full = huge);
   Alcotest.(check bool) "not degraded" false dh
 
@@ -252,14 +243,11 @@ let test_batch_deadline_zero () =
 
 (* A plain run — no checkpoint, no resume, no deadline — is the baseline
    every kill-and-resume comparison is against. *)
-let plain_run ?pool rel sigma =
-  batch_key (Helpers.ok (Batch_repair.repair ?pool rel sigma))
+let plain_run rel sigma = batch_key (Helpers.ok (Batch_repair.repair rel sigma))
 
-let checkpointing_run ?pool rel sigma path =
+let checkpointing_run rel sigma path =
   Helpers.ok
-    (Batch_repair.repair ?pool
-       ~checkpoint:{ Batch_repair.path; every = 1 }
-       rel sigma)
+    (Batch_repair.repair ~checkpoint:{ Batch_repair.path; every = 1 } rel sigma)
 
 let last_boundary path =
   match Checkpoint.load path with
@@ -268,74 +256,62 @@ let last_boundary path =
 
 let test_kill_resume_identity () =
   let rel, sigma = dirty_fixture 250 in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs @@ fun pool ->
-      let full = plain_run ~pool rel sigma in
-      in_temp_file @@ fun path ->
-      (* Kill the run at the first pass boundary via the repair.pass
-         fault site, which fires just {e after} the boundary's
-         checkpoint is written — the crash window resume exists for. *)
-      (match
-         with_plan "repair.pass@1" (fun () ->
-             Batch_repair.repair ~pool
-               ~checkpoint:{ Batch_repair.path; every = 1 }
-               rel sigma)
-       with
-      | exception Fault.Injected "repair.pass" -> ()
-      | exception e -> raise e
-      | Ok _ -> Alcotest.fail "fault should have killed the run"
-      | Error e -> Alcotest.failf "wrong error: %s" (Dq_error.to_string e));
-      Alcotest.(check int) "killed after checkpoint 1" 1 (last_boundary path);
-      let cp =
-        match Checkpoint.load path with
-        | Ok cp -> cp
-        | Error msg -> Alcotest.failf "checkpoint unreadable: %s" msg
-      in
-      let resumed =
-        batch_key
-          (Helpers.ok
-             (Batch_repair.repair ~pool ~resume:cp
-                ~checkpoint:{ Batch_repair.path; every = 1 }
-                rel sigma))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "kill+resume = plain run (jobs=%d)" jobs)
-        true (resumed = full))
-    [ 1; 4 ]
+  let full = plain_run rel sigma in
+  in_temp_file @@ fun path ->
+  (* Kill the run at the first pass boundary via the repair.pass fault
+     site, which fires just {e after} the boundary's checkpoint is
+     written — the crash window resume exists for. *)
+  (match
+     with_plan "repair.pass@1" (fun () ->
+         Batch_repair.repair
+           ~checkpoint:{ Batch_repair.path; every = 1 }
+           rel sigma)
+   with
+  | exception Fault.Injected "repair.pass" -> ()
+  | exception e -> raise e
+  | Ok _ -> Alcotest.fail "fault should have killed the run"
+  | Error e -> Alcotest.failf "wrong error: %s" (Dq_error.to_string e));
+  Alcotest.(check int) "killed after checkpoint 1" 1 (last_boundary path);
+  let cp =
+    match Checkpoint.load path with
+    | Ok cp -> cp
+    | Error msg -> Alcotest.failf "checkpoint unreadable: %s" msg
+  in
+  let resumed =
+    batch_key
+      (Helpers.ok
+         (Batch_repair.repair ~resume:cp
+            ~checkpoint:{ Batch_repair.path; every = 1 }
+            rel sigma))
+  in
+  Alcotest.(check bool) "kill+resume = plain run" true (resumed = full)
 
 let test_deadline_cut_resume_identity () =
   (* Same prefix property via deadlines instead of faults: cut at pass k,
      resume from the checkpoint, land on the plain run's bytes. *)
   let rel, sigma = dirty_fixture 250 in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs @@ fun pool ->
-      let full = plain_run ~pool rel sigma in
-      in_temp_file @@ fun path ->
-      let _cut =
-        Helpers.ok
-          (Batch_repair.repair ~pool
-             ~deadline:(Deadline.after_passes 1)
-             ~checkpoint:{ Batch_repair.path; every = 1 }
-             rel sigma)
-      in
-      let cp =
-        match Checkpoint.load path with
-        | Ok cp -> cp
-        | Error msg -> Alcotest.failf "checkpoint unreadable: %s" msg
-      in
-      let resumed =
-        batch_key
-          (Helpers.ok
-             (Batch_repair.repair ~pool ~resume:cp
-                ~checkpoint:{ Batch_repair.path; every = 1 }
-                rel sigma))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "deadline cut + resume = plain run (jobs=%d)" jobs)
-        true (resumed = full))
-    [ 1; 4 ]
+  let full = plain_run rel sigma in
+  in_temp_file @@ fun path ->
+  let _cut =
+    Helpers.ok
+      (Batch_repair.repair
+         ~deadline:(Deadline.after_passes 1)
+         ~checkpoint:{ Batch_repair.path; every = 1 }
+         rel sigma)
+  in
+  let cp =
+    match Checkpoint.load path with
+    | Ok cp -> cp
+    | Error msg -> Alcotest.failf "checkpoint unreadable: %s" msg
+  in
+  let resumed =
+    batch_key
+      (Helpers.ok
+         (Batch_repair.repair ~resume:cp
+            ~checkpoint:{ Batch_repair.path; every = 1 }
+            rel sigma))
+  in
+  Alcotest.(check bool) "deadline cut + resume = plain run" true (resumed = full)
 
 (* A checkpoint whose targets leave Σ violated: the queue it resumes
    with is empty, so only the check at the first boundary can find the
@@ -453,23 +429,13 @@ let test_resume_fingerprint_mismatch () =
 
 let test_checkpointing_unchanged () =
   (* Checkpointing only observes: an uninterrupted checkpointing run
-     makes the same decisions as a plain run, at every job count. *)
+     makes the same decisions as a plain run. *)
   let rel, sigma = dirty_fixture 250 in
   let plain = plain_run rel sigma in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs @@ fun pool ->
-      Alcotest.(check bool)
-        (Printf.sprintf "plain run stable (jobs=%d)" jobs)
-        true
-        (plain_run ~pool rel sigma = plain);
-      Alcotest.(check bool)
-        (Printf.sprintf "checkpointing run = plain run (jobs=%d)" jobs)
-        true
-        (in_temp_file (fun p ->
-             batch_key (checkpointing_run ~pool rel sigma p))
-        = plain))
-    job_counts
+  Alcotest.(check bool) "plain run stable" true (plain_run rel sigma = plain);
+  Alcotest.(check bool)
+    "checkpointing run = plain run" true
+    (in_temp_file (fun p -> batch_key (checkpointing_run rel sigma p)) = plain)
 
 (* ---- incremental repair: deadlines ------------------------------------ *)
 

@@ -233,22 +233,24 @@ let test_report_timing_excluded () =
 
 (* ---- determinism across job counts ------------------------------------ *)
 
+(* INCREPAIR's consistent core and V-ordering chunk [vio_counts] across
+   the pool's domains, so its reports are where a job count could show. *)
 let job_counts = [ 1; 4; 7 ]
 
-let batch_stable ?pool rel sigma =
+let inc_stable ?pool rel sigma =
   Json.to_string
-    (Report.stable_json (ok_report (Batch_repair.repair ?pool rel sigma)))
+    (Report.stable_json (ok_report (Inc_repair.repair_dirty ?pool rel sigma)))
 
 let test_report_stable_under_jobs () =
   let db = fig1_db () and sigma = fig1_sigma () in
-  let expected = batch_stable db sigma in
+  let expected = inc_stable db sigma in
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs @@ fun pool ->
       Alcotest.(check string)
         (Printf.sprintf "stable_json identical at jobs=%d" jobs)
         expected
-        (batch_stable ~pool db sigma))
+        (inc_stable ~pool db sigma))
     job_counts
 
 let prop_report_stable_under_jobs =
@@ -257,11 +259,11 @@ let prop_report_stable_under_jobs =
     Gen.instance
     (fun (rel, sigma) ->
       QCheck.assume (Dq_cfd.Satisfiability.is_satisfiable Gen.schema sigma);
-      let expected = batch_stable rel sigma in
+      let expected = inc_stable rel sigma in
       List.for_all
         (fun jobs ->
           Pool.with_pool ~jobs @@ fun pool ->
-          String.equal expected (batch_stable ~pool rel sigma))
+          String.equal expected (inc_stable ~pool rel sigma))
         job_counts)
 
 (* ---- provenance replay ------------------------------------------------ *)
@@ -290,20 +292,16 @@ let check_changed_cells_covered before after entries =
 
 let test_batch_replay_reconstructs () =
   let db = fig1_db () and sigma = fig1_sigma () in
-  let run ?pool () =
-    let (repaired, _stats), report = ok2 (Batch_repair.repair ?pool db sigma) in
-    Alcotest.(check bool)
-      "repair changed something" true
-      (List.length report.Report.provenance > 0);
-    check_changed_cells_covered db repaired report.Report.provenance;
-    let replayed = Provenance.replay db report.Report.provenance in
-    Alcotest.(check string)
-      "replay reproduces the repair byte-for-byte"
-      (Csv.save_string repaired)
-      (Csv.save_string replayed)
-  in
-  run ();
-  Pool.with_pool ~jobs:4 (fun pool -> run ~pool ())
+  let (repaired, _stats), report = ok2 (Batch_repair.repair db sigma) in
+  Alcotest.(check bool)
+    "repair changed something" true
+    (List.length report.Report.provenance > 0);
+  check_changed_cells_covered db repaired report.Report.provenance;
+  let replayed = Provenance.replay db report.Report.provenance in
+  Alcotest.(check string)
+    "replay reproduces the repair byte-for-byte"
+    (Csv.save_string repaired)
+    (Csv.save_string replayed)
 
 let test_inc_replay_reconstructs () =
   let db = fig1_db () and sigma = fig1_sigma () in
@@ -446,7 +444,7 @@ let test_trace_well_formed () =
   let _, events =
     traced (fun () ->
         Pool.with_pool ~jobs:4 @@ fun pool ->
-        ok2 (Batch_repair.repair ~pool db sigma))
+        ok2 (Inc_repair.repair_dirty ~pool db sigma))
   in
   Alcotest.(check bool) "events recorded" true (events <> []);
   check_well_formed events;
@@ -485,7 +483,7 @@ let test_trace_paths_jobs_independent () =
     let _, events =
       traced (fun () ->
           Pool.with_pool ~jobs @@ fun pool ->
-          ok2 (Batch_repair.repair ~pool db sigma))
+          ok2 (Inc_repair.repair_dirty ~pool db sigma))
     in
     path_set events
   in
@@ -504,7 +502,7 @@ let prop_trace_paths_jobs_independent =
         let _, events =
           traced (fun () ->
               Pool.with_pool ~jobs @@ fun pool ->
-              ok_report (Batch_repair.repair ~pool rel sigma))
+              ok_report (Inc_repair.repair_dirty ~pool rel sigma))
         in
         check_well_formed events;
         path_set events

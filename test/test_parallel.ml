@@ -149,16 +149,7 @@ let dirty_fixture n =
   let noise = Noise.inject (Noise.default_params ~rate:0.08 ~seed:12 ()) ds in
   (noise.Noise.dirty, ds)
 
-(* Everything observable about a batch repair except wall-clock. *)
-let batch_key (repair, (stats : Batch_repair.stats)) =
-  ( Csv.save_string repair,
-    stats.Batch_repair.steps,
-    stats.Batch_repair.merges,
-    stats.Batch_repair.rhs_fixes,
-    stats.Batch_repair.lhs_fixes,
-    stats.Batch_repair.nulls_introduced,
-    stats.Batch_repair.cells_changed )
-
+(* Everything observable about an incremental repair except wall-clock. *)
 let inc_key (repair, (stats : Inc_repair.stats)) =
   ( Csv.save_string repair,
     stats.Inc_repair.tuples_processed,
@@ -179,9 +170,6 @@ let check_all_jobs name expected f =
 let test_repair_determinism () =
   let rel, ds = dirty_fixture 300 in
   let sigma = ds.Datagen.sigma in
-  let batch = batch_key (Helpers.ok (Batch_repair.repair rel sigma)) in
-  check_all_jobs "Batch_repair.repair" batch (fun pool ->
-      batch_key (Helpers.ok (Batch_repair.repair ~pool rel sigma)));
   let inc = inc_key (Helpers.ok (Inc_repair.repair_dirty rel sigma)) in
   check_all_jobs "Inc_repair.repair_dirty" inc (fun pool ->
       inc_key (Helpers.ok (Inc_repair.repair_dirty ~pool rel sigma)))
@@ -214,8 +202,8 @@ let test_oversubscription () =
     "total with jobs >> tuples"
     (Violation.total rel sigma)
     (Violation.total ~pool rel sigma);
-  let repair, _ = Helpers.ok (Batch_repair.repair rel sigma) in
-  let repair', _ = Helpers.ok (Batch_repair.repair ~pool rel sigma) in
+  let repair, _ = Helpers.ok (Inc_repair.repair_dirty rel sigma) in
+  let repair', _ = Helpers.ok (Inc_repair.repair_dirty ~pool rel sigma) in
   Alcotest.(check int) "repair with jobs >> tuples" 0
     (Relation.dif repair repair')
 
