@@ -1259,8 +1259,8 @@ let generate_cmd =
    owns no stdout envelope (each HTTP response carries its own), prints
    one ready line so scripts can wait for the port, and runs until
    signalled.  kill -9 is the crash path the session store covers. *)
-let serve port state_dir resume jobs log log_level no_metrics slow_request
-    trace limits fault =
+let serve port state_dir resume log log_level no_metrics slow_request trace
+    limits fault =
   (* Telemetry first, so the daemon's own start-up lines are captured.
      [--log -] (the default) sends JSON lines to stderr; [--log FILE]
      appends; [--no-log] leaves no sink installed. *)
@@ -1306,7 +1306,7 @@ let serve port state_dir resume jobs log log_level no_metrics slow_request
     | Ok () -> (
       match
         Dq_serve.Serve.start
-          { Dq_serve.Serve.port; state_dir; jobs; resume; telemetry; limits }
+          { Dq_serve.Serve.port; state_dir; resume; telemetry; limits }
       with
       | Error e ->
         Fmt.epr "cfdclean: %s@." (Dq_error.to_string e);
@@ -1358,14 +1358,6 @@ let serve_cmd =
       value & flag
       & info [ "resume" ]
           ~doc:"Load checkpointed sessions back from $(b,--state-dir) first.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the repair passes (default 1).  Responses \
-             are identical at any job count.")
   in
   let log =
     Arg.(
@@ -1451,9 +1443,10 @@ let serve_cmd =
       value & opt int 0
       & info [ "ingest-workers" ] ~docv:"N"
           ~doc:
-            "Run whole ingest jobs on $(docv) worker domains, so \
-             independent sessions repair in parallel.  $(b,0) (the \
-             default) runs them on the handler thread.")
+            "Run whole ingest and resolve jobs on $(docv) worker domains, \
+             so independent sessions repair in parallel; they are the \
+             daemon's only worker domains.  $(b,0) (the default) runs \
+             jobs on the handler thread.")
   in
   let keep_alive =
     Arg.(
@@ -1546,7 +1539,7 @@ let serve_cmd =
           versioned HTTP/JSON API (see docs/SERVE.md)")
     Term.(
       ret
-        (const serve $ port $ state_dir $ resume $ jobs $ log_term $ log_level
+        (const serve $ port $ state_dir $ resume $ log_term $ log_level
        $ no_metrics $ slow_request $ trace $ limits_term $ fault_plan))
 
 let () =

@@ -219,11 +219,10 @@ let run ~started ~phases ?pool ~ordering ~deadline env delta =
         in
         Ok (stats, report))
 
-let insert ?pool ?(ordering = By_violations) ?(deadline = Deadline.never) env
-    delta =
+let insert ?(ordering = By_violations) ?(deadline = Deadline.never) env delta =
   let started = Unix.gettimeofday () in
   span (Tuple_resolve.relation env) delta (Tuple_resolve.sigma env)
-  @@ fun () -> run ~started ~phases:(ref []) ?pool ~ordering ~deadline env delta
+  @@ fun () -> run ~started ~phases:(ref []) ~ordering ~deadline env delta
 
 (* The CLI's entry points: one fresh relation, one environment over it,
    then the same loop a serve session runs batch by batch. *)

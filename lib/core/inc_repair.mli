@@ -19,7 +19,9 @@
     ({!Dq_cfd.Violation.vio_counts} inside V-INCREPAIR ordering and
     {!consistent_core}); the repair loop itself is inherently sequential
     — each tuple is resolved against the repair built so far — so
-    repairs are byte-identical at any job count. *)
+    repairs are byte-identical at any job count.  {!insert} takes no
+    pool: a serve session runs it as one job on the daemon's pool, and a
+    job never submits to the pool it runs on. *)
 
 open Dq_relation
 
@@ -42,7 +44,6 @@ val stats_line : ordering -> stats -> string
     {!pp_stats}, the line the CLI prints and serve returns. *)
 
 val insert :
-  ?pool:Dq_parallel.Pool.t ->
   ?ordering:ordering ->
   ?deadline:Dq_fault.Deadline.t ->
   Tuple_resolve.env ->

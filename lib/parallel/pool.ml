@@ -26,8 +26,6 @@ type t = {
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let jobs pool = pool.jobs
-
 (* Workers block on [work_available] until a task arrives or the pool
    closes; tasks run outside the lock. *)
 let worker pool () =
@@ -69,16 +67,23 @@ let create ~jobs =
     workers = [];
   }
 
-(* Called with [pool.lock] held, at the first batch that can use workers,
-   so a pool whose holder never submits two tasks at once spawns none.
-   Each worker is recorded as soon as it exists: if a spawn fails, the
-   ones before it are still joined by [shutdown], and no later batch
-   tries again. *)
+(* Called with [pool.lock] held, at the first batch that can use workers
+   or the first {!exec} job, so a pool whose holder submits neither spawns
+   none.  Each worker is recorded as soon as it exists: if a spawn fails,
+   the ones before it are still joined by [shutdown], and no later batch
+   tries again.  A new domain does not record backtraces until told to,
+   so each worker takes the spawner's setting: a task's exception then
+   reaches the caller with the task's backtrace. *)
 let spawn_workers pool =
   if not (pool.spawned || pool.closed) then begin
     pool.spawned <- true;
+    let record = Printexc.backtrace_status () in
     for _ = 2 to pool.jobs do
-      pool.workers <- Domain.spawn (worker pool) :: pool.workers
+      pool.workers <-
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace record;
+            worker pool ())
+        :: pool.workers
     done
   end
 
@@ -214,14 +219,48 @@ let map_reduce ?deadline pool ?chunks ~n ~map ~fold ~init =
     (fun acc r -> match r with Some x -> fold acc x | None -> acc)
     init results
 
-let parallel_for pool ?chunks ~n f =
-  map_reduce pool ?chunks ~n
-    ~map:(fun lo hi ->
-      for i = lo to hi - 1 do
-        f i
-      done)
-    ~fold:(fun () () -> ())
-    ~init:()
+(* One whole job on a worker domain; the calling thread blocks on the
+   job's own condition rather than helping drain the queue, so the job
+   never runs on the caller's domain while workers exist.  No fault site,
+   metrics or deadline: those belong to batches. *)
+let exec pool f =
+  let ctx = Trace.current_context () in
+  let result = ref None in
+  let lock = Mutex.create () in
+  let finished = Condition.create () in
+  let job () =
+    let r =
+      Trace.with_context ctx (fun () ->
+          try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ()))
+    in
+    Mutex.protect lock (fun () ->
+        result := Some r;
+        Condition.signal finished)
+  in
+  (* Inline when there is no worker to wait for: a 1-job pool, a pool
+     shut down (or shutting down), or one whose first spawn failed. *)
+  let queued =
+    pool.jobs > 1
+    && Mutex.protect pool.lock (fun () ->
+           spawn_workers pool;
+           if pool.closed || pool.workers = [] then false
+           else begin
+             Queue.add job pool.queue;
+             Condition.signal pool.work_available;
+             true
+           end)
+  in
+  if not queued then f ()
+  else begin
+    Mutex.lock lock;
+    while Option.is_none !result do
+      Condition.wait finished lock
+    done;
+    Mutex.unlock lock;
+    match Option.get !result with
+    | Ok v -> v
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+  end
 
 (* ---- ?pool-threading conveniences ------------------------------------ *)
 

@@ -1,31 +1,46 @@
-(** A hand-rolled, dependency-free domain pool for OCaml 5.
+(** A hand-rolled, dependency-free domain pool for OCaml 5, and the
+    tree's only one.
 
     The switch carries no [domainslib], so this module provides the small
-    slice of it the cleaning algorithms need: a persistent pool of worker
-    domains, a chunked [parallel_for], and a [map_reduce] whose merge
-    order is {e deterministic} — chunk results are folded left-to-right in
-    chunk-index order, never in completion order, so any function built on
-    it returns byte-identical results at any job count.
+    slice of it the cleaning algorithms and the daemon need: a persistent
+    pool of worker domains with two lanes onto one task queue.
+
+    - {b Chunked batches}: {!run}, {!map_reduce} and the [?pool]
+      conveniences ({!for_chunks}, {!map_chunks}, {!map_array}).  The CLI
+      creates one pool per command ({!with_pool} at [--jobs]) and passes
+      it to [Engine.ctx], [Violation]'s scans and [Discovery.discover].
+      {!map_reduce} folds chunk results {e in chunk-index order}, never
+      completion order, so anything built on it returns byte-identical
+      results at any job count.  The caller helps drain the queue while
+      it waits, so a pool of [jobs = n] runs a batch on [n] domains.
+    - {b Whole jobs}: {!exec} runs one job on a worker domain and blocks
+      the calling thread until it returns.  The serve daemon creates one
+      pool of [--ingest-workers + 1] jobs and runs each ingest or resolve
+      job through it, so sessions repair in parallel even though their
+      connection handlers are systhreads sharing one runtime lock.
 
     A pool with [jobs = 1] spawns no domains and runs everything in the
     calling domain, making the sequential path literally the same code as
     the parallel one.  A larger pool spawns its [jobs - 1] workers at its
-    first batch of two or more tasks, so a holder that never submits one
-    costs no domains.  The caller also participates in draining the task
-    queue while waiting on a batch, so a pool of [jobs = n] uses [n]
-    domains in total ([n - 1] workers plus the caller).
+    first batch of two or more tasks or its first {!exec} job, so a holder
+    that submits neither costs no domains.
 
-    Tasks must not submit further tasks to the same pool (no nested
-    parallelism), and anything they touch concurrently must be read-only
-    or chunk-private — the intended style is: map chunk-private state,
-    then merge sequentially.
+    Nothing that runs on the pool may submit to it again: a task or an
+    {!exec} job must not call {!run}, {!map_reduce}, a [?pool]
+    convenience or {!exec} on its own pool.  [exec] from inside a task
+    or job blocks a worker on a job only another worker can run, which
+    deadlocks once every worker waits so.  The daemon's jobs take no
+    pool, so none of its work nests.  Anything tasks touch concurrently
+    must be read-only or chunk-private — the intended style is: map
+    chunk-private state, then merge sequentially.
 
     When {!Dq_obs.Metrics} collection is enabled, every {!run} batch
     records the instruments [pool.batches], [pool.tasks],
     [pool.batch_wall] (wall seconds per batch) and [pool.task_busy]
     (per-task busy seconds summed across domains) — utilization over a
     window is [busy / (wall * jobs)].  With metrics disabled (the
-    default) the pool takes one atomic read per batch and nothing else. *)
+    default) the pool takes one atomic read per batch and nothing else.
+    {!exec} jobs record none of these and pass no fault site. *)
 
 type t
 
@@ -35,13 +50,13 @@ val default_jobs : unit -> int
 
 val create : jobs:int -> t
 (** A pool of [jobs] domains ([jobs - 1] workers, spawned by the first
-    {!run} of two or more tasks; the caller is the last).
+    {!run} of two or more tasks or the first {!exec} job; the caller is
+    the last).
     @raise Invalid_argument if [jobs < 1]. *)
 
-val jobs : t -> int
-
 val shutdown : t -> unit
-(** Join the worker domains, if any were spawned.  Idempotent.
+(** Finish the queued tasks and jobs, then join the worker domains, if
+    any were spawned.  Idempotent.  Later {!exec} jobs run inline.
     Outstanding batches must have completed (every [run] returns only
     once its tasks are done, so this only matters for exceptional control
     flow). *)
@@ -74,10 +89,21 @@ val ranges : chunks:int -> int -> (int * int) list
     [(lo, hi)] half-open ranges, in order, sizes differing by at most
     one.  [n = 0] yields [[]]. *)
 
-val parallel_for : t -> ?chunks:int -> n:int -> (int -> unit) -> unit
-(** Apply [f] to every index of [0, n), chunked across the pool.  [f]
-    must confine its writes to index-private slots (e.g. [a.(i)]).
-    [chunks] defaults to {!jobs}. *)
+val exec : t -> (unit -> 'a) -> 'a
+(** [exec pool f] runs the whole job [f] on a worker domain and blocks
+    the calling thread (not just its domain) until [f] returns, then
+    returns its result.  Jobs from concurrent callers run on different
+    workers at once, up to [jobs - 1] of them; the rest wait in the
+    queue in submission order.
+
+    - An exception re-raises in the caller with the job's backtrace.
+    - [f] runs inline in the caller on a 1-job pool and on a pool that
+      has been shut down, so a job admitted before a drain is never lost.
+    - [f] sees the submitter's {!Dq_obs.Trace} context, so its spans nest
+      under the span that called [exec].
+
+    Must not be called from inside a pool task or job (see the module
+    header). *)
 
 val map_reduce :
   ?deadline:Dq_fault.Deadline.t ->

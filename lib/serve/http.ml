@@ -91,13 +91,27 @@ let parse_head head =
     | _ ->
       err 400 (Printf.sprintf "malformed request line %S" (trim_cr request_line)))
 
-let content_length r =
-  match header r "content-length" with
-  | None -> Ok 0
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> Ok n
-    | _ -> err 400 (Printf.sprintf "bad content-length %S" s))
+(* The body's length, framed as RFC 9112 §6.3 says: a request with a
+   [transfer-encoding] is refused with 501 (no coding is implemented
+   here), and [content-length] values that disagree are a 400.  Either
+   way the body's end is unknown, so the connection closes after the
+   answer. *)
+let body_length r =
+  if List.mem_assoc "transfer-encoding" r.headers then
+    err 501 "transfer-encoding is not supported"
+  else
+    let lengths =
+      List.filter_map
+        (fun (k, v) -> if k = "content-length" then Some v else None)
+        r.headers
+    in
+    match List.sort_uniq String.compare lengths with
+    | [] -> Ok 0
+    | [ s ] -> (
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | _ -> err 400 (Printf.sprintf "bad content-length %S" s))
+    | _ -> err 400 "conflicting content-length headers"
 
 (* Parse one whole request held in a string — head, then exactly
    [content-length] body bytes.  The unit-testable core of
@@ -109,7 +123,7 @@ let parse ?(max_body = default_max_body) bytes =
     match parse_head (String.sub bytes 0 head_end) with
     | Error _ as e -> e
     | Ok r -> (
-      match content_length r with
+      match body_length r with
       | Error _ as e -> e
       | Ok len when len > max_body ->
         err 413 (Printf.sprintf "body of %d bytes exceeds limit" len)
@@ -209,7 +223,7 @@ let read_request ?(max_body = default_max_body) ?idle_timeout ?read_timeout
     match parse_head (String.sub (Buffer.contents buf) 0 head_end) with
     | Error _ as e -> e
     | Ok r -> (
-      match content_length r with
+      match body_length r with
       | Error _ as e -> e
       | Ok len when len > max_body ->
         err 413 (Printf.sprintf "body of %d bytes exceeds limit" len)
@@ -248,6 +262,7 @@ let status_text = function
   | 429 -> "Too Many Requests"
   | 431 -> "Request Header Fields Too Large"
   | 500 -> "Internal Server Error"
+  | 501 -> "Not Implemented"
   | 503 -> "Service Unavailable"
   | 504 -> "Gateway Timeout"
   | _ -> "Status"

@@ -1,8 +1,8 @@
 (** Minimal HTTP/1.1 framing for the serve daemon.
 
     Just enough protocol for a local request/response API:
-    [content-length] bodies on the way in, fixed-length or chunked
-    bodies on the way out.  Connections close after one response unless
+    [content-length] bodies on the way in (a [transfer-encoding] is
+    refused), fixed-length or chunked bodies on the way out.  Connections close after one response unless
     the caller passes [keep_alive]; a {!reader} carries pipelined
     leftover bytes between requests on the same connection.  Parsing is
     split from socket I/O so the framing rules are unit-testable on
@@ -18,8 +18,11 @@ type request = {
 
 type error = { status : int; reason : string }
 (** A framing problem plus the HTTP status it answers with: 400 for
-    malformed requests, 408 for a mid-request read timeout, 413 for an
-    oversized body, 431 for an oversized head. *)
+    malformed requests (conflicting [content-length] values included),
+    408 for a mid-request read timeout, 413 for an oversized body, 431
+    for an oversized head, 501 for a request with a
+    [transfer-encoding].  The daemon closes the connection after any of
+    them. *)
 
 val header : request -> string -> string option
 (** Case-insensitive header lookup (first match). *)

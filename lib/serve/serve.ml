@@ -59,7 +59,6 @@ let default_limits =
 type config = {
   port : int;
   state_dir : string option;
-  jobs : int;
   resume : bool;
   telemetry : telemetry;
   limits : limits;
@@ -126,9 +125,9 @@ type t = {
   sock : Unix.file_descr;
   bound_port : int;
   state_dir : string option;
-  pool : Pool.t option;
-  workers : Workers.t option;
-      (** domain pool for whole ingest jobs ([limits.ingest_workers]) *)
+  pool : Pool.t;
+      (** runs whole engine jobs on [limits.ingest_workers] domains
+          ({!Pool.exec}); with none, on the handler thread *)
   limits : limits;
   sessions : (string, entry) Hashtbl.t;
   registry : Mutex.t;  (** guards [sessions], [next_id] and pin counts *)
@@ -489,6 +488,16 @@ let rec pin_session d sid =
     let* () = reloaded in
     pin_session d sid
 
+(* Whether [s] is still the registry's live session under its id.  A
+   session is checkpointed only under its lock and only while this holds:
+   {!handle_delete} unregisters a session before it takes that lock to
+   remove the files, so no checkpoint can write them back. *)
+let registered d (s : Session.t) =
+  Mutex.protect d.registry (fun () ->
+      match Hashtbl.find_opt d.sessions s.Session.id with
+      | Some (Live s') -> s' == s
+      | _ -> false)
+
 let unpin d (s : Session.t) =
   Mutex.protect d.registry (fun () -> s.Session.pins <- s.Session.pins - 1)
 
@@ -661,28 +670,24 @@ let handle_status d ~request ~id sid =
   | Error e -> err_response ~request ~id e
   | Ok status -> ok_response ~request ~id status
 
+(* Unregister first, so no new request can pin the session, then remove
+   its files under its lock.  A job already running on the session's lane
+   holds that lock, so it commits before the files go; a job still
+   queued finds the session unregistered and commits nothing. *)
 let handle_delete d ~request ~id sid =
-  let result =
+  match
     Mutex.protect d.registry (fun () ->
-        match Hashtbl.find_opt d.sessions sid with
-        | None -> Error (Dq_error.No_such_session sid)
-        | Some _ ->
-          Hashtbl.remove d.sessions sid;
-          (match d.state_dir with
-          | Some dir -> Store.delete ~dir sid
-          | None -> ());
-          Ok ())
-  in
-  match result with
-  | Error e -> err_response ~request ~id e
-  | Ok () ->
+        let entry = Hashtbl.find_opt d.sessions sid in
+        Hashtbl.remove d.sessions sid;
+        entry)
+  with
+  | None -> err_response ~request ~id (Dq_error.No_such_session sid)
+  | Some entry ->
+    let forget () = Option.iter (fun dir -> Store.delete ~dir sid) d.state_dir in
+    (match entry with
+    | Live s -> Session.with_lock s forget
+    | Evicted -> forget ());
     ok_response ~request ~id (Json.Obj [ ("deleted", Json.String sid) ])
-
-(* Run one engine job: on a worker domain when the daemon has ingest
-   workers (real cross-session parallelism — handler systhreads share
-   the runtime lock), inline otherwise. *)
-let exec_job d f =
-  match d.workers with Some w -> Workers.exec w f | None -> f ()
 
 (* Breaker bookkeeping around one engine invocation; caller holds the
    session lock.  Only infrastructure failures count as engine faults:
@@ -721,12 +726,17 @@ let check_breaker (s : Session.t) =
    the session lock on a worker domain, checkpoint, answer.  A job that
    fails leaves the session as it was; a checkpoint that fails takes the
    committed job back before the error answer goes out, so a client that
-   retries it cannot apply it twice. *)
+   retries it cannot apply it twice.  A job whose session was deleted
+   while it waited answers 404. *)
 let run_engine_job d (s : Session.t) job =
   match
     Session.with_lane ~depth:d.limits.queue_depth s (fun () ->
-        exec_job d (fun () ->
+        Pool.exec d.pool (fun () ->
             Session.with_lock s (fun () ->
+                let* () =
+                  if registered d s then Ok ()
+                  else Error (Dq_error.No_such_session s.Session.id)
+                in
                 let before = Session.mark s in
                 let res =
                   try
@@ -769,7 +779,7 @@ let handle_ingest d ~request ~id:rid (r : Http.request) sid =
         | None -> ());
         run_engine_job d s (fun () ->
             let* outcomes, stats, report =
-              Session.ingest ?pool:d.pool ~deadline ?request_id:rid s rows
+              Session.ingest ~deadline ?request_id:rid s rows
             in
             Ok
               (Json.Obj
@@ -862,8 +872,7 @@ let handle_resolve d ~request ~id:rid (r : Http.request) sid tid_str =
         in
         run_engine_job d s (fun () ->
             let* outcome =
-              Session.resolve ?pool:d.pool ~deadline ?request_id:rid s tid
-                resolution
+              Session.resolve ~deadline ?request_id:rid s tid resolution
             in
             Ok
               (Json.Obj
@@ -1205,7 +1214,7 @@ let sweep_once d =
         Fun.protect
           ~finally:(fun () -> Mutex.unlock s.Session.lock)
           (fun () ->
-            if Session.lane_depth s = 0 then begin
+            if Session.lane_depth s = 0 && registered d s then begin
               (match d.state_dir with
               | Some dir -> ignore (Store.save ~dir s)
               | None -> ());
@@ -1300,19 +1309,9 @@ let start config =
       | Error msg -> Error (Dq_error.Io (dir ^ ": " ^ msg)))
     | false, _ -> Ok []
   in
-  let* pool =
-    if config.jobs < 1 then
-      Error
-        (Dq_error.Invalid_input
-           (Printf.sprintf "jobs must be at least 1 (got %d)" config.jobs))
-    else if config.jobs = 1 then Ok None
-    else Ok (Some (Pool.create ~jobs:config.jobs))
-  in
-  let workers =
-    if config.limits.ingest_workers > 0 then
-      Some (Workers.create ~workers:config.limits.ingest_workers)
-    else None
-  in
+  (* The caller counts as one of a pool's jobs, and an [exec] caller
+     waits rather than helps, so N ingest workers are N + 1 jobs. *)
+  let pool = Pool.create ~jobs:(config.limits.ingest_workers + 1) in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -1322,8 +1321,7 @@ let start config =
   with
   | exception Unix.Unix_error (err, _, _) ->
     (try Unix.close sock with Unix.Unix_error _ -> ());
-    Option.iter Pool.shutdown pool;
-    Option.iter Workers.shutdown workers;
+    Pool.shutdown pool;
     Error
       (Dq_error.Io
          (Printf.sprintf "cannot listen on 127.0.0.1:%d: %s" config.port
@@ -1346,7 +1344,6 @@ let start config =
         bound_port;
         state_dir = config.state_dir;
         pool;
-        workers;
         limits = config.limits;
         sessions = Hashtbl.create 16;
         registry = Mutex.create ();
@@ -1380,7 +1377,7 @@ let start config =
             match config.state_dir with
             | Some dir -> Json.String dir
             | None -> Json.Null );
-          ("jobs", Json.Int config.jobs);
+          ("ingest_workers", Json.Int config.limits.ingest_workers);
           ("resumed_sessions", Json.Int (List.length loaded));
           ("metrics", Json.Bool config.telemetry.metrics);
         ]);
@@ -1395,8 +1392,8 @@ let wait d = match d.acceptor with Some t -> Thread.join t | None -> ()
    close), stop accepting, then wait — bounded by [drain_timeout_s] —
    for in-flight and lane-queued work to finish; stragglers get their
    sockets force-closed.  Only after the last handler thread is gone are
-   the pools shut down (a handler mid-[Pool.run] must never race
-   [Pool.shutdown]) and the sessions given a final checkpoint. *)
+   the sessions given a final checkpoint and the pool shut down; a job a
+   leaked handler sends after that runs inline. *)
 let stop d =
   let proceed =
     Mutex.protect d.lifecycle (fun () ->
@@ -1482,10 +1479,9 @@ let stop d =
           if Mutex.try_lock s.Session.lock then
             Fun.protect
               ~finally:(fun () -> Mutex.unlock s.Session.lock)
-              (fun () -> ignore (Store.save ~dir s)))
+              (fun () -> if registered d s then ignore (Store.save ~dir s)))
         live);
-    Option.iter Pool.shutdown d.pool;
-    Option.iter Workers.shutdown d.workers;
+    Pool.shutdown d.pool;
     let drain_s = Unix.gettimeofday () -. t0 in
     (match d.instruments with
     | Some i -> Metrics.observe i.drain_seconds drain_s

@@ -24,7 +24,10 @@
     Each session owns a FIFO ingest {e lane} (see {!Session}): batches
     for one session commit in arrival order while independent sessions
     repair concurrently — and, with [ingest_workers], in parallel on
-    worker domains.  A per-request [x-deadline-seconds] header arms a
+    worker domains ({!Dq_parallel.Pool.exec}, the daemon's one pool).
+    A [DELETE] waits for the session's running job, and a job still
+    queued on a deleted session's lane answers 404 and commits nothing.
+    A per-request [x-deadline-seconds] header arms a
     cooperative {!Dq_fault.Deadline}; an expired one maps to HTTP 504
     with nothing committed.  With a state directory every committed
     mutation is checkpointed ({!Store}) {e before} the 200 goes out, so
@@ -83,8 +86,10 @@ type limits = {
       (** shed (429 + [retry-after]) ingest/resolve when the session's
           lane already holds this many jobs; 0 = unbounded *)
   ingest_workers : int;
-      (** worker domains running whole ingest jobs, giving independent
-          sessions CPU parallelism; 0 = run on the handler thread *)
+      (** worker domains running whole ingest and resolve jobs, giving
+          independent sessions CPU parallelism; 0 = run on the handler
+          thread.  They are the daemon's only domains besides the main
+          one, spawned at the first job. *)
   keep_alive : bool;
       (** HTTP/1.1 persistent connections (default: close after one
           response, the historical framing) *)
@@ -112,7 +117,6 @@ val default_limits : limits
 type config = {
   port : int;  (** 0 picks an ephemeral port (tests) *)
   state_dir : string option;  (** checkpoint directory; [None] = in-memory *)
-  jobs : int;  (** worker pool size for the repair passes; 1 = sequential *)
   resume : bool;  (** load sessions back from [state_dir] on start *)
   telemetry : telemetry;
   limits : limits;
@@ -136,7 +140,7 @@ val stop : t -> unit
 (** Graceful drain: stop accepting, answer new requests 503 +
     [connection: close], let in-flight and lane-queued work finish
     (bounded by [drain_timeout_s], then force-close stragglers), join
-    the handler threads, checkpoint every session, shut the pools
+    the handler threads, checkpoint every session, shut the pool
     down.  Idempotent; concurrent calls return without a second
     drain. *)
 

@@ -372,11 +372,11 @@ let request_span request_id f =
    deadline cut, an error or an exception commits nothing: the session
    keeps its last consistent relation and the client retries the whole
    batch. *)
-let insert ?pool ?(deadline = Dq_fault.Deadline.never) ?request_id t delta =
+let insert ?(deadline = Dq_fault.Deadline.never) ?request_id t delta =
   let size = Relation.cardinality t.relation in
   match
     request_span request_id (fun () ->
-        Inc_repair.insert ?pool ~ordering:t.ordering ~deadline (env t) delta)
+        Inc_repair.insert ~ordering:t.ordering ~deadline (env t) delta)
   with
   | Ok (stats, report) when report.Dq_obs.Report.degraded = None ->
     Ok (Inc_repair.stats_line t.ordering stats, report)
@@ -415,7 +415,7 @@ let classify ~batch t delta =
     Tuple_resolve.delete (env t) (List.map (fun q -> Tuple.tid q.tuple) queued);
   (outcomes, queued)
 
-let ingest ?pool ?deadline ?request_id t rows =
+let ingest ?deadline ?request_id t rows =
   let* () =
     List.fold_left
       (fun acc row -> Result.bind acc (fun () -> check_row t.schema row))
@@ -428,7 +428,7 @@ let ingest ?pool ?deadline ?request_id t rows =
       rows
   in
   let size = Relation.cardinality t.relation in
-  let* stats, report = insert ?pool ?deadline ?request_id t delta in
+  let* stats, report = insert ?deadline ?request_id t delta in
   let batch = t.batches + 1 in
   let outcomes, queued = classify ~batch t delta in
   (* The batch's surviving rows are the relation's newest. *)
@@ -457,7 +457,7 @@ let drop_quarantined t tid =
   t.quarantine <- List.filter (fun q -> Tuple.tid q.tuple <> tid) t.quarantine;
   t.resolved <- t.resolved + 1
 
-let resolve ?pool ?deadline ?request_id t tid resolution =
+let resolve ?deadline ?request_id t tid resolution =
   let* (_ : quarantined) =
     match find_quarantined t tid with
     | Some q -> Ok q
@@ -475,9 +475,7 @@ let resolve ?pool ?deadline ?request_id t tid resolution =
     let* () = check_row t.schema (values, weights) in
     let submitted = Tuple.create ?weights ~tid values in
     let size = Relation.cardinality t.relation in
-    let* _stats, _report =
-      insert ?pool ?deadline ?request_id t [ submitted ]
-    in
+    let* _stats, _report = insert ?deadline ?request_id t [ submitted ] in
     let repaired = Relation.find_exn t.relation tid in
     (match nulled_positions ~submitted ~repaired with
     | _ :: _ as attrs ->

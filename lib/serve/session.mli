@@ -187,7 +187,6 @@ type outcome =
   | Quarantined of int * int list  (** tid, nulled attribute positions *)
 
 val ingest :
-  ?pool:Dq_parallel.Pool.t ->
   ?deadline:Dq_fault.Deadline.t ->
   ?request_id:string ->
   t ->
@@ -209,7 +208,6 @@ type resolution =
       (** re-ingest with corrected values under the same tid *)
 
 val resolve :
-  ?pool:Dq_parallel.Pool.t ->
   ?deadline:Dq_fault.Deadline.t ->
   ?request_id:string ->
   t ->

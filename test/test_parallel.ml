@@ -1,7 +1,8 @@
 (* The Dq_parallel pool and the byte-identical-at-any-job-count contract.
 
    Unit tests pin the pool's own semantics (chunking, exceptions,
-   determinism of the merge order); qcheck properties then check that the
+   determinism of the merge order, and the whole-job lane [exec] the
+   serve daemon runs its ingest jobs on); qcheck properties then check that the
    parallel detection functions agree exactly with their sequential runs
    on random instances, for job counts including odd ones (7) whose
    uneven chunk boundaries would expose any merge-order dependence; and a
@@ -52,19 +53,6 @@ let test_jobs_validation () =
     (Invalid_argument "Pool.create: jobs must be >= 1 (got -3)") (fun () ->
       ignore (Pool.create ~jobs:(-3)))
 
-let test_parallel_for () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs @@ fun pool ->
-      let n = 1_000 in
-      let hits = Array.make n 0 in
-      Pool.parallel_for pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
-      Alcotest.(check bool)
-        (Printf.sprintf "every index visited exactly once (jobs=%d)" jobs)
-        true
-        (Array.for_all (fun h -> h = 1) hits))
-    job_counts
-
 let test_map_reduce_order () =
   (* The fold must see chunk results in chunk-index order at any job
      count, so collecting (lo, hi) pairs reproduces [ranges] exactly. *)
@@ -105,6 +93,106 @@ let test_shutdown_idempotent () =
   let pool = Pool.create ~jobs:3 in
   Pool.shutdown pool;
   Pool.shutdown pool
+
+(* ---- the whole-job lane ------------------------------------------------ *)
+
+let self () = (Domain.self () :> int)
+
+let test_exec_on_worker () =
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  let caller = self () in
+  Alcotest.(check bool)
+    "the job ran on another domain" true
+    (Pool.exec pool self <> caller);
+  Alcotest.(check int) "its result comes back" 42 (Pool.exec pool (fun () -> 42))
+
+(* Each job announces that it started, then waits (bounded) for the other
+   one to start too: on a pool that ran one job at a time, the first
+   would time out before the second began.  The two run on two workers. *)
+let test_exec_overlaps () =
+  Pool.with_pool ~jobs:3 @@ fun pool ->
+  let started = [| Atomic.make false; Atomic.make false |] in
+  let seen = [| (false, -1); (false, -1) |] in
+  let job i () =
+    Atomic.set started.(i) true;
+    let deadline = Unix.gettimeofday () +. 5. in
+    while
+      (not (Atomic.get started.(1 - i))) && Unix.gettimeofday () < deadline
+    do
+      Unix.sleepf 0.001
+    done;
+    (Atomic.get started.(1 - i), self ())
+  in
+  let callers =
+    List.map
+      (fun i -> Thread.create (fun () -> seen.(i) <- Pool.exec pool (job i)) ())
+      [ 0; 1 ]
+  in
+  List.iter Thread.join callers;
+  let (met0, d0), (met1, d1) = (seen.(0), seen.(1)) in
+  Alcotest.(check (pair bool bool)) "each job saw the other running"
+    (true, true) (met0, met1);
+  Alcotest.(check bool) "on two worker domains" true
+    (d0 <> d1 && d0 <> self () && d1 <> self ())
+
+(* Not a tail call, so the function keeps its frame in the backtrace. *)
+let[@inline never] job_raises () =
+  if Sys.opaque_identity true then failwith "job failed";
+  ()
+
+let test_exec_backtrace () =
+  Printexc.record_backtrace true;
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  (match Pool.exec pool job_raises with
+  | () -> Alcotest.fail "expected the job's exception"
+  | exception Failure msg ->
+    let bt = Printexc.get_backtrace () in
+    Alcotest.(check string) "message intact" "job failed" msg;
+    Alcotest.(check bool)
+      (Printf.sprintf "backtrace names the raising job:\n%s" bt)
+      true
+      (Helpers.contains bt "job_raises"));
+  Alcotest.(check int) "pool usable after a failed job" 1
+    (Pool.exec pool (fun () -> 1))
+
+let test_exec_inline () =
+  let caller = self () in
+  Pool.with_pool ~jobs:1 (fun pool ->
+      Alcotest.(check int) "a 1-job pool runs the job inline" caller
+        (Pool.exec pool self));
+  let pool = Pool.create ~jobs:3 in
+  ignore (Pool.exec pool self);
+  Pool.shutdown pool;
+  Alcotest.(check int) "a shut-down pool runs the job inline" caller
+    (Pool.exec pool self)
+
+(* A span the job opens nests under the span that called [exec], though
+   it runs on another domain's lane. *)
+let test_exec_trace_context () =
+  let module Trace = Dq_obs.Trace in
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  Trace.clear ();
+  Trace.set_enabled true;
+  let worker =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_enabled false)
+      (fun () ->
+        Trace.span "request" (fun () ->
+            Pool.exec pool (fun () -> Trace.span "job" self)))
+  in
+  let job =
+    List.find_opt
+      (fun (e : Trace.event) -> e.Trace.ph = `B && e.Trace.name = "job")
+      (Trace.events ())
+  in
+  Trace.clear ();
+  Alcotest.(check bool) "ran on a worker" true (worker <> self ());
+  match job with
+  | None -> Alcotest.fail "the job's span was not recorded"
+  | Some e ->
+    Alcotest.(check (list string)) "nested under the caller's span"
+      [ "request"; "job" ] e.Trace.path;
+    Alcotest.(check int) "on the worker's lane" worker e.Trace.tid
 
 (* ---- qcheck: parallel detection = sequential detection ---------------- *)
 
@@ -234,12 +322,20 @@ let suite =
   [
     Alcotest.test_case "ranges partition correctly" `Quick test_ranges;
     Alcotest.test_case "job count validation" `Quick test_jobs_validation;
-    Alcotest.test_case "parallel_for covers every index" `Quick
-      test_parallel_for;
     Alcotest.test_case "map_reduce folds in chunk order" `Quick
       test_map_reduce_order;
     Alcotest.test_case "run re-raises task exceptions" `Quick test_run_reraises;
     Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent;
+    Alcotest.test_case "exec runs the job on a worker" `Quick
+      test_exec_on_worker;
+    Alcotest.test_case "exec overlaps two callers' jobs" `Quick
+      test_exec_overlaps;
+    Alcotest.test_case "exec re-raises with the job's backtrace" `Quick
+      test_exec_backtrace;
+    Alcotest.test_case "exec runs inline on 1 job or shut down" `Quick
+      test_exec_inline;
+    Alcotest.test_case "exec jobs see the caller's trace context" `Quick
+      test_exec_trace_context;
     QCheck_alcotest.to_alcotest prop_find_all;
     QCheck_alcotest.to_alcotest prop_vio_counts;
     QCheck_alcotest.to_alcotest prop_total;

@@ -64,6 +64,20 @@ let test_http_parse_errors () =
   check_err "bad request line" "NONSENSE\r\n\r\n" 400 "malformed request line";
   check_err "bad content-length" "GET / HTTP/1.1\r\ncontent-length: -4\r\n\r\n"
     400 "bad content-length";
+  (* RFC 9112 §6.3: no transfer coding is implemented, and two lengths
+     that disagree leave the body's end unknown. *)
+  check_err "transfer-encoding"
+    "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"
+    501 "transfer-encoding";
+  check_err "conflicting content-length"
+    "POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 3\r\n\r\n{}x"
+    400 "conflicting content-length";
+  (match
+     Http.parse
+       "POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\n{}"
+   with
+  | Ok r -> Alcotest.(check string) "repeated equal lengths accepted" "{}" r.Http.body
+  | Error e -> Alcotest.failf "refused equal lengths: %s" e.Http.reason);
   match
     Http.parse ~max_body:3 "GET / HTTP/1.1\r\ncontent-length: 9\r\n\r\nwaytolong"
   with
@@ -615,13 +629,12 @@ let no_quarantine outcomes =
 (* The contract behind serve's ingest queue: because sessions default to
    the linear (l-inc) ordering, draining N batches one by one leaves the
    same relation as one repair_inserts call over the concatenation —
-   batch boundaries are invisible.  Checked at jobs 1 and 4. *)
+   batch boundaries are invisible. *)
 let prop_batches_equal_one_shot =
-  QCheck.Test.make
-    ~name:"N ingest batches equal one-shot ingest, at jobs 1 and 4" ~count:60
+  QCheck.Test.make ~name:"N ingest batches equal one-shot ingest" ~count:60
     serve_instance
     (fun (rules, rows, batches) ->
-      let run ?pool split =
+      let run split =
         let s =
           match
             Session.create ~id:"s1" ~schema_name:"r"
@@ -637,8 +650,7 @@ let prop_batches_equal_one_shot =
           (fun batch ->
             if batch <> [] then begin
               match
-                Session.ingest ?pool s
-                  (List.map (fun values -> (values, None)) batch)
+                Session.ingest s (List.map (fun values -> (values, None)) batch)
               with
               | Ok (outcomes, _, _) -> QCheck.assume (no_quarantine outcomes)
               | Error e ->
@@ -647,14 +659,7 @@ let prop_batches_equal_one_shot =
           split;
         Csv.save_string s.Session.relation
       in
-      let at jobs split =
-        Dq_parallel.Pool.with_pool ~jobs (fun pool -> run ~pool split)
-      in
-      let split_1 = run batches in
-      let one_shot_1 = run [ rows ] in
-      String.equal split_1 one_shot_1
-      && String.equal split_1 (at 4 batches)
-      && String.equal one_shot_1 (at 4 [ rows ]))
+      String.equal (run batches) (run [ rows ]))
 
 (* ---- the kept environment ------------------------------------------------ *)
 
@@ -1011,7 +1016,6 @@ let test_e2e_restart () =
          {
            Serve.port = 0;
            state_dir = Some dir;
-           jobs = 1;
            resume = true;
            telemetry = Serve.telemetry_off;
            limits = Serve.default_limits;
@@ -1070,21 +1074,13 @@ let test_e2e_restart () =
 
 (* ---- serving telemetry ---------------------------------------------------- *)
 
-let start_daemon ?(limits = Serve.default_limits) ?state_dir ?(jobs = 1)
+let start_daemon ?(limits = Serve.default_limits) ?state_dir ?(resume = false)
     telemetry =
   unwrap
-    (Serve.start
-       {
-         Serve.port = 0;
-         state_dir;
-         jobs;
-         resume = false;
-         telemetry;
-         limits;
-       })
+    (Serve.start { Serve.port = 0; state_dir; resume; telemetry; limits })
 
-let with_daemon ?limits ?state_dir ?jobs telemetry f =
-  let d = start_daemon ?limits ?state_dir ?jobs telemetry in
+let with_daemon ?limits ?state_dir ?resume telemetry f =
+  let d = start_daemon ?limits ?state_dir ?resume telemetry in
   Fun.protect
     ~finally:(fun () ->
       Serve.stop d;
@@ -1453,6 +1449,45 @@ let test_queue_full_429 () =
   | Json.Int 1 -> ()
   | j -> Alcotest.failf "batches: %s" (Json.to_string ~minify:true j)
 
+(* A DELETE sent while an ingest is held in the engine: the held batch
+   commits before the DELETE answers, and once it has answered no request
+   on the session commits and no file in the state directory names it,
+   through the daemon's stop and a restart with resume.  The first batch
+   outgrows the snapshot, so the held one would rewrite [s1.json]. *)
+let test_delete_races_ingest () =
+  with_tmp_dir @@ fun dir ->
+  let ingest p rows =
+    fst
+      (request p "POST" "/v1/sessions/s1/tuples"
+         (Printf.sprintf {|{"tuples":[%s]}|} rows))
+  in
+  let files () =
+    List.filter
+      (fun f -> String.length f > 3 && String.sub f 0 3 = "s1.")
+      (Array.to_list (Sys.readdir dir))
+  in
+  with_daemon ~state_dir:dir Serve.telemetry_off (fun p ->
+      create_session p;
+      with_fault_plan "serve.ingest@2:delay 1500" (fun () ->
+          Alcotest.(check int) "first batch" 200
+            (ingest p
+               (String.concat ","
+                  (List.init 200 (fun i -> Printf.sprintf "[%d,%d]" i i))));
+          let held = ref 0 in
+          let t = Thread.create (fun () -> held := ingest p "[1000,1000]") () in
+          Thread.delay 0.4;
+          let deleted, _ = request p "DELETE" "/v1/sessions/s1" "" in
+          Thread.join t;
+          Alcotest.(check int) "the delete answers 200" 200 deleted;
+          Alcotest.(check int) "the held batch answers 200" 200 !held);
+      Alcotest.(check (list string)) "no file names the session" [] (files ());
+      Alcotest.(check int) "a later batch finds no session" 404
+        (ingest p "[7,7]"));
+  Alcotest.(check (list string)) "none after the daemon stops" [] (files ());
+  with_daemon ~state_dir:dir ~resume:true Serve.telemetry_off (fun p ->
+      Alcotest.(check int) "none after a restart" 404
+        (fst (request p "GET" "/v1/sessions/s1" "")))
+
 (* Drain: a keep-alive connection that asks again mid-drain gets 503 +
    connection: close, and stop returns once the connection is gone. *)
 let test_drain_refuses_and_closes () =
@@ -1696,8 +1731,10 @@ let test_failed_create_commits_nothing () =
 
 (* The lane property behind the whole design: concurrent clients
    ingesting into distinct sessions commit exactly what a sequential
-   client would, batch for batch — checked at daemon jobs 1 and 4 with
-   worker domains on. *)
+   client would, batch for batch — checked with jobs on the handler
+   threads (0 ingest workers) and on two worker domains.  Each session
+   draws its engine, so V- and W-ordering sessions run on the workers
+   too. *)
 let int_rows_gen =
   QCheck.Gen.(
     list_size (2 -- 8)
@@ -1706,15 +1743,21 @@ let int_rows_gen =
 let concurrent_instance =
   QCheck.make
     ~print:(fun (rules, per_session) ->
-      Printf.sprintf "rules:\n%s\nsessions: %d" rules (List.length per_session))
+      Printf.sprintf "rules:\n%s\nengines: %s" rules
+        (String.concat ", " (List.map fst per_session)))
     QCheck.Gen.(
       let* rules = fd_rules_gen in
-      let* per_session = list_size (2 -- 3) int_rows_gen in
+      let* per_session =
+        list_size (2 -- 3)
+          (pair (oneofl [ "l-inc"; "inc"; "w-inc" ]) int_rows_gen)
+      in
       return (rules, per_session))
 
 let prop_concurrent_sessions_equal_sequential =
   QCheck.Test.make
-    ~name:"concurrent ingest to distinct sessions equals sequential, jobs 1/4"
+    ~name:
+      "concurrent ingest to distinct sessions equals sequential, ingest \
+       workers 0/2"
     ~count:10 concurrent_instance
     (fun (rules, per_session) ->
       (* every session's rows go in as two batches, identically on both
@@ -1731,11 +1774,11 @@ let prop_concurrent_sessions_equal_sequential =
       (* ground truth: each session alone, in-process, sequential *)
       let expected =
         List.map
-          (fun rows ->
+          (fun (engine, rows) ->
             let s =
               match
                 Session.create ~id:"x" ~schema_name:"r"
-                  ~attributes:[ "A"; "B"; "C"; "D" ] ~rules ~engine:"l-inc"
+                  ~attributes:[ "A"; "B"; "C"; "D" ] ~rules ~engine
                   ~force:true ()
               with
               | Ok s -> s
@@ -1771,20 +1814,21 @@ let prop_concurrent_sessions_equal_sequential =
              ])
       in
       List.for_all
-        (fun jobs ->
-          let limits = { Serve.default_limits with ingest_workers = 2 } in
-          let d = start_daemon ~limits ~jobs Serve.telemetry_off in
+        (fun ingest_workers ->
+          let limits = { Serve.default_limits with ingest_workers } in
+          let d = start_daemon ~limits Serve.telemetry_off in
           Fun.protect
             ~finally:(fun () -> Serve.stop d)
             (fun () ->
               let p = Serve.port d in
-              List.iteri
-                (fun _ _ ->
+              List.iter
+                (fun (engine, _) ->
                   let status, _ =
                     request p "POST" "/v1/sessions"
                       (Printf.sprintf
-                         {|{"schema":{"name":"r","attributes":["A","B","C","D"]},"rules":%s,"force":true}|}
-                         (Json.to_string ~minify:true (Json.String rules)))
+                         {|{"schema":{"name":"r","attributes":["A","B","C","D"]},"rules":%s,"engine":%S,"force":true}|}
+                         (Json.to_string ~minify:true (Json.String rules))
+                         engine)
                   in
                   if status <> 201 then
                     QCheck.Test.fail_reportf "create: %d" status)
@@ -1793,7 +1837,7 @@ let prop_concurrent_sessions_equal_sequential =
                  batches *)
               let threads =
                 List.mapi
-                  (fun i rows ->
+                  (fun i (_, rows) ->
                     Thread.create
                       (fun () ->
                         let sid = Printf.sprintf "s%d" (i + 1) in
@@ -1822,7 +1866,7 @@ let prop_concurrent_sessions_equal_sequential =
                   String.equal want got)
                 (List.mapi (fun i _ -> i) per_session)
                 expected))
-        [ 1; 4 ])
+        [ 0; 2 ])
 
 let suite =
   [
@@ -1853,6 +1897,8 @@ let suite =
       `Quick test_keep_alive_pipelining;
     Alcotest.test_case "overload: full lane sheds 429 with retry-after" `Quick
       test_queue_full_429;
+    Alcotest.test_case "e2e: a DELETE racing an ingest leaves nothing" `Quick
+      test_delete_races_ingest;
     Alcotest.test_case "overload: drain refuses with 503 and closes" `Quick
       test_drain_refuses_and_closes;
     Alcotest.test_case "overload: breaker quarantines until resume" `Quick

@@ -40,13 +40,21 @@ RULES = (
     "q2: [A] -> [B] {\n  (1 || 20)\n}\n"
 )
 
-CREATE_BODY = json.dumps(
-    {
-        "schema": {"name": "soak", "attributes": ["A", "B", "C", "D"]},
-        "rules": RULES,
-        "force": True,
-    }
-)
+# Client i's session runs engine ENGINES[i % 3], so the daemon's ingest
+# workers run all three INCREPAIR orderings (linear, by violations, by
+# weight) side by side.
+ENGINES = ["l-inc", "inc", "w-inc"]
+
+
+def create_body(engine):
+    return json.dumps(
+        {
+            "schema": {"name": "soak", "attributes": ["A", "B", "C", "D"]},
+            "rules": RULES,
+            "engine": engine,
+            "force": True,
+        }
+    )
 
 failures = []
 fail_lock = threading.Lock()
@@ -127,9 +135,10 @@ class Daemon:
 class Client:
     """One session's worth of traffic; keep-alive with reconnects."""
 
-    def __init__(self, port, rng):
+    def __init__(self, port, rng, engine):
         self.port = port
         self.rng = rng
+        self.engine = engine
         self.conn = None
         self.sid = None
         # accounting (rows)
@@ -193,7 +202,7 @@ class Client:
         return "failed"
 
     def create_session(self):
-        r = self.request("POST", "/v1/sessions", CREATE_BODY)
+        r = self.request("POST", "/v1/sessions", create_body(self.engine))
         if r is None or r[0] != 201:
             raise RuntimeError(f"session create failed: {r!r}")
         report = json.loads(r[1])["report"]
@@ -241,7 +250,8 @@ class Client:
 
 
 def run_clients(port, n_clients, total_requests, seed):
-    clients = [Client(port, random.Random(seed + i)) for i in range(n_clients)]
+    clients = [Client(port, random.Random(seed + i), ENGINES[i % len(ENGINES)])
+               for i in range(n_clients)]
     for c in clients:
         c.create_session()
     per = max(1, total_requests // n_clients)
