@@ -27,6 +27,7 @@ open Dq_workload
 module Json = Dq_obs.Json
 module Trace = Dq_obs.Trace
 module Atomic_io = Dq_fault.Atomic_io
+module Clock = Dq_fault.Clock
 
 (* ---- command line ---------------------------------------------------- *)
 
@@ -169,9 +170,9 @@ let engine_ok = function
   | Error e -> failwith (Dq_error.to_string e)
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+  (result, Clock.now () -. t0)
 
 let dataset ?(n = !base_n) seed =
   Datagen.generate (Datagen.default_params ~n_tuples:n ~seed ())
@@ -669,7 +670,7 @@ let () =
     Trace.clear ();
     Trace.set_enabled true
   | None -> ());
-  let started = Unix.gettimeofday () in
+  let started = Clock.now () in
   Fmt.pr
     "dataqual bench harness — base size %d tuples, %d seed(s)@.\
      (scaled-down testbed; see EXPERIMENTS.md for paper-vs-measured)@."
@@ -691,4 +692,4 @@ let () =
       Fmt.pr "wrote %s@." path
     with Sys_error msg -> Fmt.epr "bench: --trace: %s@." msg)
   | None -> ());
-  Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. started)
+  Fmt.pr "@.total bench time: %.1fs@." (Clock.now () -. started)

@@ -293,8 +293,8 @@ let trace_arg =
         ~doc:
           "Enable span tracing and write a Chrome trace-event JSON dump to \
            $(docv) on exit — load it in $(b,chrome://tracing) or \
-           $(b,https://ui.perfetto.dev) to see phases, passes and per-domain \
-           worker lanes.")
+           $(b,https://ui.perfetto.dev) to see phases, passes and one lane \
+           per thread.")
 
 let progress_arg =
   Arg.(

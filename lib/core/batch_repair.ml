@@ -7,6 +7,7 @@ module Trace = Dq_obs.Trace
 module Progress = Dq_obs.Progress
 module Fault = Dq_fault.Fault
 module Deadline = Dq_fault.Deadline
+module Clock = Dq_fault.Clock
 
 let m_steps = Metrics.counter "batch.resolve_steps"
 
@@ -21,8 +22,6 @@ let m_t_scan = Metrics.timer "batch.phase.initial_scan"
 let m_t_resolve = Metrics.timer "batch.phase.resolve"
 
 let m_t_write = Metrics.timer "batch.phase.write_back"
-
-let timed = Report.phase_m
 
 type stats = {
   steps : int;
@@ -852,7 +851,7 @@ let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
       ])
     "batch_repair"
   @@ fun () ->
-  let started = Unix.gettimeofday () in
+  let started = Clock.now () in
   let phases = ref [] in
   let invalid =
     match checkpoint with
@@ -892,7 +891,7 @@ let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
           resume
       in
       let st =
-        timed phases "init" m_t_init (fun () ->
+        Trace.span ~cat:"phase" ~phases ~timer:m_t_init "init" (fun () ->
             init_state ?eq rel sigma ~use_dependency_graph)
       in
       let steps = ref 0 in
@@ -971,7 +970,7 @@ let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
                    steps/s"
                   !pass_no !steps (Heap.length st.queue)
                   (float_of_int !steps
-                  /. Float.max 1e-9 (Unix.gettimeofday () -. started)));
+                  /. Float.max 1e-9 (Clock.now () -. started)));
             drain ()
       in
       (* A deadline cut: record why and how far the run got, then
@@ -1063,7 +1062,8 @@ let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
           Ok `Resume
         | None -> (
           match
-            timed phases "initial_scan" m_t_scan (fun () ->
+            Trace.span ~cat:"phase" ~phases ~timer:m_t_scan "initial_scan"
+              (fun () ->
                 Deadline.check deadline;
                 ignore (offer_all_violations st))
           with
@@ -1076,13 +1076,16 @@ let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
         let run () =
           match entry with `Resume -> boundary () | `Fresh -> drive ()
         in
-        match timed phases "resolve" m_t_resolve run with
+        match
+          Trace.span ~cat:"phase" ~phases ~timer:m_t_resolve "resolve" run
+        with
         | Error _ as e -> e
         | Ok () ->
           (* Write the target values back into the working copy (lines
              14-15). *)
           let cells_changed = ref 0 in
-          timed phases "write_back" m_t_write (fun () ->
+          Trace.span ~cat:"phase" ~phases ~timer:m_t_write "write_back"
+            (fun () ->
               let tuples = Relation.tuples rel in
               Array.iter
                 (fun t ->
@@ -1103,7 +1106,7 @@ let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
               lhs_fixes = st.lhs_fixes;
               nulls_introduced = st.nulls_introduced;
               cells_changed = !cells_changed;
-              runtime = Unix.gettimeofday () -. started;
+              runtime = Clock.now () -. started;
             }
           in
           let report =

@@ -31,7 +31,9 @@ type stats = {
   lhs_fixes : int;  (** case-1.2/2.2 LHS changes *)
   nulls_introduced : int;  (** targets upgraded to [null] *)
   cells_changed : int;  (** attribute values differing from the input *)
-  runtime : float;  (** wall-clock seconds *)
+  runtime : float;
+      (** seconds on {!Dq_fault.Clock} from entry to return; the report's
+          phases lie inside it *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit

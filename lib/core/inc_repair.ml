@@ -7,6 +7,7 @@ module Trace = Dq_obs.Trace
 module Progress = Dq_obs.Progress
 module Fault = Dq_fault.Fault
 module Deadline = Dq_fault.Deadline
+module Clock = Dq_fault.Clock
 
 type ordering = Linear | By_violations | By_weight
 
@@ -104,7 +105,7 @@ let run ~started ~phases ?pool ~ordering ~deadline env delta =
   | Error _ as e -> e
   | Ok () ->
     match
-      Report.phase_m phases "order" m_t_order (fun () ->
+      Trace.span ~cat:"phase" ~phases ~timer:m_t_order "order" (fun () ->
           order_tuples ?pool ~deadline ordering repr delta
             (Tuple_resolve.sigma env))
     with
@@ -119,7 +120,7 @@ let run ~started ~phases ?pool ~ordering ~deadline env delta =
       (* First delta position left unresolved because the deadline expired;
          [None] when the run completed. *)
       let cut_at = ref None in
-      Report.phase_m phases "resolve" m_t_resolve (fun () ->
+      Trace.span ~cat:"phase" ~phases ~timer:m_t_resolve "resolve" (fun () ->
           List.iteri
             (fun pass t ->
               if !cut_at <> None then
@@ -149,7 +150,7 @@ let run ~started ~phases ?pool ~ordering ~deadline env delta =
                       "inc_repair: tuple %d/%d | %d changed | %.0f tuples/s"
                       (pass + 1) n_delta !tuples_changed
                       (float_of_int (pass + 1)
-                      /. Float.max 1e-9 (Unix.gettimeofday () -. started)));
+                      /. Float.max 1e-9 (Clock.now () -. started)));
                 let diffs = Tuple.diff_positions t rt in
                 if diffs <> [] then begin
                   incr tuples_changed;
@@ -200,7 +201,7 @@ let run ~started ~phases ?pool ~ordering ~deadline env delta =
             tuples_changed = !tuples_changed;
             cells_changed = !cells_changed;
             nulls_introduced = !nulls;
-            runtime = Unix.gettimeofday () -. started;
+            runtime = Clock.now () -. started;
           }
         in
         let report =
@@ -220,7 +221,7 @@ let run ~started ~phases ?pool ~ordering ~deadline env delta =
         Ok (stats, report))
 
 let insert ?(ordering = By_violations) ?(deadline = Deadline.never) env delta =
-  let started = Unix.gettimeofday () in
+  let started = Clock.now () in
   span (Tuple_resolve.relation env) delta (Tuple_resolve.sigma env)
   @@ fun () -> run ~started ~phases:(ref []) ~ordering ~deadline env delta
 
@@ -236,7 +237,7 @@ let repair_fresh ~started ~phases ?pool ?k ?max_candidates ?use_cluster_index
 
 let repair_inserts ?pool ?k ?max_candidates ?use_cluster_index ?ordering
     ?deadline base delta sigma =
-  let started = Unix.gettimeofday () in
+  let started = Clock.now () in
   span base delta sigma @@ fun () ->
   repair_fresh ~started ~phases:(ref []) ?pool ?k ?max_candidates
     ?use_cluster_index ?ordering ?deadline (Relation.copy base) delta sigma
@@ -251,9 +252,10 @@ let consistent_core ?pool ?deadline rel sigma =
 
 let repair_dirty ?pool ?k ?max_candidates ?use_cluster_index ?ordering
     ?deadline rel sigma =
+  let started = Clock.now () in
   let phases = ref [] in
   match
-    Report.phase_m phases "core" m_t_core (fun () ->
+    Trace.span ~cat:"phase" ~phases ~timer:m_t_core "core" (fun () ->
         consistent_core ?pool ?deadline rel sigma)
   with
   | exception Deadline.Expired -> Error Dq_error.Deadline_exceeded
@@ -270,5 +272,5 @@ let repair_dirty ?pool ?k ?max_candidates ?use_cluster_index ?ordering
       rel;
     let delta = List.rev !delta in
     span base delta sigma @@ fun () ->
-    repair_fresh ~started:(Unix.gettimeofday ()) ~phases ?pool ?k
-      ?max_candidates ?use_cluster_index ?ordering ?deadline base delta sigma
+    repair_fresh ~started ~phases ?pool ?k ?max_candidates ?use_cluster_index
+      ?ordering ?deadline base delta sigma

@@ -34,7 +34,9 @@ type stats = {
   tuples_changed : int;  (** tuples the resolver modified *)
   cells_changed : int;
   nulls_introduced : int;
-  runtime : float;  (** wall-clock seconds *)
+  runtime : float;
+      (** seconds on {!Dq_fault.Clock} from entry to return, consistent
+          core included; the report's phases lie inside it *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit

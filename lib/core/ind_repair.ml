@@ -138,7 +138,7 @@ let cfds_clean db cfds =
     cfds
 
 let repair ?(config = default_config ()) db ~cfds ~inds =
-  let started = Unix.gettimeofday () in
+  let started = Dq_fault.Clock.now () in
   validate db cfds inds;
   let db = Database.copy db in
   let cells_modified = ref 0 and tuples_inserted = ref 0 in
@@ -190,5 +190,5 @@ let repair ?(config = default_config ()) db ~cfds ~inds =
       tuples_inserted = !tuples_inserted;
       cfds_satisfied = cfds_clean db cfds;
       inds_satisfied = Ind.satisfies db inds;
-      runtime = Unix.gettimeofday () -. started;
+      runtime = Dq_fault.Clock.now () -. started;
     } )

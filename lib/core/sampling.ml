@@ -138,7 +138,7 @@ let inspect ?(seed = 42) ?(deadline = Deadline.never) config ~original ~repair
           in
           Reservoir.create ~seed:(seed + i) capacity)
     in
-    Report.phase_m phases "stratify" m_t_stratify (fun () ->
+    Trace.span ~cat:"phase" ~phases ~timer:m_t_stratify "stratify" (fun () ->
         let stratum = stratum_of config ~original ~sigma in
         Relation.iter
           (fun t' ->
@@ -158,7 +158,7 @@ let inspect ?(seed = 42) ?(deadline = Deadline.never) config ~original ~repair
     let drawn = Array.make m 0 in
     let inaccurate = Array.make m 0 in
     let r =
-      Report.phase_m phases "score" m_t_score @@ fun () ->
+      Trace.span ~cat:"phase" ~phases ~timer:m_t_score "score" @@ fun () ->
       List.iter
         (fun (s, t') ->
           drawn.(s) <- drawn.(s) + 1;

@@ -70,7 +70,7 @@ let repair ?(deadline = Deadline.never) ?checkpoint ?resume db sigma =
       ])
     "opt_fd_repair"
   @@ fun () ->
-  let started = Unix.gettimeofday () in
+  let started = Dq_fault.Clock.now () in
   let schema = Relation.schema db in
   match fragment schema sigma with
   | Error reason -> Error (Dq_error.Engine_unsupported { engine = engine_name; reason })
@@ -107,7 +107,7 @@ let repair ?(deadline = Deadline.never) ?checkpoint ?resume db sigma =
            every attribute a stratum groups on (an edge source) carries a
            smaller id and is processed (or never written) first. *)
         let eq, clauses_of, strata_attrs =
-          Report.phase phases "init" @@ fun () ->
+          Trace.span ~cat:"phase" ~phases "init" @@ fun () ->
           let eq =
             match resume with
             | Some cp -> Eqclass.restore ~original cp.Checkpoint.eq
@@ -334,12 +334,14 @@ let repair ?(deadline = Deadline.never) ?checkpoint ?resume db sigma =
         in
         (match
            if Deadline.expired deadline then cut ()
-           else Report.phase phases "resolve" (fun () -> drive remaining)
+           else
+             Trace.span ~cat:"phase" ~phases "resolve" (fun () ->
+                 drive remaining)
          with
         | Error _ as e -> e
         | Ok () ->
           let cells_changed = ref 0 in
-          Report.phase phases "write_back" (fun () ->
+          Trace.span ~cat:"phase" ~phases "write_back" (fun () ->
               Array.iter
                 (fun t ->
                   let tid = Tuple.tid t in
@@ -357,7 +359,7 @@ let repair ?(deadline = Deadline.never) ?checkpoint ?resume db sigma =
               groups = !groups;
               merges = !merges;
               cells_changed = !cells_changed;
-              runtime = Unix.gettimeofday () -. started;
+              runtime = Dq_fault.Clock.now () -. started;
             }
           in
           let report =

@@ -1,27 +1,27 @@
 type t =
   | Never
-  | Wall of float  (** absolute [Unix.gettimeofday] limit *)
+  | Until of float  (** absolute {!Clock.now} limit *)
   | Passes of { budget : int; used : int Atomic.t }
 
 exception Expired
 
 let never = Never
 
-let after secs = Wall (Unix.gettimeofday () +. secs)
+let after secs = Until (Clock.now () +. secs)
 
 let after_passes n = Passes { budget = n; used = Atomic.make 0 }
 
 let tick = function
-  | Never | Wall _ -> ()
+  | Never | Until _ -> ()
   | Passes { used; _ } -> ignore (Atomic.fetch_and_add used 1)
 
 let expired = function
   | Never -> false
-  | Wall limit -> Unix.gettimeofday () >= limit
+  | Until limit -> Clock.now () >= limit
   | Passes { budget; used } -> Atomic.get used >= budget
 
 let wall_expired = function
-  | Wall limit -> Unix.gettimeofday () >= limit
+  | Until limit -> Clock.now () >= limit
   | Never | Passes _ -> false
 
 let check d = if expired d then raise Expired

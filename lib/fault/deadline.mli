@@ -4,9 +4,10 @@
     engines at natural boundaries (batch passes, resolved tuples,
     pool chunks).  Two flavours:
 
-    - {!after}: a wall-clock budget in seconds — what [--deadline]
-      arms.  [expired] becomes true once the wall clock passes the
-      limit, regardless of {!tick}s.
+    - {!after}: a time budget in seconds — what [--deadline] arms.
+      [expired] becomes true once {!Clock.now} passes the limit,
+      regardless of {!tick}s.  The clock is monotonic, so a wall-clock
+      step neither expires nor extends a deadline.
     - {!after_passes}: a logical budget — expired after [n] calls to
       {!tick}.  Because it ignores the clock it cuts at a
       deterministic boundary, which is what the determinism tests
@@ -25,22 +26,22 @@ exception Expired
     engines can take a [?deadline] without a fast-path penalty. *)
 val never : t
 
-(** [after secs] expires [secs] seconds of wall-clock time from now.
+(** [after secs] expires [secs] seconds of monotonic time from now.
     [after 0.] is already expired. *)
 val after : float -> t
 
 (** [after_passes n] expires once {!tick} has been called [n] times.
-    Deterministic: independent of wall clock and job count. *)
+    Deterministic: independent of the clock and of the job count. *)
 val after_passes : int -> t
 
 (** Count one logical unit of work (a batch pass, a resolved tuple).
-    No-op on [never] and wall-clock deadlines. *)
+    No-op on [never] and timed deadlines. *)
 val tick : t -> unit
 
-(** True once the budget — wall-clock or logical — is exhausted. *)
+(** True once the budget — timed or logical — is exhausted. *)
 val expired : t -> bool
 
-(** Like {!expired}, but only for wall-clock deadlines: logical
+(** Like {!expired}, but only for timed ({!after}) deadlines: logical
     deadlines report false.  Lets an engine poll mid-pass for
     responsiveness without making [after_passes] cuts depend on where
     the clock happened to land. *)

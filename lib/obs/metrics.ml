@@ -164,9 +164,9 @@ let record t dt =
 let time t f =
   if not (enabled ()) then f ()
   else begin
-    let started = Unix.gettimeofday () in
+    let started = Dq_fault.Clock.now () in
     Fun.protect
-      ~finally:(fun () -> record t (Unix.gettimeofday () -. started))
+      ~finally:(fun () -> record t (Dq_fault.Clock.now () -. started))
       f
   end
 

@@ -23,7 +23,7 @@
     permutation name the same handle.
 
     Metrics are {e observability, not results}: they are cumulative per
-    process, wall-clock dependent, and deliberately excluded from report
+    process, timing dependent, and deliberately excluded from report
     equality (see {!Report}). *)
 
 type counter
@@ -63,9 +63,12 @@ val record : timer -> float -> unit
 (** Record one duration, in seconds.  No-op when disabled. *)
 
 val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, recording its wall-clock duration when enabled (also
-    on exceptional exit).  When disabled the thunk is called directly —
-    no clock reads. *)
+(** Run the thunk, recording its duration on {!Dq_fault.Clock} when
+    enabled (also on exceptional exit).  When disabled the thunk is
+    called directly — no clock reads.  A region that is also a span is
+    timed by [Trace.span ~timer] instead, which reads the clock once for
+    the span and the timer; [time] is for regions with no span: the
+    pool's utilisation timers and the daemon's checkpoint writes. *)
 
 val gauge : ?labels:(string * string) list -> string -> gauge
 (** Register (or retrieve) the named gauge — a value that can go up and

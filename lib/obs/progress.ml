@@ -29,7 +29,7 @@ let set_enabled b =
 let emit render =
   if Atomic.get enabled_flag then begin
     Mutex.lock lock;
-    let now = Unix.gettimeofday () in
+    let now = Dq_fault.Clock.now () in
     if now -. !last >= interval then begin
       last := now;
       output_string stderr ("\r\027[K" ^ render ());

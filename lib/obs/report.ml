@@ -49,21 +49,3 @@ let json_parts ~with_phases r =
 let to_json r = Json.Obj (json_parts ~with_phases:true r)
 
 let stable_json r = Json.Obj (json_parts ~with_phases:false r)
-
-let phase acc name f =
-  Trace.span ~cat:"phase" name (fun () ->
-      let started = Unix.gettimeofday () in
-      Fun.protect
-        ~finally:(fun () ->
-          acc := !acc @ [ (name, Unix.gettimeofday () -. started) ])
-        f)
-
-let phase_m acc name timer f =
-  Trace.span ~cat:"phase" name (fun () ->
-      let started = Unix.gettimeofday () in
-      Fun.protect
-        ~finally:(fun () ->
-          let dt = Unix.gettimeofday () -. started in
-          acc := !acc @ [ (name, dt) ];
-          Metrics.record timer dt)
-        f)

@@ -8,16 +8,18 @@
       ordered association list of JSON values.  Stable under [--jobs]:
       two runs of the same input must produce equal summaries at any job
       count;
-    - [phases] — per-phase wall-clock seconds, in execution order.
-      Timing is measurement, not result: phases are {e excluded} from
-      {!equal} and from {!stable_json};
+    - [phases] — per-phase seconds, in execution order, each the
+      duration of one [Trace.span ~phases] (monotonic clock).  Timing is
+      measurement, not result: phases are {e excluded} from {!equal} and
+      from {!stable_json};
     - [provenance] — the cell-level trail ({!Provenance}), {e included}
       in equality: the sequence of repair decisions is part of the
       result's contract, not an implementation detail.
 
     {!to_json} keeps a fixed field order, so serialised reports are
     byte-comparable once timing fields are stripped — which is exactly
-    what {!stable_json} does. *)
+    what {!stable_json} does.  A report is data: the engines time their
+    phases with {!Trace.span}[ ~phases]. *)
 
 type degraded = { reason : string; progress : float }
 (** Why a run was cut short (e.g. ["deadline"]) and roughly how much of
@@ -28,7 +30,8 @@ type degraded = { reason : string; progress : float }
 type t = {
   engine : string;
   summary : (string * Json.t) list;
-  phases : (string * float) list;  (** wall seconds, execution order *)
+  phases : (string * float) list;
+      (** seconds per phase, execution order, from {!Trace.span} *)
   provenance : Provenance.entry list;
   degraded : degraded option;
       (** [Some _] when the engine stopped early (deadline) and the
@@ -57,13 +60,3 @@ val to_json : t -> Json.t
 val stable_json : t -> Json.t
 (** {!to_json} without the [phases] field: a byte-identical-across-jobs
     projection, the one compared in tests. *)
-
-val phase : (string * float) list ref -> string -> (unit -> 'a) -> 'a
-(** [phase acc name f] runs [f], appending [(name, seconds)] to [acc] —
-    the helper engines use to build the [phases] list in execution
-    order.  Records also on exceptional exit. *)
-
-val phase_m :
-  (string * float) list ref -> string -> Metrics.timer -> (unit -> 'a) -> 'a
-(** {!phase} that additionally records the duration on a {!Metrics}
-    timer (a no-op when collection is disabled). *)

@@ -123,7 +123,7 @@ let run ?(deadline = Deadline.never) pool tasks =
     end
   in
   (* Tasks inherit the submitter's span stack: a chunk span's logical
-     parent is the span that submitted the batch, whichever domain (lane)
+     parent is the span that submitted the batch, whichever thread (lane)
      ends up executing it. *)
   let tasks =
     if not (Trace.enabled ()) then tasks

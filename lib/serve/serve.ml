@@ -7,6 +7,7 @@ module Metrics = Dq_obs.Metrics
 module Trace = Dq_obs.Trace
 module Deadline = Dq_fault.Deadline
 module Fault = Dq_fault.Fault
+module Clock = Dq_fault.Clock
 module Pool = Dq_parallel.Pool
 module Engine = Dq_engine.Engine
 
@@ -134,7 +135,7 @@ type t = {
   reload : Mutex.t;  (** serializes evicted-session reloads *)
   telemetry : telemetry;
   instruments : instruments option;  (** [Some] iff [telemetry.metrics] *)
-  started : float;  (** wall clock at [start], for uptime *)
+  started : float;  (** {!Clock.now} at [start], for uptime *)
   id_prefix : string;  (** per-process prefix of generated request ids *)
   req_counter : int Atomic.t;
   mutable next_id : int;
@@ -434,9 +435,9 @@ let save_session d s =
     match d.instruments with
     | None -> ignore (Store.save ~dir s)
     | Some i ->
-      let t0 = Unix.gettimeofday () in
-      let bytes = Store.save ~dir s in
-      Metrics.record i.checkpoint_seconds (Unix.gettimeofday () -. t0);
+      let bytes =
+        Metrics.time i.checkpoint_seconds (fun () -> Store.save ~dir s)
+      in
       Metrics.observe i.checkpoint_bytes (float_of_int bytes))
 
 (* Pin a session for the duration of one request: bump its pin count
@@ -509,7 +510,7 @@ let with_session d sid f =
 
 let handle_health d ~request ~id =
   let sessions = Mutex.protect d.registry (fun () -> Hashtbl.length d.sessions) in
-  let uptime = int_of_float (Unix.gettimeofday () -. d.started) in
+  let uptime = int_of_float (Clock.now () -. d.started) in
   let state =
     match d.state_dir with
     | None ->
@@ -564,7 +565,7 @@ let handle_metrics d =
     in
     Metrics.set_gauge i.sessions_live (float_of_int (List.length entries));
     Metrics.set_gauge i.quarantine_depth (float_of_int qdepth);
-    Metrics.set_gauge i.uptime (Unix.gettimeofday () -. d.started);
+    Metrics.set_gauge i.uptime (Clock.now () -. d.started);
     Metrics.set_gauge i.connections_live
       (float_of_int (Mutex.protect d.cm (fun () -> Hashtbl.length d.conns)));
     Metrics.set_gauge i.inflight_gauge (float_of_int (Atomic.get d.inflight));
@@ -976,7 +977,7 @@ let send_response d fd ~meth ~route ~session ~id ~keep_alive ~t0 resp =
           ~content_type:resp.content_type ~headers ~keep_alive produce
     with Http.Closed -> 0
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now () -. t0 in
   (match d.instruments with
   | None -> ()
   | Some _ ->
@@ -1019,7 +1020,7 @@ let serve_request d fd ~keep_alive ~last_id (r : Http.request) =
   let route_tmpl, session = route_info r in
   let id = request_id_of d r in
   (match id with Some _ -> last_id := id | None -> ());
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   if d.state <> Running then begin
     shed d "draining";
     send_response d fd ~meth:r.Http.meth ~route:route_tmpl ~session ~id
@@ -1123,7 +1124,7 @@ let handle_connection d tok fd =
             if serve_request d fd ~keep_alive:want_keep ~last_id r then
               loop ~first:false
           | Error fe ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Clock.now () in
             send_response d fd ~meth:"-" ~route:"(malformed)" ~session:None
               ~id:None ~keep_alive:false ~t0
               (err_response ~status:fe.Http.status ~request:"(malformed)"
@@ -1194,7 +1195,7 @@ let accept_loop d =
    resident so its [engine_failed] state remains operator-visible). *)
 let sweep_once d =
   let evict = d.limits.evict_idle_s in
-  let now = Unix.gettimeofday () in
+  let now = Clock.now () in
   let stale =
     Mutex.protect d.registry (fun () ->
         Hashtbl.to_seq d.sessions
@@ -1337,7 +1338,7 @@ let start config =
       end
       else None
     in
-    let started = Unix.gettimeofday () in
+    let started = Clock.now () in
     let d =
       {
         sock;
@@ -1404,7 +1405,7 @@ let stop d =
         | Draining | Stopped -> false)
   in
   if proceed then begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let conn_count () =
       Mutex.protect d.cm (fun () -> Hashtbl.length d.conns)
     in
@@ -1425,7 +1426,7 @@ let stop d =
     (match d.sweeper with Some t -> Thread.join t | None -> ());
     d.sweeper <- None;
     let deadline = t0 +. Stdlib.max 0.05 d.limits.drain_timeout_s in
-    while conn_count () > 0 && Unix.gettimeofday () < deadline do
+    while conn_count () > 0 && Clock.now () < deadline do
       Thread.delay 0.01
     done;
     let lingering =
@@ -1439,8 +1440,8 @@ let stop d =
           try Unix.shutdown c.cfd Unix.SHUTDOWN_ALL
           with Unix.Unix_error _ -> ())
         lingering;
-      let grace = Unix.gettimeofday () +. 1.0 in
-      while conn_count () > 0 && Unix.gettimeofday () < grace do
+      let grace = Clock.now () +. 1.0 in
+      while conn_count () > 0 && Clock.now () < grace do
         Thread.delay 0.01
       done
     end;
@@ -1482,7 +1483,7 @@ let stop d =
               (fun () -> if registered d s then ignore (Store.save ~dir s)))
         live);
     Pool.shutdown d.pool;
-    let drain_s = Unix.gettimeofday () -. t0 in
+    let drain_s = Clock.now () -. t0 in
     (match d.instruments with
     | Some i -> Metrics.observe i.drain_seconds drain_s
     | None -> ());

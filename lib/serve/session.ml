@@ -48,7 +48,7 @@ type t = {
   mutable lane_next : int;
   mutable lane_serving : int;
   (* overload bookkeeping, maintained by the daemon *)
-  mutable last_touch : float;  (* wall clock of the last request *)
+  mutable last_touch : float;  (* Clock.now of the last request *)
   mutable pins : int;  (* handlers currently holding this session *)
   mutable engine_faults : int;  (* consecutive engine faults *)
   mutable breaker_open : bool;
@@ -95,7 +95,7 @@ let with_lane ?depth t f =
 
 (* All breaker state is read and written under the session lock. *)
 
-let touch t = t.last_touch <- Unix.gettimeofday ()
+let touch t = t.last_touch <- Dq_fault.Clock.now ()
 
 let breaker_ok t = not t.breaker_open
 
@@ -187,7 +187,7 @@ let session ~id ~schema ~rules ~sigma ~engine ~ordering ~relation ~next_tid
     lane_turn = Condition.create ();
     lane_next = 0;
     lane_serving = 0;
-    last_touch = Unix.gettimeofday ();
+    last_touch = Dq_fault.Clock.now ();
     pins = 0;
     engine_faults = 0;
     breaker_open = false;

@@ -92,8 +92,8 @@ type t = {
   mutable lane_next : int;  (** next lane ticket to hand out *)
   mutable lane_serving : int;  (** ticket currently allowed to run *)
   mutable last_touch : float;
-      (** wall clock of the last request naming this session (daemon
-          idle-eviction bookkeeping) *)
+      (** {!Dq_fault.Clock.now} at the last request naming this session
+          (daemon idle-eviction bookkeeping) *)
   mutable pins : int;
       (** handlers currently holding a reference (guarded by the
           daemon's registry lock; a pinned session is never evicted) *)
@@ -165,7 +165,8 @@ val lane_depth : t -> int
     single mutable-field write (benign to race). *)
 
 val touch : t -> unit
-(** Stamp [last_touch] with the current wall clock. *)
+(** Stamp [last_touch] with {!Dq_fault.Clock.now}, which a wall-clock
+    step does not move. *)
 
 val breaker_ok : t -> bool
 

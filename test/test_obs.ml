@@ -456,6 +456,144 @@ let test_trace_well_formed () =
   in
   check_well_formed events
 
+(* Two systhreads on one domain with overlapping spans: [a] opens, [b]
+   opens, [a] closes, [b] closes.  Each thread has its own stack and
+   lane, so neither span nests in the other and each lane brackets. *)
+let test_trace_thread_lanes () =
+  let m = Mutex.create () and moved = Condition.create () in
+  let step = ref 0 in
+  let wait_for n =
+    Mutex.protect m (fun () ->
+        while !step < n do
+          Condition.wait moved m
+        done)
+  in
+  let advance () =
+    Mutex.protect m (fun () ->
+        incr step;
+        Condition.broadcast moved)
+  in
+  let _, events =
+    traced (fun () ->
+        let a =
+          Thread.create
+            (fun () ->
+              Trace.span "a" (fun () ->
+                  advance ();
+                  wait_for 2);
+              advance ())
+            ()
+        in
+        let b =
+          Thread.create
+            (fun () ->
+              wait_for 1;
+              Trace.span "b" (fun () ->
+                  advance ();
+                  wait_for 3))
+            ()
+        in
+        Thread.join a;
+        Thread.join b)
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "each B path is its own name"
+    [ ("a", [ "a" ]); ("b", [ "b" ]) ]
+    (List.filter_map
+       (fun (e : Trace.event) ->
+         if e.ph = `B then Some (e.name, e.path) else None)
+       events);
+  check_well_formed events
+
+(* One span, three consumers: with metrics and tracing on, the phase
+   entry, the timer's total and the trace interval are one duration. *)
+let test_span_fan_out () =
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  let timer = Metrics.timer "test.obs.span" in
+  let phases = ref [] in
+  let _, events =
+    traced (fun () ->
+        Trace.span ~timer ~phases "work" (fun () ->
+            ignore (Sys.opaque_identity (List.init 10_000 Fun.id))))
+  in
+  let dt =
+    match !phases with
+    | [ ("work", dt) ] -> dt
+    | _ -> Alcotest.fail "expected one phase named work"
+  in
+  let total =
+    match
+      Option.bind (Json.member "timers" (Metrics.snapshot ())) (fun ts ->
+          Option.bind (Json.member "test.obs.span" ts) (Json.member "total_s"))
+    with
+    | Some (Json.Float s) -> s
+    | _ -> Alcotest.fail "timer test.obs.span missing from the snapshot"
+  in
+  let ts ph =
+    (List.find (fun (e : Trace.event) -> e.ph = ph && e.name = "work") events)
+      .ts
+  in
+  Alcotest.(check bool) "duration is positive" true (dt > 0.);
+  Alcotest.(check (float 1e-9)) "timer total = phase" dt total;
+  Alcotest.(check (float 1e-9))
+    "trace interval = phase" dt
+    ((ts `E -. ts `B) /. 1e6)
+
+(* Every engine times its phases and its runtime on one clock, with the
+   runtime's start read on entry: each phase is non-negative and they sum
+   to at most the runtime, exactly. *)
+let test_phases_within_runtime () =
+  let module Datagen = Dq_workload.Datagen in
+  let module Noise = Dq_workload.Noise in
+  let n = 600 in
+  let ds = Datagen.generate (Datagen.default_params ~n_tuples:n ~seed:7 ()) in
+  let dirty = (Noise.inject (Noise.default_params ~seed:8 ()) ds).Noise.dirty in
+  let sigma = ds.Datagen.sigma in
+  let check label runtime (report : Report.t) =
+    List.iter
+      (fun (phase, s) ->
+        if not (s >= 0.) then
+          Alcotest.failf "%s: phase %s is %g s" label phase s)
+      report.Report.phases;
+    let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0. report.phases in
+    if sum > runtime then
+      Alcotest.failf "%s: phases sum to %.9f s, past runtime %.9f s" label sum
+        runtime
+  in
+  let (_, st), report = ok2 (Batch_repair.repair dirty sigma) in
+  check "batch" st.Batch_repair.runtime report;
+  let fds =
+    Dq_cfd.Cfd.number
+      (List.concat_map
+         (Dq_cfd.Cfd.normalize Dq_workload.Order_schema.schema)
+         [ phi3; phi4 ])
+  in
+  let (_, st), report = ok2 (Dq_engine.Opt_fd_repair.repair dirty fds) in
+  check "opt-fd" st.Dq_engine.Opt_fd_repair.runtime report;
+  let base = Relation.create (Relation.schema dirty) in
+  let delta = ref [] in
+  Relation.iter
+    (fun t ->
+      let tid = Tuple.tid t in
+      match Relation.find ds.Datagen.dopt tid with
+      | Some clean when 2 * tid < n -> Relation.add base (Tuple.copy clean)
+      | _ -> delta := Tuple.copy t :: !delta)
+    dirty;
+  let delta = List.rev !delta in
+  List.iter
+    (fun (name, ordering) ->
+      let (_, st), report =
+        ok2 (Inc_repair.repair_inserts ~ordering base delta sigma)
+      in
+      check ("repair_inserts " ^ name) st.Inc_repair.runtime report;
+      let (_, st), report =
+        ok2 (Inc_repair.repair_dirty ~ordering dirty sigma)
+      in
+      check ("repair_dirty " ^ name) st.Inc_repair.runtime report)
+    Inc_repair.[ ("l", Linear); ("v", By_violations); ("w", By_weight) ]
+
 let test_trace_json_roundtrip () =
   let db = fig1_db () and sigma = fig1_sigma () in
   Trace.clear ();
@@ -518,6 +656,12 @@ let suite =
     Alcotest.test_case "trace events well-formed" `Quick
       test_trace_well_formed;
     Alcotest.test_case "trace JSON reparses" `Quick test_trace_json_roundtrip;
+    Alcotest.test_case "trace lanes are per thread" `Quick
+      test_trace_thread_lanes;
+    Alcotest.test_case "one span feeds trace, timer and phase" `Quick
+      test_span_fan_out;
+    Alcotest.test_case "report phases fit inside runtime" `Quick
+      test_phases_within_runtime;
     Alcotest.test_case "trace paths stable under --jobs (fig1)" `Quick
       test_trace_paths_jobs_independent;
     QCheck_alcotest.to_alcotest prop_trace_paths_jobs_independent;

@@ -167,18 +167,21 @@ let test_exec_inline () =
     (Pool.exec pool self)
 
 (* A span the job opens nests under the span that called [exec], though
-   it runs on another domain's lane. *)
+   it runs on another thread's lane.  A lane is the thread that ran the
+   span ([Thread.id]), not its domain. *)
 let test_exec_trace_context () =
   let module Trace = Dq_obs.Trace in
   Pool.with_pool ~jobs:2 @@ fun pool ->
   Trace.clear ();
   Trace.set_enabled true;
-  let worker =
+  let worker, thread =
     Fun.protect
       ~finally:(fun () -> Trace.set_enabled false)
       (fun () ->
         Trace.span "request" (fun () ->
-            Pool.exec pool (fun () -> Trace.span "job" self)))
+            Pool.exec pool (fun () ->
+                Trace.span "job" (fun () ->
+                    (self (), Thread.id (Thread.self ()))))))
   in
   let job =
     List.find_opt
@@ -192,7 +195,7 @@ let test_exec_trace_context () =
   | Some e ->
     Alcotest.(check (list string)) "nested under the caller's span"
       [ "request"; "job" ] e.Trace.path;
-    Alcotest.(check int) "on the worker's lane" worker e.Trace.tid
+    Alcotest.(check int) "on the worker's lane" thread e.Trace.tid
 
 (* ---- qcheck: parallel detection = sequential detection ---------------- *)
 

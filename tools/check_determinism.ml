@@ -1,4 +1,5 @@
-(* Determinism lint: fail if library code iterates a hash table.
+(* Determinism lint: fail if library code iterates a hash table, or
+   reads the wall clock outside the log.
 
    Hashtbl.iter / Hashtbl.fold visit bindings in an order that depends on
    hashing history, so any engine decision routed through them can differ
@@ -15,6 +16,11 @@
    audited allowlist, with file:line positions, exiting 1 if any is
    found.  A module alias of an instance (module T = Vkey.Table) is not
    followed.
+
+   The second rule reports every Unix.gettimeofday and Unix.time outside
+   its own allowlist.  Durations, deadlines, timeouts and eviction read
+   the monotonic Dq_fault.Clock.now, which a wall-clock step (NTP, a
+   changed date) does not move; only log lines carry wall timestamps.
 
    Run as:  check_determinism.exe LIB_DIR
    Wired into `dune runtest` via tools/dune, so a new unaudited call site
@@ -39,6 +45,11 @@ let allowlist =
     (* audited per-site: sorted, a min scan, or offers that the
        queue's total tie-break makes order-free *)
   ]
+
+(* The only modules that may read the wall clock: log timestamps. *)
+let clock_allowlist = [ "log.ml" ]
+
+let wall_clock_reads = [ "Unix.gettimeofday"; "Unix.time" ]
 
 let is_ident c =
   match c with
@@ -165,6 +176,22 @@ let rec walk dir =
          else if Filename.check_suffix entry ".ml" then [ path ]
          else [])
 
+(* Wall-clock reads: a whole identifier, so Unix.times (CPU time) and
+   MyUnix.time are not one. *)
+let clock_hits_in (path, lines) =
+  List.concat_map
+    (fun (lineno, code) ->
+      List.concat_map
+        (fun pat ->
+          List.filter_map
+            (fun i ->
+              let stop = i + String.length pat in
+              if stop < String.length code && is_ident code.[stop] then None
+              else Some (path, lineno, pat))
+            (occurrences ~word:true code pat))
+        wall_clock_reads)
+    lines
+
 let () =
   let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "lib" in
   let files = List.map (fun path -> (path, code_lines path)) (walk root) in
@@ -180,20 +207,31 @@ let () =
       (fun (m, word) -> [ (m ^ ".iter", word); (m ^ ".fold", word) ])
       (("Hashtbl", false) :: List.map (fun m -> (m, true)) instances)
   in
-  let checked =
+  let outside allowlist =
     List.filter
       (fun (path, _) -> not (List.mem (Filename.basename path) allowlist))
       files
   in
-  match List.concat_map (hits_in ~banned) checked with
+  let report message hits =
+    List.map (fun (path, line, call) -> (path, line, message call)) hits
+  in
+  let hits =
+    report
+      (Printf.sprintf
+         "%s iterates in hash order; sort the bindings or use keyed lookups \
+          (see tools/check_determinism.ml for the audited allowlist)")
+      (List.concat_map (hits_in ~banned) (outside allowlist))
+    @ report
+        (Printf.sprintf
+           "%s reads the wall clock; use Dq_fault.Clock.now (only log.ml \
+            may read the wall clock)")
+        (List.concat_map clock_hits_in (outside clock_allowlist))
+  in
+  match hits with
   | [] -> ()
   | hits ->
     List.iter
-      (fun (path, line, call) ->
-        Printf.eprintf
-          "%s:%d: %s iterates in hash order; sort the bindings or use keyed \
-           lookups (see tools/check_determinism.ml for the audited \
-           allowlist)\n"
-          path line call)
+      (fun (path, line, message) ->
+        Printf.eprintf "%s:%d: %s\n" path line message)
       (List.sort compare hits);
     exit 1

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Zero out the wall-clock phase timings in a cfdclean JSON envelope.
+"""Zero out the phase timings in a cfdclean JSON envelope.
 
 Everything else in the envelope is deterministic, so after this pass the
 output is byte-comparable against a committed golden.  Reads one envelope
