@@ -435,7 +435,7 @@ let print_explain ppf report =
 
 let repair data_path cfd_path output in_place explain engine force analyze_gate
     jobs format metrics trace progress fault deadline deadline_passes checkpoint
-    checkpoint_every resume =
+    resume =
   run_command ~command:"repair" ~format ~metrics ~trace ~progress ~fault
   @@ fun () ->
   let* (module E : Engine.ENGINE) = Engine.find engine in
@@ -446,15 +446,6 @@ let repair data_path cfd_path output in_place explain engine force analyze_gate
     let* () = Engine.check_fragment (module E) (Relation.schema rel) sigma in
     let* out = resolve_output ~data_path ~output ~in_place in
     let* deadline = resolve_deadline2 deadline deadline_passes in
-    let* checkpoint =
-      match checkpoint with
-      | None -> Ok None
-      | Some path ->
-        if checkpoint_every < 1 then
-          Error
-            (Dq_error.Invalid_config "--checkpoint-every must be at least 1")
-        else Ok (Some { Engine.path; every = checkpoint_every })
-    in
     let* resume =
       match resume with
       | None -> Ok None
@@ -549,15 +540,9 @@ let repair_cmd =
       & opt (some string) None
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
-            "Snapshot the repair state to $(docv) at pass boundaries \
+            "Snapshot the repair state to $(docv) at every pass boundary \
              (atomically), so an interrupted run can continue with \
-             $(b,--resume).  Batch algorithm only.")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 1
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Write a checkpoint every $(docv)-th pass boundary.")
+             $(b,--resume).  Engines $(b,batch) and $(b,opt-fd) only.")
   in
   let resume =
     Arg.(
@@ -589,7 +574,7 @@ let repair_cmd =
         (const repair $ data $ cfds $ output $ in_place $ explain $ engine
        $ force_arg $ analyze_gate_arg $ jobs_arg $ format_arg $ metrics_arg
        $ trace_arg $ progress_arg $ fault_arg $ deadline_arg $ deadline_passes
-       $ checkpoint $ checkpoint_every $ resume))
+       $ checkpoint $ resume))
 
 (* ---- check ---- *)
 
@@ -1259,8 +1244,8 @@ let generate_cmd =
    owns no stdout envelope (each HTTP response carries its own), prints
    one ready line so scripts can wait for the port, and runs until
    signalled.  kill -9 is the crash path the session store covers. *)
-let serve port state_dir resume log log_level no_metrics slow_request trace
-    limits fault =
+let serve port state_dir resume log log_level slow_request_s trace limits
+    fault =
   (* Telemetry first, so the daemon's own start-up lines are captured.
      [--log -] (the default) sends JSON lines to stderr; [--log FILE]
      appends; [--no-log] leaves no sink installed. *)
@@ -1293,12 +1278,6 @@ let serve port state_dir resume log log_level no_metrics slow_request trace
          at_exit rather than a normal return path. *)
       at_exit (fun () ->
           try Dq_obs.Trace.write path with Sys_error _ -> ()));
-    let telemetry =
-      {
-        Dq_serve.Serve.metrics = not no_metrics;
-        slow_request_s = slow_request;
-      }
-    in
     match arm_fault fault with
     | Error e ->
       Fmt.epr "cfdclean: %s@." (Dq_error.to_string e);
@@ -1306,7 +1285,7 @@ let serve port state_dir resume log log_level no_metrics slow_request trace
     | Ok () -> (
       match
         Dq_serve.Serve.start
-          { Dq_serve.Serve.port; state_dir; resume; telemetry; limits }
+          { Dq_serve.Serve.port; state_dir; resume; slow_request_s; limits }
       with
       | Error e ->
         Fmt.epr "cfdclean: %s@." (Dq_error.to_string e);
@@ -1382,16 +1361,6 @@ let serve_cmd =
           ~doc:
             "Drop log lines below $(docv): $(b,debug), $(b,info), $(b,warn) \
              or $(b,error).")
-  in
-  let no_metrics =
-    Arg.(
-      value & flag
-      & info [ "no-metrics" ]
-          ~doc:
-            "Disable metrics collection and the $(b,/v1/metrics) endpoint.  \
-             Together with $(b,--no-log) this is the zero-overhead \
-             configuration: responses are byte-identical to a daemon \
-             without telemetry.")
   in
   let slow_request =
     Arg.(
@@ -1540,7 +1509,7 @@ let serve_cmd =
     Term.(
       ret
         (const serve $ port $ state_dir $ resume $ log_term $ log_level
-       $ no_metrics $ slow_request $ trace $ limits_term $ fault_plan))
+       $ slow_request $ trace $ limits_term $ fault_plan))
 
 let () =
   let doc = "CFD-based data cleaning (Cong et al., VLDB 2007)" in

@@ -839,8 +839,6 @@ let effective_relation st =
     st.rel;
   out
 
-type checkpoint_spec = { path : string; every : int }
-
 let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
     ?checkpoint ?resume db sigma =
   Trace.span ~cat:"engine"
@@ -853,275 +851,266 @@ let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
   @@ fun () ->
   let started = Clock.now () in
   let phases = ref [] in
-  let invalid =
-    match checkpoint with
-    | Some { every; _ } when every < 1 ->
-      Some (Dq_error.Invalid_config "checkpoint interval must be at least 1")
-    | _ -> None
+  let fp =
+    if checkpoint = None && resume = None then 0
+    else Checkpoint.fingerprint db sigma ~use_dependency_graph
   in
-  match invalid with
-  | Some e -> Error e
-  | None -> (
-    let fp =
-      if checkpoint = None && resume = None then 0
-      else Checkpoint.fingerprint db sigma ~use_dependency_graph
+  match resume with
+  | Some cp when cp.Checkpoint.kind <> Checkpoint.batch_kind ->
+    Error
+      (Dq_error.Invalid_input
+         (Printf.sprintf
+            "checkpoint kind %S was written by a different engine \
+             (this engine reads %S)"
+            cp.Checkpoint.kind Checkpoint.batch_kind))
+  | Some cp when cp.Checkpoint.fingerprint <> fp ->
+    Error
+      (Dq_error.Invalid_input
+         "checkpoint does not match this input (data, ruleset or \
+          configuration changed)")
+  | _ -> (
+    let rel = Relation.copy db in
+    let eq =
+      Option.map
+        (fun cp ->
+          Eqclass.restore
+            ~original:(fun ~tid ~attr ->
+              Tuple.get (Relation.find_exn rel tid) attr)
+            cp.Checkpoint.eq)
+        resume
     in
-    match resume with
-    | Some cp when cp.Checkpoint.kind <> Checkpoint.batch_kind ->
-      Error
-        (Dq_error.Invalid_input
-           (Printf.sprintf
-              "checkpoint kind %S was written by a different engine \
-               (this engine reads %S)"
-              cp.Checkpoint.kind Checkpoint.batch_kind))
-    | Some cp when cp.Checkpoint.fingerprint <> fp ->
-      Error
-        (Dq_error.Invalid_input
-           "checkpoint does not match this input (data, ruleset or \
-            configuration changed)")
-    | _ -> (
-      let rel = Relation.copy db in
-      let eq =
-        Option.map
-          (fun cp ->
-            Eqclass.restore
-              ~original:(fun ~tid ~attr ->
-                Tuple.get (Relation.find_exn rel tid) attr)
-              cp.Checkpoint.eq)
-          resume
-      in
-      let st =
-        Trace.span ~cat:"phase" ~phases ~timer:m_t_init "init" (fun () ->
-            init_state ?eq rel sigma ~use_dependency_graph)
-      in
-      let steps = ref 0 in
-      let rescans = ref 0 in
-      let pass_no = ref 0 in
-      (match resume with
+    let st =
+      Trace.span ~cat:"phase" ~phases ~timer:m_t_init "init" (fun () ->
+          init_state ?eq rel sigma ~use_dependency_graph)
+    in
+    let steps = ref 0 in
+    let rescans = ref 0 in
+    let pass_no = ref 0 in
+    (match resume with
+    | None -> ()
+    | Some cp ->
+      steps := cp.Checkpoint.counters.steps;
+      rescans := cp.Checkpoint.counters.rescans;
+      pass_no := cp.Checkpoint.counters.pass;
+      st.merges <- cp.Checkpoint.counters.merges;
+      st.rhs_fixes <- cp.Checkpoint.counters.rhs_fixes;
+      st.lhs_fixes <- cp.Checkpoint.counters.lhs_fixes;
+      st.nulls_introduced <- cp.Checkpoint.counters.nulls_introduced;
+      List.iter (Provenance.record st.trail) cp.Checkpoint.trail);
+    let budget = 20 * (Eqclass.n_cells st.eq + 1) in
+    let degraded = ref None in
+    let progress_fraction () =
+      let s = float_of_int !steps
+      and q = float_of_int (Heap.length st.queue) in
+      if s = 0. && q = 0. then 1. else s /. Float.max 1. (s +. q)
+    in
+    let write_checkpoint () =
+      match checkpoint with
+      | Some path ->
+        Checkpoint.save path
+          {
+            Checkpoint.kind = Checkpoint.batch_kind;
+            fingerprint = fp;
+            use_dependency_graph;
+            counters =
+              {
+                Checkpoint.pass = !pass_no;
+                steps = !steps;
+                rescans = !rescans;
+                merges = st.merges;
+                rhs_fixes = st.rhs_fixes;
+                lhs_fixes = st.lhs_fixes;
+                nulls_introduced = st.nulls_introduced;
+              };
+            eq = Eqclass.snapshot st.eq;
+            trail = Provenance.entries st.trail;
+          }
       | None -> ()
-      | Some cp ->
-        steps := cp.Checkpoint.counters.steps;
-        rescans := cp.Checkpoint.counters.rescans;
-        pass_no := cp.Checkpoint.counters.pass;
-        st.merges <- cp.Checkpoint.counters.merges;
-        st.rhs_fixes <- cp.Checkpoint.counters.rhs_fixes;
-        st.lhs_fixes <- cp.Checkpoint.counters.lhs_fixes;
-        st.nulls_introduced <- cp.Checkpoint.counters.nulls_introduced;
-        List.iter (Provenance.record st.trail) cp.Checkpoint.trail);
-      let budget = 20 * (Eqclass.n_cells st.eq + 1) in
-      let degraded = ref None in
-      let progress_fraction () =
-        let s = float_of_int !steps
-        and q = float_of_int (Heap.length st.queue) in
-        if s = 0. && q = 0. then 1. else s /. Float.max 1. (s +. q)
-      in
-      let write_checkpoint () =
-        match checkpoint with
-        | Some { path; every } when !pass_no mod every = 0 ->
-          Checkpoint.save path
-            {
-              Checkpoint.kind = Checkpoint.batch_kind;
-              fingerprint = fp;
-              use_dependency_graph;
-              counters =
-                {
-                  Checkpoint.pass = !pass_no;
-                  steps = !steps;
-                  rescans = !rescans;
-                  merges = st.merges;
-                  rhs_fixes = st.rhs_fixes;
-                  lhs_fixes = st.lhs_fixes;
-                  nulls_introduced = st.nulls_introduced;
-                };
-              eq = Eqclass.snapshot st.eq;
-              trail = Provenance.entries st.trail;
-            }
-        | _ -> ()
-      in
-      (* One resolution pass: pop-and-apply until the queue verifies clean
-         (or the step budget trips).  Instantiation and quiescence rescans
-         separate passes, so each pass is one drain of the violation
-         queue.  A wall-clock deadline is polled every 1024 steps —
-         pass-count deadlines are only ever checked at boundaries, so they
-         stay exactly reproducible. *)
-      let rec drain () =
-        if !steps > budget then
-          Error (Dq_error.Internal "Batch_repair.repair: step budget exceeded")
-        else if !steps land 1023 = 0 && Deadline.wall_expired deadline then
-          Ok `Cut
-        else
-          match pick_next st with
-          | None -> Ok `Drained
-          | Some (cid, tid, plan) ->
-            st.ctx_clause <- Some (Cfd.name st.sigma.(cid));
-            st.ctx_cost <- plan.cost;
-            st.ctx_pass <- !steps;
-            apply st plan.action;
-            (* A wildcard-clause plan resolves the conflict with one
-               partner; the tuple may still conflict with others in its
-               group, so the pair goes straight back in the queue until it
-               verifies clean. *)
-            offer st cid tid;
-            incr steps;
-            Metrics.incr m_steps;
-            Progress.emit (fun () ->
-                Printf.sprintf
-                  "batch_repair: pass %d | step %d | %d unresolved | %.0f \
-                   steps/s"
-                  !pass_no !steps (Heap.length st.queue)
-                  (float_of_int !steps
-                  /. Float.max 1e-9 (Clock.now () -. started)));
-            drain ()
-      in
-      (* A deadline cut: record why and how far the run got, then
-         instantiate once so the written-back targets are complete — the
-         anytime result.  A cut before any work on a fresh run has nothing
-         usable to return: that is exit code 4's case. *)
-      let cut reason =
-        if !steps = 0 && resume = None then Error Dq_error.Deadline_exceeded
-        else begin
-          degraded := Some { Report.reason; progress = progress_fraction () };
-          st.ctx_clause <- None;
-          st.ctx_cost <- 0.;
+    in
+    (* One resolution pass: pop-and-apply until the queue verifies clean
+       (or the step budget trips).  Instantiation and quiescence rescans
+       separate passes, so each pass is one drain of the violation
+       queue.  A wall-clock deadline is polled every 1024 steps —
+       pass-count deadlines are only ever checked at boundaries, so they
+       stay exactly reproducible. *)
+    let rec drain () =
+      if !steps > budget then
+        Error (Dq_error.Internal "Batch_repair.repair: step budget exceeded")
+      else if !steps land 1023 = 0 && Deadline.wall_expired deadline then
+        Ok `Cut
+      else
+        match pick_next st with
+        | None -> Ok `Drained
+        | Some (cid, tid, plan) ->
+          st.ctx_clause <- Some (Cfd.name st.sigma.(cid));
+          st.ctx_cost <- plan.cost;
           st.ctx_pass <- !steps;
-          ignore
-            (Trace.span ~cat:"batch" "batch.instantiate" (fun () ->
-                 instantiate st));
-          Ok ()
-        end
-      in
-      let rec drive () =
-        incr pass_no;
-        let drained =
-          Trace.span ~cat:"batch"
-            ~args:(fun () ->
-              [
-                ("pass", Dq_obs.Json.Int !pass_no);
-                ("queued", Dq_obs.Json.Int (Heap.length st.queue));
-              ])
-            "batch.pass" drain
-        in
-        match drained with
-        | Error _ as e -> e
-        | Ok `Cut -> cut "deadline expired mid-pass"
-        | Ok `Drained -> boundary ()
-      (* The pass boundary: the queue has verified clean, so the class
-         structure is a consistent cut — the one place a checkpoint can be
-         taken and a deadline can stop the run deterministically. *)
-      and boundary () =
+          apply st plan.action;
+          (* A wildcard-clause plan resolves the conflict with one
+             partner; the tuple may still conflict with others in its
+             group, so the pair goes straight back in the queue until it
+             verifies clean. *)
+          offer st cid tid;
+          incr steps;
+          Metrics.incr m_steps;
+          Progress.emit (fun () ->
+              Printf.sprintf
+                "batch_repair: pass %d | step %d | %d unresolved | %.0f \
+                 steps/s"
+                !pass_no !steps (Heap.length st.queue)
+                (float_of_int !steps
+                /. Float.max 1e-9 (Clock.now () -. started)));
+          drain ()
+    in
+    (* A deadline cut: record why and how far the run got, then
+       instantiate once so the written-back targets are complete — the
+       anytime result.  A cut before any work on a fresh run has nothing
+       usable to return: that is exit code 4's case. *)
+    let cut reason =
+      if !steps = 0 && resume = None then Error Dq_error.Deadline_exceeded
+      else begin
+        degraded := Some { Report.reason; progress = progress_fraction () };
         st.ctx_clause <- None;
         st.ctx_cost <- 0.;
         st.ctx_pass <- !steps;
-        (* Checkpoint first, fault site second: a crash injected at
-           ["repair.pass"] (or a kill -9 during its delay action) always
-           finds the snapshot of this very boundary already on disk —
-           the window the kill-and-resume tests exercise. *)
-        write_checkpoint ();
-        Fault.hit "repair.pass";
-        Deadline.tick deadline;
-        if Deadline.expired deadline then
-          cut "deadline expired at a pass boundary"
-        else if
-          Trace.span ~cat:"batch" "batch.instantiate" (fun () ->
-              instantiate st)
-        then drive ()
-        else begin
-          (* Quiescent: cross-check the targets with the detector.  The
-             incremental dirty propagation is designed to be complete,
-             but a missed pair here would silently break Theorem 4.2's
-             guarantee, so trust nothing and re-verify.  The detector
-             accepts exactly when a rebuild of the buckets and a full
-             rescan would offer nothing (DESIGN.md §4b), so those run
-             only when it finds a violation. *)
-          let missed =
-            Trace.span ~cat:"batch" "batch.rescan" (fun () ->
-                if Violation.satisfies (effective_relation st) st.sigma then 0
-                else begin
-                  rebuild_buckets st;
-                  offer_all_violations st
-                end)
-          in
-          if missed > 0 then begin
-            incr rescans;
-            Metrics.incr m_rescans;
-            if !rescans > 50 then
-              Error
-                (Dq_error.Internal
-                   "Batch_repair.repair: rescans not converging")
-            else drive ()
-          end
-          else Ok ()
-        end
+        ignore
+          (Trace.span ~cat:"batch" "batch.instantiate" (fun () ->
+               instantiate st));
+        Ok ()
+      end
+    in
+    let rec drive () =
+      incr pass_no;
+      let drained =
+        Trace.span ~cat:"batch"
+          ~args:(fun () ->
+            [
+              ("pass", Dq_obs.Json.Int !pass_no);
+              ("queued", Dq_obs.Json.Int (Heap.length st.queue));
+            ])
+          "batch.pass" drain
       in
-      let entry =
-        match resume with
-        | Some _ ->
-          (* The checkpoint was taken at a boundary with an empty queue,
-             after the initial scan's offers had all been consumed: skip
-             the scan and re-enter right at the boundary. *)
-          Ok `Resume
-        | None -> (
-          match
-            Trace.span ~cat:"phase" ~phases ~timer:m_t_scan "initial_scan"
-              (fun () ->
-                Deadline.check deadline;
-                ignore (offer_all_violations st))
-          with
-          | () -> Ok `Fresh
-          | exception Deadline.Expired -> Error Dq_error.Deadline_exceeded)
-      in
-      match entry with
+      match drained with
       | Error _ as e -> e
-      | Ok entry -> (
-        let run () =
-          match entry with `Resume -> boundary () | `Fresh -> drive ()
+      | Ok `Cut -> cut "deadline expired mid-pass"
+      | Ok `Drained -> boundary ()
+    (* The pass boundary: the queue has verified clean, so the class
+       structure is a consistent cut — the one place a checkpoint can be
+       taken and a deadline can stop the run deterministically. *)
+    and boundary () =
+      st.ctx_clause <- None;
+      st.ctx_cost <- 0.;
+      st.ctx_pass <- !steps;
+      (* Checkpoint first, fault site second: a crash injected at
+         ["repair.pass"] (or a kill -9 during its delay action) always
+         finds the snapshot of this very boundary already on disk —
+         the window the kill-and-resume tests exercise. *)
+      write_checkpoint ();
+      Fault.hit "repair.pass";
+      Deadline.tick deadline;
+      if Deadline.expired deadline then
+        cut "deadline expired at a pass boundary"
+      else if
+        Trace.span ~cat:"batch" "batch.instantiate" (fun () ->
+            instantiate st)
+      then drive ()
+      else begin
+        (* Quiescent: cross-check the targets with the detector.  The
+           incremental dirty propagation is designed to be complete,
+           but a missed pair here would silently break Theorem 4.2's
+           guarantee, so trust nothing and re-verify.  The detector
+           accepts exactly when a rebuild of the buckets and a full
+           rescan would offer nothing (DESIGN.md §4b), so those run
+           only when it finds a violation. *)
+        let missed =
+          Trace.span ~cat:"batch" "batch.rescan" (fun () ->
+              if Violation.satisfies (effective_relation st) st.sigma then 0
+              else begin
+                rebuild_buckets st;
+                offer_all_violations st
+              end)
         in
+        if missed > 0 then begin
+          incr rescans;
+          Metrics.incr m_rescans;
+          if !rescans > 50 then
+            Error
+              (Dq_error.Internal
+                 "Batch_repair.repair: rescans not converging")
+          else drive ()
+        end
+        else Ok ()
+      end
+    in
+    let entry =
+      match resume with
+      | Some _ ->
+        (* The checkpoint was taken at a boundary with an empty queue,
+           after the initial scan's offers had all been consumed: skip
+           the scan and re-enter right at the boundary. *)
+        Ok `Resume
+      | None -> (
         match
-          Trace.span ~cat:"phase" ~phases ~timer:m_t_resolve "resolve" run
-        with
-        | Error _ as e -> e
-        | Ok () ->
-          (* Write the target values back into the working copy (lines
-             14-15). *)
-          let cells_changed = ref 0 in
-          Trace.span ~cat:"phase" ~phases ~timer:m_t_write "write_back"
+          Trace.span ~cat:"phase" ~phases ~timer:m_t_scan "initial_scan"
             (fun () ->
-              let tuples = Relation.tuples rel in
-              Array.iter
-                (fun t ->
-                  let tid = Tuple.tid t in
-                  for attr = 0 to st.arity - 1 do
-                    let v = Eqclass.effective st.eq (cellof st tid attr) in
-                    if not (Value.equal v (Tuple.get t attr)) then begin
-                      Relation.set_value rel t attr v;
-                      incr cells_changed
-                    end
-                  done)
-                tuples);
-          let stats =
-            {
-              steps = !steps;
-              merges = st.merges;
-              rhs_fixes = st.rhs_fixes;
-              lhs_fixes = st.lhs_fixes;
-              nulls_introduced = st.nulls_introduced;
-              cells_changed = !cells_changed;
-              runtime = Clock.now () -. started;
-            }
-          in
-          let report =
-            Report.make ~engine:"batch_repair"
-              ~summary:
-                [
-                  ("steps", Dq_obs.Json.Int stats.steps);
-                  ("merges", Dq_obs.Json.Int stats.merges);
-                  ("rhs_fixes", Dq_obs.Json.Int stats.rhs_fixes);
-                  ("lhs_fixes", Dq_obs.Json.Int stats.lhs_fixes);
-                  ("nulls_introduced", Dq_obs.Json.Int stats.nulls_introduced);
-                  ("cells_changed", Dq_obs.Json.Int stats.cells_changed);
-                ]
-              ~phases:!phases
-              ~provenance:(Provenance.entries st.trail)
-              ?degraded:!degraded ()
-          in
-          Ok ((rel, stats), report))))
+              Deadline.check deadline;
+              ignore (offer_all_violations st))
+        with
+        | () -> Ok `Fresh
+        | exception Deadline.Expired -> Error Dq_error.Deadline_exceeded)
+    in
+    match entry with
+    | Error _ as e -> e
+    | Ok entry -> (
+      let run () =
+        match entry with `Resume -> boundary () | `Fresh -> drive ()
+      in
+      match
+        Trace.span ~cat:"phase" ~phases ~timer:m_t_resolve "resolve" run
+      with
+      | Error _ as e -> e
+      | Ok () ->
+        (* Write the target values back into the working copy (lines
+           14-15). *)
+        let cells_changed = ref 0 in
+        Trace.span ~cat:"phase" ~phases ~timer:m_t_write "write_back"
+          (fun () ->
+            let tuples = Relation.tuples rel in
+            Array.iter
+              (fun t ->
+                let tid = Tuple.tid t in
+                for attr = 0 to st.arity - 1 do
+                  let v = Eqclass.effective st.eq (cellof st tid attr) in
+                  if not (Value.equal v (Tuple.get t attr)) then begin
+                    Relation.set_value rel t attr v;
+                    incr cells_changed
+                  end
+                done)
+              tuples);
+        let stats =
+          {
+            steps = !steps;
+            merges = st.merges;
+            rhs_fixes = st.rhs_fixes;
+            lhs_fixes = st.lhs_fixes;
+            nulls_introduced = st.nulls_introduced;
+            cells_changed = !cells_changed;
+            runtime = Clock.now () -. started;
+          }
+        in
+        let report =
+          Report.make ~engine:"batch_repair"
+            ~summary:
+              [
+                ("steps", Dq_obs.Json.Int stats.steps);
+                ("merges", Dq_obs.Json.Int stats.merges);
+                ("rhs_fixes", Dq_obs.Json.Int stats.rhs_fixes);
+                ("lhs_fixes", Dq_obs.Json.Int stats.lhs_fixes);
+                ("nulls_introduced", Dq_obs.Json.Int stats.nulls_introduced);
+                ("cells_changed", Dq_obs.Json.Int stats.cells_changed);
+              ]
+            ~phases:!phases
+            ~provenance:(Provenance.entries st.trail)
+            ?degraded:!degraded ()
+        in
+        Ok ((rel, stats), report)))

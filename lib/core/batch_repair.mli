@@ -38,15 +38,10 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-type checkpoint_spec = {
-  path : string;  (** where to write snapshots ({!Checkpoint.save}) *)
-  every : int;  (** write one every [every] pass boundaries (>= 1) *)
-}
-
 val repair :
   ?use_dependency_graph:bool ->
   ?deadline:Dq_fault.Deadline.t ->
-  ?checkpoint:checkpoint_spec ->
+  ?checkpoint:string ->
   ?resume:Checkpoint.t ->
   Relation.t ->
   Cfd.t array ->

@@ -2,14 +2,12 @@ open Dq_relation
 open Dq_cfd
 open Dq_core
 
-type checkpoint_spec = { path : string; every : int }
-
 type ctx = {
   relation : Relation.t;
   sigma : Cfd.t array;
   pool : Dq_parallel.Pool.t option;
   deadline : Dq_fault.Deadline.t;
-  checkpoint : checkpoint_spec option;
+  checkpoint : string option;
   resume : Checkpoint.t option;
 }
 
@@ -48,14 +46,9 @@ module Batch : ENGINE = struct
   let fragment _ _ = Ok ()
 
   let run c =
-    let checkpoint =
-      Option.map
-        (fun { path; every } -> { Batch_repair.path; every })
-        c.checkpoint
-    in
     match
-      Batch_repair.repair ~deadline:c.deadline ?checkpoint ?resume:c.resume
-        c.relation c.sigma
+      Batch_repair.repair ~deadline:c.deadline ?checkpoint:c.checkpoint
+        ?resume:c.resume c.relation c.sigma
     with
     | Ok ((repaired, stats), report) ->
       Ok
@@ -112,14 +105,9 @@ module Opt_fd : ENGINE = struct
   let fragment = Opt_fd_repair.fragment
 
   let run c =
-    let checkpoint =
-      Option.map
-        (fun { path; every } -> { Opt_fd_repair.path; every })
-        c.checkpoint
-    in
     match
-      Opt_fd_repair.repair ~deadline:c.deadline ?checkpoint ?resume:c.resume
-        c.relation c.sigma
+      Opt_fd_repair.repair ~deadline:c.deadline ?checkpoint:c.checkpoint
+        ?resume:c.resume c.relation c.sigma
     with
     | Ok ((repaired, stats), report) ->
       Ok
@@ -141,11 +129,7 @@ let builtin : (module ENGINE) list =
     (module Opt_fd);
   ]
 
-let registered : (module ENGINE) list ref = ref []
-
-let register e = registered := !registered @ [ e ]
-
-let all () = builtin @ !registered
+let all () = builtin
 
 let names () = List.map (fun (module E : ENGINE) -> E.name) (all ())
 
@@ -157,12 +141,9 @@ let find name =
     match List.assoc_opt name aliases with Some n -> n | None -> name
   in
   let matches (module E : ENGINE) = String.equal E.name canonical in
-  match List.find_opt matches (List.rev !registered) with
+  match List.find_opt matches builtin with
   | Some e -> Ok e
-  | None -> (
-    match List.find_opt matches builtin with
-    | Some e -> Ok e
-    | None -> Error (Dq_error.Unknown_engine { name; known = names () }))
+  | None -> Error (Dq_error.Unknown_engine { name; known = names () })
 
 let check_fragment (module E : ENGINE) schema sigma =
   match E.fragment schema sigma with

@@ -8,8 +8,8 @@
     The CLI's [repair --engine NAME], the differential test harness and
     the bench head-to-head all hand engines the same record, so no layer
     re-parses another layer's option spelling, and a new engine becomes
-    a drop-in everywhere by implementing {!ENGINE} and calling
-    {!register} (or joining the built-in list).  The serve daemon's sessions pick an engine by name
+    a drop-in everywhere by implementing {!ENGINE} and joining the
+    built-in list.  The serve daemon's sessions pick an engine by name
     and read only its {!ENGINE.ingest} ordering.
 
     Contract every engine must honour (what the differential suite
@@ -25,8 +25,6 @@
 open Dq_relation
 open Dq_cfd
 
-type checkpoint_spec = { path : string; every : int }
-
 (** The one context record shared by every engine invocation: the
     instance itself plus the execution hooks.  Engines ignore checkpoint
     hooks only after the caller has gated on {!ENGINE.supports_checkpoint}
@@ -39,14 +37,15 @@ type ctx = {
       (** read by the inc family's violation counts; batch and opt-fd
           run on the calling domain *)
   deadline : Dq_fault.Deadline.t;
-  checkpoint : checkpoint_spec option;
+  checkpoint : string option;
+      (** snapshot the repair state to this file at every boundary *)
   resume : Dq_core.Checkpoint.t option;
 }
 
 val ctx :
   ?pool:Dq_parallel.Pool.t ->
   ?deadline:Dq_fault.Deadline.t ->
-  ?checkpoint:checkpoint_spec ->
+  ?checkpoint:string ->
   ?resume:Dq_core.Checkpoint.t ->
   Relation.t ->
   Cfd.t array ->
@@ -86,14 +85,10 @@ module type ENGINE = sig
 end
 
 val all : unit -> (module ENGINE) list
-(** Built-in engines ([batch], [inc], [l-inc], [w-inc], [opt-fd]) plus
-    anything {!register}ed, in registration order. *)
+(** The engines: [batch], [inc], [l-inc], [w-inc], [opt-fd], in that
+    order. *)
 
 val names : unit -> string list
-
-val register : (module ENGINE) -> unit
-(** Append an engine to the registry.  A later registration shadows an
-    earlier engine of the same name in {!find}. *)
 
 val find : string -> ((module ENGINE), Dq_error.t) result
 (** Resolve a registry name (or the alias [v-inc] for [inc]);

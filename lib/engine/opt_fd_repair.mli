@@ -54,8 +54,6 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-type checkpoint_spec = { path : string; every : int }
-
 val engine_name : string
 (** ["opt-fd"], the registry name. *)
 
@@ -66,7 +64,7 @@ val fragment : Schema.t -> Cfd.t array -> (unit, string) result
 
 val repair :
   ?deadline:Dq_fault.Deadline.t ->
-  ?checkpoint:checkpoint_spec ->
+  ?checkpoint:string ->
   ?resume:Dq_core.Checkpoint.t ->
   Relation.t ->
   Cfd.t array ->

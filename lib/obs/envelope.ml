@@ -2,10 +2,8 @@
 
 let version = 2
 
-(* [id] is the serve daemon's per-request correlation id.  It is emitted
-   only when present, so CLI envelopes (and serve responses with
-   telemetry off) are byte-identical to what they were before the field
-   existed. *)
+(* [id] is the serve daemon's per-request correlation id; CLI envelopes
+   answer no request and carry none. *)
 let make ~request ?id ~ok ~report ~diagnostics () =
   Json.Obj
     ([ ("v", Json.Int version); ("request", Json.String request) ]

@@ -30,10 +30,8 @@ val make :
   Json.t
 (** Build an envelope.  Field order is fixed ([v, request, id?, ok,
     report, diagnostics]) so output is byte-comparable.  [id] is the
-    serve daemon's per-request correlation id, emitted only when
-    present — envelopes without one are byte-identical to the pre-[id]
-    schema, which is what keeps CLI goldens and the daemon's
-    telemetry-off zero-overhead gate intact. *)
+    serve daemon's per-request correlation id, which every daemon
+    response carries.  CLI envelopes answer no request and omit it. *)
 
 val error : request:string -> ?id:string -> Json.t -> Json.t
 (** [error ~request err] is the failure envelope: [ok = false], a [null]

@@ -17,19 +17,8 @@ let ( let* ) = Result.bind
    version in bin/cfdclean.ml. *)
 let version = "1.0.0"
 
-type telemetry = {
-  metrics : bool;
-  slow_request_s : float option;
-}
-
-let default_telemetry = { metrics = true; slow_request_s = None }
-
-let telemetry_off = { metrics = false; slow_request_s = None }
-
-(* Overload limits, all off by default: with [default_limits] the daemon
-   behaves — and frames responses — exactly like the pre-limits daemon
-   (one request per connection, unbounded admission, no timeouts, no
-   breaker, no eviction), which is what the byte-identity tests pin. *)
+(* Overload limits, all off by default: one request per connection,
+   unbounded admission, no timeouts, no breaker, no eviction. *)
 type limits = {
   max_connections : int;
   max_inflight : int;
@@ -61,7 +50,7 @@ type config = {
   port : int;
   state_dir : string option;
   resume : bool;
-  telemetry : telemetry;
+  slow_request_s : float option;
   limits : limits;
 }
 
@@ -133,8 +122,8 @@ type t = {
   sessions : (string, entry) Hashtbl.t;
   registry : Mutex.t;  (** guards [sessions], [next_id] and pin counts *)
   reload : Mutex.t;  (** serializes evicted-session reloads *)
-  telemetry : telemetry;
-  instruments : instruments option;  (** [Some] iff [telemetry.metrics] *)
+  slow_request_s : float option;
+  instruments : instruments;
   started : float;  (** {!Clock.now} at [start], for uptime *)
   id_prefix : string;  (** per-process prefix of generated request ids *)
   req_counter : int Atomic.t;
@@ -194,30 +183,25 @@ let json_response ?(headers = []) ~status j =
 
 let ok_response ?(status = 200) ~request ~id report =
   json_response ~status
-    (Envelope.make ~request ?id ~ok:true ~report ~diagnostics:[] ())
+    (Envelope.make ~request ~id ~ok:true ~report ~diagnostics:[] ())
 
 let err_response ?status ?headers ~request ~id e =
   let status =
     match status with Some s -> s | None -> status_of_error e
   in
   json_response ?headers ~status
-    (Envelope.error ~request ?id (Dq_error.to_json e))
+    (Envelope.error ~request ~id (Dq_error.to_json e))
 
 (* Per-reason load-shed counter; reasons are a small fixed set
    (queue_full, inflight, connections, draining). *)
-let shed d reason =
-  match d.instruments with
-  | None -> ()
-  | Some _ ->
-    Metrics.incr (Metrics.counter ~labels:[ ("reason", reason) ] "serve.shed")
+let shed reason =
+  Metrics.incr (Metrics.counter ~labels:[ ("reason", reason) ] "serve.shed")
 
 (* ---- request ids --------------------------------------------------------- *)
 
 (* A client-supplied [x-request-id] is echoed after sanitising (so a log
    line is one JSON token no matter what arrived); otherwise an id is
-   generated — but only when some telemetry is on.  With metrics off and
-   no log sink, responses carry no id and are byte-identical to the
-   pre-telemetry wire format (the zero-overhead gate). *)
+   generated. *)
 let sanitize_request_id s =
   let b = Buffer.create (min (String.length s) 64) in
   String.iter
@@ -230,18 +214,13 @@ let sanitize_request_id s =
     s;
   if Buffer.length b = 0 then None else Some (Buffer.contents b)
 
-let telemetry_active d =
-  d.instruments <> None || Log.enabled Log.Error
+let fresh_request_id d =
+  Printf.sprintf "%s-%06d" d.id_prefix (Atomic.fetch_and_add d.req_counter 1)
 
 let request_id_of d (r : Http.request) =
   match Option.bind (Http.header r "x-request-id") sanitize_request_id with
-  | Some _ as id -> id
-  | None ->
-    if telemetry_active d then
-      Some
-        (Printf.sprintf "%s-%06d" d.id_prefix
-           (Atomic.fetch_and_add d.req_counter 1))
-    else None
+  | Some id -> id
+  | None -> fresh_request_id d
 
 (* ---- request decoding --------------------------------------------------- *)
 
@@ -347,11 +326,8 @@ let deadline_of_request (r : Http.request) =
 
 (* ---- response fragments -------------------------------------------------- *)
 
-(* Session status object.  The breaker fields are appended only when the
-   daemon runs with a breaker, so the default-configuration status body
-   is byte-identical to the pre-breaker wire format. *)
-let session_status d (s : Session.t) =
-  let base =
+let session_status (s : Session.t) =
+  Json.Obj
     [
       ("id", Json.String s.Session.id);
       ("engine", Json.String s.Session.engine);
@@ -373,19 +349,11 @@ let session_status d (s : Session.t) =
       ("quarantine", Json.Int (List.length s.Session.quarantine));
       ("quarantined_total", Json.Int s.Session.quarantined_total);
       ("resolved", Json.Int s.Session.resolved);
+      ( "state",
+        Json.String
+          (if s.Session.breaker_open then "engine_failed" else "active") );
+      ("engine_faults", Json.Int s.Session.engine_faults);
     ]
-  in
-  let breaker =
-    if d.limits.breaker_threshold > 0 then
-      [
-        ( "state",
-          Json.String
-            (if s.Session.breaker_open then "engine_failed" else "active") );
-        ("engine_faults", Json.Int s.Session.engine_faults);
-      ]
-    else []
-  in
-  Json.Obj (base @ breaker)
 
 let outcome_json schema = function
   | Session.Clean tid ->
@@ -431,14 +399,12 @@ let quarantined_json schema (q : Session.quarantined) =
 let save_session d s =
   match d.state_dir with
   | None -> ()
-  | Some dir -> (
-    match d.instruments with
-    | None -> ignore (Store.save ~dir s)
-    | Some i ->
-      let bytes =
-        Metrics.time i.checkpoint_seconds (fun () -> Store.save ~dir s)
-      in
-      Metrics.observe i.checkpoint_bytes (float_of_int bytes))
+  | Some dir ->
+    let i = d.instruments in
+    let bytes =
+      Metrics.time i.checkpoint_seconds (fun () -> Store.save ~dir s)
+    in
+    Metrics.observe i.checkpoint_bytes (float_of_int bytes)
 
 (* Pin a session for the duration of one request: bump its pin count
    (the sweeper never evicts a pinned session) and stamp its idle clock.
@@ -535,51 +501,45 @@ let handle_health d ~request ~id =
    refreshed here, at scrape time, rather than maintained on every
    mutation. *)
 let handle_metrics d =
-  (match d.instruments with
-  | None -> ()
-  | Some i ->
-    let entries =
-      Mutex.protect d.registry (fun () ->
-          List.of_seq (Hashtbl.to_seq d.sessions))
-    in
-    let live =
-      List.filter_map
-        (function _, Live s -> Some s | _, Evicted -> None)
-        entries
-    in
-    let qdepth =
-      List.fold_left
-        (fun acc (s : Session.t) ->
-          acc
-          + Session.with_lock s (fun () -> List.length s.Session.quarantine))
-        0 live
-    in
-    let lanes =
-      List.fold_left
-        (fun acc (s : Session.t) -> acc + Session.lane_depth s)
-        0 live
-    in
-    let failed =
-      List.length
-        (List.filter (fun (s : Session.t) -> s.Session.breaker_open) live)
-    in
-    Metrics.set_gauge i.sessions_live (float_of_int (List.length entries));
-    Metrics.set_gauge i.quarantine_depth (float_of_int qdepth);
-    Metrics.set_gauge i.uptime (Clock.now () -. d.started);
-    Metrics.set_gauge i.connections_live
-      (float_of_int (Mutex.protect d.cm (fun () -> Hashtbl.length d.conns)));
-    Metrics.set_gauge i.inflight_gauge (float_of_int (Atomic.get d.inflight));
-    Metrics.set_gauge i.ingest_queue_depth (float_of_int lanes);
-    Metrics.set_gauge i.sessions_failed (float_of_int failed);
-    (* A young handler thread reads zeroed quick_stat counters until it
-       has been through a minor collection; force one (cheap, bounded by
-       the minor heap) so the gauges are real. *)
-    Gc.minor ();
-    let st = Gc.quick_stat () in
-    Metrics.set_gauge i.gc_heap_words (float_of_int st.Gc.heap_words);
-    Metrics.set_gauge i.gc_minor_words st.Gc.minor_words;
-    Metrics.set_gauge i.gc_major_words st.Gc.major_words;
-    Metrics.set_gauge i.gc_compactions (float_of_int st.Gc.compactions));
+  let i = d.instruments in
+  let live =
+    Mutex.protect d.registry (fun () ->
+        Hashtbl.to_seq_values d.sessions
+        |> Seq.filter_map (function Live s -> Some s | Evicted -> None)
+        |> List.of_seq)
+  in
+  let qdepth =
+    List.fold_left
+      (fun acc (s : Session.t) ->
+        acc + Session.with_lock s (fun () -> List.length s.Session.quarantine))
+      0 live
+  in
+  let lanes =
+    List.fold_left
+      (fun acc (s : Session.t) -> acc + Session.lane_depth s)
+      0 live
+  in
+  let failed =
+    List.length
+      (List.filter (fun (s : Session.t) -> s.Session.breaker_open) live)
+  in
+  Metrics.set_gauge i.sessions_live (float_of_int (List.length live));
+  Metrics.set_gauge i.quarantine_depth (float_of_int qdepth);
+  Metrics.set_gauge i.uptime (Clock.now () -. d.started);
+  Metrics.set_gauge i.connections_live
+    (float_of_int (Mutex.protect d.cm (fun () -> Hashtbl.length d.conns)));
+  Metrics.set_gauge i.inflight_gauge (float_of_int (Atomic.get d.inflight));
+  Metrics.set_gauge i.ingest_queue_depth (float_of_int lanes);
+  Metrics.set_gauge i.sessions_failed (float_of_int failed);
+  (* A young handler thread reads zeroed quick_stat counters until it has
+     been through a minor collection; force one (cheap, bounded by the
+     minor heap) so the gauges are real. *)
+  Gc.minor ();
+  let st = Gc.quick_stat () in
+  Metrics.set_gauge i.gc_heap_words (float_of_int st.Gc.heap_words);
+  Metrics.set_gauge i.gc_minor_words st.Gc.minor_words;
+  Metrics.set_gauge i.gc_major_words st.Gc.major_words;
+  Metrics.set_gauge i.gc_compactions (float_of_int st.Gc.compactions);
   {
     status = 200;
     content_type = "text/plain; version=0.0.4";
@@ -637,10 +597,10 @@ let handle_create d ~request ~id:rid (r : Http.request) =
         [
           ("session", Json.String s.Session.id);
           ("engine", Json.String s.Session.engine);
-        ]
-        @ match rid with None -> [] | Some i -> [ ("id", Json.String i) ]);
+          ("id", Json.String rid);
+        ]);
     ok_response ~request ~id:rid ~status:201
-      (Session.with_lock s (fun () -> session_status d s))
+      (Session.with_lock s (fun () -> session_status s))
 
 (* Listing snapshots the registry under its lock but reads each
    session's status outside it — taking every session lock while
@@ -655,7 +615,7 @@ let handle_list d ~request ~id =
     List.map
       (fun (sid, entry) ->
         match entry with
-        | Live s -> Session.with_lock s (fun () -> session_status d s)
+        | Live s -> Session.with_lock s (fun () -> session_status s)
         | Evicted ->
           Json.Obj
             [ ("id", Json.String sid); ("state", Json.String "evicted") ])
@@ -666,7 +626,7 @@ let handle_list d ~request ~id =
 let handle_status d ~request ~id sid =
   match
     with_session d sid (fun s ->
-        Ok (Session.with_lock s (fun () -> session_status d s)))
+        Ok (Session.with_lock s (fun () -> session_status s)))
   with
   | Error e -> err_response ~request ~id e
   | Ok status -> ok_response ~request ~id status
@@ -698,9 +658,7 @@ let note_engine_result d (s : Session.t) = function
   | Ok _ -> Session.breaker_note_success s
   | Error (Dq_error.Fault_injected _ | Dq_error.Internal _) ->
     if Session.breaker_trip ~threshold:d.limits.breaker_threshold s then begin
-      (match d.instruments with
-      | None -> ()
-      | Some _ -> Metrics.incr (Metrics.counter "serve.breaker_opened"));
+      Metrics.incr (Metrics.counter "serve.breaker_opened");
       Log.warn "session.breaker" (fun () ->
           [
             ("session", Json.String s.Session.id);
@@ -774,13 +732,11 @@ let handle_ingest d ~request ~id:rid (r : Http.request) sid =
           | _ ->
             Error (Dq_error.Invalid_input "field \"tuples\": expected a list")
         in
-        (match d.instruments with
-        | Some i ->
-          Metrics.observe i.ingest_batch (float_of_int (List.length rows))
-        | None -> ());
+        Metrics.observe d.instruments.ingest_batch
+          (float_of_int (List.length rows));
         run_engine_job d s (fun () ->
             let* outcomes, stats, report =
-              Session.ingest ~deadline ?request_id:rid s rows
+              Session.ingest ~deadline ~request_id:rid s rows
             in
             Ok
               (Json.Obj
@@ -797,7 +753,7 @@ let handle_ingest d ~request ~id:rid (r : Http.request) sid =
   in
   match result with
   | Error (Dq_error.Queue_full _ as e) ->
-    shed d "queue_full";
+    shed "queue_full";
     err_response ~headers:[ ("retry-after", "1") ] ~request ~id:rid e
   | Error e -> err_response ~request ~id:rid e
   | Ok report -> ok_response ~request ~id:rid report
@@ -873,7 +829,7 @@ let handle_resolve d ~request ~id:rid (r : Http.request) sid tid_str =
         in
         run_engine_job d s (fun () ->
             let* outcome =
-              Session.resolve ~deadline ?request_id:rid s tid resolution
+              Session.resolve ~deadline ~request_id:rid s tid resolution
             in
             Ok
               (Json.Obj
@@ -885,7 +841,7 @@ let handle_resolve d ~request ~id:rid (r : Http.request) sid tid_str =
   in
   match result with
   | Error (Dq_error.Queue_full _ as e) ->
-    shed d "queue_full";
+    shed "queue_full";
     err_response ~headers:[ ("retry-after", "1") ] ~request ~id:rid e
   | Error e -> err_response ~request ~id:rid e
   | Ok report -> ok_response ~request ~id:rid report
@@ -898,73 +854,56 @@ let handle_resume d ~request ~id:rid sid =
         Ok
           (Session.with_lock s (fun () ->
                Session.breaker_reset s;
-               session_status d s)))
+               session_status s)))
   with
   | Error e -> err_response ~request ~id:rid e
   | Ok status ->
     Log.info "session.resume" (fun () ->
-        [ ("session", Json.String sid) ]
-        @ match rid with None -> [] | Some i -> [ ("id", Json.String i) ]);
+        [ ("session", Json.String sid); ("id", Json.String rid) ]);
     ok_response ~request ~id:rid status
 
 (* ---- dispatch ------------------------------------------------------------ *)
 
-(* The route template (what metrics and access-log lines are keyed by —
-   a bounded label set, ids collapsed to [:id]) plus the session id the
-   path names, if any. *)
-let route_info (r : Http.request) =
+(* The one route table: for each endpoint, its template (what metrics
+   and access-log lines are keyed by — a bounded label set, ids collapsed
+   to [:id]), the session id the path names, if any, and its handler. *)
+let route d (r : Http.request) =
   match (r.Http.meth, r.Http.path) with
-  | "GET", [ "v1"; "health" ] -> ("GET /v1/health", None)
-  | "GET", [ "v1"; "metrics" ] -> ("GET /v1/metrics", None)
-  | "POST", [ "v1"; "sessions" ] -> ("POST /v1/sessions", None)
-  | "GET", [ "v1"; "sessions" ] -> ("GET /v1/sessions", None)
-  | "GET", [ "v1"; "sessions"; id ] -> ("GET /v1/sessions/:id", Some id)
-  | "DELETE", [ "v1"; "sessions"; id ] -> ("DELETE /v1/sessions/:id", Some id)
-  | "POST", [ "v1"; "sessions"; id; "tuples" ] ->
-    ("POST /v1/sessions/:id/tuples", Some id)
-  | "POST", [ "v1"; "sessions"; id; "resume" ] ->
-    ("POST /v1/sessions/:id/resume", Some id)
-  | "GET", [ "v1"; "sessions"; id; "relation" ] ->
-    ("GET /v1/sessions/:id/relation", Some id)
-  | "GET", [ "v1"; "sessions"; id; "quarantine" ] ->
-    ("GET /v1/sessions/:id/quarantine", Some id)
-  | "POST", [ "v1"; "sessions"; id; "quarantine"; _; "resolve" ] ->
-    ("POST /v1/sessions/:id/quarantine/:tid/resolve", Some id)
-  | _, _ -> ("(unmatched)", None)
-
-let route d (r : Http.request) ~request ~id =
-  match (r.Http.meth, r.Http.path) with
-  | "GET", [ "v1"; "health" ] -> handle_health d ~request ~id
-  | "GET", [ "v1"; "metrics" ] when d.instruments <> None -> handle_metrics d
-  | "POST", [ "v1"; "sessions" ] -> handle_create d ~request ~id r
-  | "GET", [ "v1"; "sessions" ] -> handle_list d ~request ~id
-  | "GET", [ "v1"; "sessions"; sid ] -> handle_status d ~request ~id sid
-  | "DELETE", [ "v1"; "sessions"; sid ] -> handle_delete d ~request ~id sid
+  | "GET", [ "v1"; "health" ] -> ("GET /v1/health", None, handle_health d)
+  | "GET", [ "v1"; "metrics" ] ->
+    ("GET /v1/metrics", None, fun ~request:_ ~id:_ -> handle_metrics d)
+  | "POST", [ "v1"; "sessions" ] ->
+    ("POST /v1/sessions", None, handle_create d r)
+  | "GET", [ "v1"; "sessions" ] -> ("GET /v1/sessions", None, handle_list d)
+  | "GET", [ "v1"; "sessions"; sid ] ->
+    ("GET /v1/sessions/:id", Some sid, handle_status d sid)
+  | "DELETE", [ "v1"; "sessions"; sid ] ->
+    ("DELETE /v1/sessions/:id", Some sid, handle_delete d sid)
   | "POST", [ "v1"; "sessions"; sid; "tuples" ] ->
-    handle_ingest d ~request ~id r sid
+    ("POST /v1/sessions/:id/tuples", Some sid, handle_ingest d r sid)
   | "POST", [ "v1"; "sessions"; sid; "resume" ] ->
-    handle_resume d ~request ~id sid
+    ("POST /v1/sessions/:id/resume", Some sid, handle_resume d sid)
   | "GET", [ "v1"; "sessions"; sid; "relation" ] ->
-    handle_relation d ~request ~id sid
+    ("GET /v1/sessions/:id/relation", Some sid, handle_relation d sid)
   | "GET", [ "v1"; "sessions"; sid; "quarantine" ] ->
-    handle_quarantine d ~request ~id sid
+    ("GET /v1/sessions/:id/quarantine", Some sid, handle_quarantine d sid)
   | "POST", [ "v1"; "sessions"; sid; "quarantine"; tid; "resolve" ] ->
-    handle_resolve d ~request ~id r sid tid
+    ( "POST /v1/sessions/:id/quarantine/:tid/resolve",
+      Some sid,
+      handle_resolve d r sid tid )
   | _, _ ->
-    err_response ~status:404 ~request ~id
-      (Dq_error.Invalid_input (Printf.sprintf "no such endpoint: %s" request))
+    ( "(unmatched)",
+      None,
+      fun ~request ~id ->
+        err_response ~status:404 ~request ~id
+          (Dq_error.Invalid_input ("no such endpoint: " ^ request)) )
 
 (* Write the response, then account for it: the per-route request
    counter and latency histogram, one [http.access] log line carrying
    the request id, and the slow-request warning.  A peer that vanished
-   mid-write still gets accounted (bytes reflect what was written
-   before the pipe broke only approximately; we log the intended
-   size). *)
+   mid-write still gets accounted, with [bytes] logged as 0. *)
 let send_response d fd ~meth ~route ~session ~id ~keep_alive ~t0 resp =
-  let headers =
-    resp.headers
-    @ match id with Some i -> [ ("x-request-id", i) ] | None -> []
-  in
+  let headers = resp.headers @ [ ("x-request-id", id) ] in
   let bytes =
     try
       match resp.body with
@@ -978,17 +917,13 @@ let send_response d fd ~meth ~route ~session ~id ~keep_alive ~t0 resp =
     with Http.Closed -> 0
   in
   let dt = Clock.now () -. t0 in
-  (match d.instruments with
-  | None -> ()
-  | Some _ ->
-    Metrics.incr
-      (Metrics.counter
-         ~labels:
-           [ ("route", route); ("status", string_of_int resp.status) ]
-         "serve.requests");
-    Metrics.observe
-      (Metrics.histogram ~labels:[ ("route", route) ] "serve.request_seconds")
-      dt);
+  Metrics.incr
+    (Metrics.counter
+       ~labels:[ ("route", route); ("status", string_of_int resp.status) ]
+       "serve.requests");
+  Metrics.observe
+    (Metrics.histogram ~labels:[ ("route", route) ] "serve.request_seconds")
+    dt;
   let fields () =
     [
       ("method", Json.String meth);
@@ -1000,10 +935,10 @@ let send_response d fd ~meth ~route ~session ~id ~keep_alive ~t0 resp =
     @ (match session with
       | Some s -> [ ("session", Json.String s) ]
       | None -> [])
-    @ match id with Some i -> [ ("id", Json.String i) ] | None -> []
+    @ [ ("id", Json.String id) ]
   in
   Log.info "http.access" fields;
-  match d.telemetry.slow_request_s with
+  match d.slow_request_s with
   | Some limit when dt > limit ->
     Log.warn "http.slow" (fun () ->
         fields () @ [ ("threshold_s", Json.Float limit) ])
@@ -1017,12 +952,12 @@ let send_response d fd ~meth ~route ~session ~id ~keep_alive ~t0 resp =
    operators can watch an overloaded daemon). *)
 let serve_request d fd ~keep_alive ~last_id (r : Http.request) =
   let request = request_name r in
-  let route_tmpl, session = route_info r in
+  let route_tmpl, session, handler = route d r in
   let id = request_id_of d r in
-  (match id with Some _ -> last_id := id | None -> ());
+  last_id := Some id;
   let t0 = Clock.now () in
   if d.state <> Running then begin
-    shed d "draining";
+    shed "draining";
     send_response d fd ~meth:r.Http.meth ~route:route_tmpl ~session ~id
       ~keep_alive:false ~t0
       (err_response ~request ~id
@@ -1042,7 +977,7 @@ let serve_request d fd ~keep_alive ~last_id (r : Http.request) =
           && (not exempt)
           && cur >= d.limits.max_inflight
         then begin
-          shed d "inflight";
+          shed "inflight";
           send_response d fd ~meth:r.Http.meth ~route:route_tmpl ~session ~id
             ~keep_alive ~t0
             (err_response ~headers:[ ("retry-after", "1") ] ~request ~id
@@ -1054,28 +989,18 @@ let serve_request d fd ~keep_alive ~last_id (r : Http.request) =
           let resp =
             Trace.span ~cat:"serve"
               ~args:(fun () ->
-                ("route", Json.String route_tmpl)
-                :: (match id with
-                   | Some i -> [ ("request_id", Json.String i) ]
-                   | None -> []))
+                [
+                  ("route", Json.String route_tmpl);
+                  ("request_id", Json.String id);
+                ])
               "http.request"
               (fun () ->
-                try route d r ~request ~id with
+                try handler ~request ~id with
                 | Deadline.Expired ->
                   err_response ~request ~id Dq_error.Deadline_exceeded
                 | Fault.Injected site ->
                   err_response ~request ~id (Dq_error.Fault_injected site)
                 | Sys_error msg -> err_response ~request ~id (Dq_error.Io msg)
-                | Http.Closed ->
-                  (* already half-written by a streaming handler's peer:
-                     nothing more to send, but the request still gets
-                     accounted *)
-                  {
-                    status = 499;
-                    content_type = "text/plain";
-                    headers = [];
-                    body = Fixed "";
-                  }
                 | exn ->
                   err_response ~request ~id
                     (Dq_error.Internal (Printexc.to_string exn)))
@@ -1125,10 +1050,10 @@ let handle_connection d tok fd =
               loop ~first:false
           | Error fe ->
             let t0 = Clock.now () in
+            let id = fresh_request_id d in
             send_response d fd ~meth:"-" ~route:"(malformed)" ~session:None
-              ~id:None ~keep_alive:false ~t0
-              (err_response ~status:fe.Http.status ~request:"(malformed)"
-                 ~id:None
+              ~id ~keep_alive:false ~t0
+              (err_response ~status:fe.Http.status ~request:"(malformed)" ~id
                  (Dq_error.Invalid_input fe.Http.reason))
         in
         loop ~first:true
@@ -1147,13 +1072,14 @@ let handle_connection d tok fd =
    handler: best-effort 503 (bounded by a one-second send timeout so a
    non-reading peer cannot stall the acceptor), then close. *)
 let shed_connection d fd =
-  shed d "connections";
+  shed "connections";
+  let id = fresh_request_id d in
   (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   (try
-     Http.respond fd ~status:503
+     Http.respond fd ~status:503 ~headers:[ ("x-request-id", id) ]
        (Json.to_string
-          (Envelope.error ~request:"(connection)"
+          (Envelope.error ~request:"(connection)" ~id
              (Dq_error.to_json (Dq_error.Unavailable "connection limit reached"))))
    with Http.Closed | Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
@@ -1331,13 +1257,8 @@ let start config =
     let bound_port =
       match addr with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0
     in
-    let instruments =
-      if config.telemetry.metrics then begin
-        Metrics.set_enabled true;
-        Some (register_instruments ())
-      end
-      else None
-    in
+    Metrics.set_enabled true;
+    let instruments = register_instruments () in
     let started = Clock.now () in
     let d =
       {
@@ -1349,7 +1270,7 @@ let start config =
         sessions = Hashtbl.create 16;
         registry = Mutex.create ();
         reload = Mutex.create ();
-        telemetry = config.telemetry;
+        slow_request_s = config.slow_request_s;
         instruments;
         started;
         id_prefix =
@@ -1380,7 +1301,6 @@ let start config =
             | None -> Json.Null );
           ("ingest_workers", Json.Int config.limits.ingest_workers);
           ("resumed_sessions", Json.Int (List.length loaded));
-          ("metrics", Json.Bool config.telemetry.metrics);
         ]);
     d.acceptor <- Some (Thread.create accept_loop d);
     if config.limits.evict_idle_s > 0. then
@@ -1484,9 +1404,7 @@ let stop d =
         live);
     Pool.shutdown d.pool;
     let drain_s = Clock.now () -. t0 in
-    (match d.instruments with
-    | Some i -> Metrics.observe i.drain_seconds drain_s
-    | None -> ());
+    Metrics.observe d.instruments.drain_seconds drain_s;
     Mutex.protect d.lifecycle (fun () -> d.state <- Stopped);
     Log.info "serve.stop" (fun () ->
         [ ("port", Json.Int d.bound_port); ("drain_s", Json.Float drain_s) ])

@@ -6,7 +6,6 @@
     - [GET /v1/health] — liveness, version, uptime, session count,
       checkpoint state-dir status, engine registry;
     - [GET /v1/metrics] — Prometheus text exposition (no envelope);
-      only routed when the daemon was started with metrics on;
     - [POST /v1/sessions] — create a session from a schema, a ruleset
       and an ingest-capable engine (gated like the CLI: lint errors,
       termination verdict, satisfiability, engine fragment);
@@ -33,48 +32,31 @@
     mutation is checkpointed ({!Store}) {e before} the 200 goes out, so
     [kill -9] + restart with [resume] serves byte-identical relations.
 
+    The daemon has one wire format.  {!start} turns on the process-wide
+    {!Dq_obs.Metrics} gate and registers its instruments (request
+    counters and latency histograms per route, session, quarantine and
+    GC gauges, checkpoint and ingest histograms).  Every response carries
+    an [x-request-id] header, equal to the envelope's [id]: the client's
+    own, sanitised, or a generated one.  Every session status carries
+    [state] and [engine_faults].  Structured logging goes through
+    {!Dq_obs.Log}, and the process (the CLI's [serve] subcommand, or a
+    test) decides whether a sink is installed.
+
     Overload behavior is governed by {!limits}: a full lane answers 429
     with [retry-after]; the in-flight and connection ceilings answer
     503 (health and metrics stay exempt so an overloaded daemon remains
     observable); {!stop} drains gracefully — in-flight and lane-queued
     work finishes, new requests get 503 + [connection: close] — bounded
-    by [drain_timeout_s].  With {!default_limits} all of it is off and
-    the daemon's wire behavior is byte-identical to the pre-limits
-    daemon. *)
+    by [drain_timeout_s].  With {!default_limits} all of it is off. *)
 
 val version : string
 (** The version string /v1/health reports (keep in sync with the CLI's
     man-page version). *)
 
-(** What the daemon observes about itself.  Structured logging is not in
-    here: the daemon logs through {!Dq_obs.Log} unconditionally, and the
-    process (the CLI's [serve] subcommand, or a test) decides whether a
-    sink is installed.  With [metrics = false] and no log sink the
-    daemon generates no request ids and its responses are byte-identical
-    to the pre-telemetry wire format. *)
-type telemetry = {
-  metrics : bool;
-      (** collect {!Dq_obs.Metrics} (request counters and latency
-          histograms per route, session/quarantine/GC gauges, checkpoint
-          and ingest histograms) and expose [GET /v1/metrics] in
-          Prometheus text format.  Turning this on enables the
-          process-wide metrics gate. *)
-  slow_request_s : float option;
-      (** warn-log any request slower than this many seconds *)
-}
-
-val default_telemetry : telemetry
-(** Metrics on, no slow-request threshold. *)
-
-val telemetry_off : telemetry
-(** Everything off — the zero-overhead configuration (and what the
-    byte-identity tests run under). *)
-
 (** Overload limits.  Every field's zero/false value means {e off}; with
-    {!default_limits} the daemon behaves exactly like the pre-limits
-    daemon (one request per connection, unbounded admission, no
-    timeouts, no breaker, no eviction) and performs no extra syscalls
-    on the request path. *)
+    {!default_limits} the daemon serves one request per connection with
+    unbounded admission, no timeouts, no breaker and no eviction, and
+    performs no extra syscalls on the request path. *)
 type limits = {
   max_connections : int;
       (** refuse (503, no handler thread) connections past this many
@@ -104,7 +86,8 @@ type limits = {
           directory; the next request reloads transparently); 0 = never *)
   breaker_threshold : int;
       (** quarantine a session ([engine_failed], 503) after this many
-          consecutive engine faults, until [POST .../resume]; 0 = off *)
+          consecutive engine faults, until [POST .../resume]; 0 = off
+          (faults are still counted in [engine_faults]) *)
   drain_timeout_s : float;
       (** {!stop}: bound on waiting for in-flight work before
           force-closing straggler connections *)
@@ -118,7 +101,8 @@ type config = {
   port : int;  (** 0 picks an ephemeral port (tests) *)
   state_dir : string option;  (** checkpoint directory; [None] = in-memory *)
   resume : bool;  (** load sessions back from [state_dir] on start *)
-  telemetry : telemetry;
+  slow_request_s : float option;
+      (** warn-log any request slower than this many seconds *)
   limits : limits;
 }
 
@@ -126,9 +110,10 @@ type t
 (** A running daemon. *)
 
 val start : config -> (t, Dq_error.t) result
-(** Bind [127.0.0.1], load checkpointed sessions when [resume], and
-    begin accepting in a background thread.  Invalid limits (negative
-    values, idle eviction without a state directory) are refused. *)
+(** Bind [127.0.0.1], load checkpointed sessions when [resume], turn
+    metrics on, and begin accepting in a background thread.  Invalid
+    limits (negative values, idle eviction without a state directory)
+    are refused. *)
 
 val port : t -> int
 (** The bound port (useful with [port = 0]). *)

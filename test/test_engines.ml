@@ -178,7 +178,7 @@ let test_opt_fd_checkpoint_resume () =
   let (_, _), report =
     run
       ~deadline:(Dq_fault.Deadline.after_passes 1)
-      ~checkpoint:{ Engine.path; every = 1 } "opt-fd" rel sigma
+      ~checkpoint:path "opt-fd" rel sigma
   in
   Alcotest.(check bool)
     "first run is degraded" true
@@ -200,7 +200,7 @@ let test_cross_engine_resume_refused () =
   let (_ : (Relation.t * string) * Dq_obs.Report.t) =
     run
       ~deadline:(Dq_fault.Deadline.after_passes 1)
-      ~checkpoint:{ Engine.path; every = 1 } "opt-fd" rel sigma
+      ~checkpoint:path "opt-fd" rel sigma
   in
   let cp =
     match Checkpoint.load path with

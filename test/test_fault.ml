@@ -246,8 +246,7 @@ let test_batch_deadline_zero () =
 let plain_run rel sigma = batch_key (Helpers.ok (Batch_repair.repair rel sigma))
 
 let checkpointing_run rel sigma path =
-  Helpers.ok
-    (Batch_repair.repair ~checkpoint:{ Batch_repair.path; every = 1 } rel sigma)
+  Helpers.ok (Batch_repair.repair ~checkpoint:path rel sigma)
 
 let last_boundary path =
   match Checkpoint.load path with
@@ -263,9 +262,7 @@ let test_kill_resume_identity () =
      written — the crash window resume exists for. *)
   (match
      with_plan "repair.pass@1" (fun () ->
-         Batch_repair.repair
-           ~checkpoint:{ Batch_repair.path; every = 1 }
-           rel sigma)
+         Batch_repair.repair ~checkpoint:path rel sigma)
    with
   | exception Fault.Injected "repair.pass" -> ()
   | exception e -> raise e
@@ -280,9 +277,7 @@ let test_kill_resume_identity () =
   let resumed =
     batch_key
       (Helpers.ok
-         (Batch_repair.repair ~resume:cp
-            ~checkpoint:{ Batch_repair.path; every = 1 }
-            rel sigma))
+         (Batch_repair.repair ~resume:cp ~checkpoint:path rel sigma))
   in
   Alcotest.(check bool) "kill+resume = plain run" true (resumed = full)
 
@@ -294,10 +289,8 @@ let test_deadline_cut_resume_identity () =
   in_temp_file @@ fun path ->
   let _cut =
     Helpers.ok
-      (Batch_repair.repair
-         ~deadline:(Deadline.after_passes 1)
-         ~checkpoint:{ Batch_repair.path; every = 1 }
-         rel sigma)
+      (Batch_repair.repair ~deadline:(Deadline.after_passes 1)
+         ~checkpoint:path rel sigma)
   in
   let cp =
     match Checkpoint.load path with
@@ -307,9 +300,7 @@ let test_deadline_cut_resume_identity () =
   let resumed =
     batch_key
       (Helpers.ok
-         (Batch_repair.repair ~resume:cp
-            ~checkpoint:{ Batch_repair.path; every = 1 }
-            rel sigma))
+         (Batch_repair.repair ~resume:cp ~checkpoint:path rel sigma))
   in
   Alcotest.(check bool) "deadline cut + resume = plain run" true (resumed = full)
 

@@ -1008,19 +1008,36 @@ let member name j =
   | Some v -> v
   | None -> Alcotest.failf "missing %S in %s" name (Json.to_string ~minify:true j)
 
+let plain_rules = "p1: [A] -> [B]\n"
+
+let create_session p =
+  let status, _ =
+    request p "POST" "/v1/sessions"
+      (Printf.sprintf
+         {|{"schema":{"name":"r","attributes":["A","B"]},"rules":%s}|}
+         (Json.to_string ~minify:true (Json.String plain_rules)))
+  in
+  Alcotest.(check int) "session create is 201" 201 status
+
+(* Every daemon turns the process-wide metrics gate on; the suites share
+   one runner, so stopping one turns the gate back off. *)
+let start_daemon ?(limits = Serve.default_limits) ?state_dir ?(resume = false)
+    () =
+  unwrap
+    (Serve.start
+       { Serve.port = 0; state_dir; resume; slow_request_s = None; limits })
+
+let stop_daemon d =
+  Serve.stop d;
+  Dq_obs.Metrics.set_enabled false
+
+let with_daemon ?limits ?state_dir ?resume f =
+  let d = start_daemon ?limits ?state_dir ?resume () in
+  Fun.protect ~finally:(fun () -> stop_daemon d) (fun () -> f (Serve.port d))
+
 let test_e2e_restart () =
   with_tmp_dir @@ fun dir ->
-  let start () =
-    unwrap
-      (Serve.start
-         {
-           Serve.port = 0;
-           state_dir = Some dir;
-           resume = true;
-           telemetry = Serve.telemetry_off;
-           limits = Serve.default_limits;
-         })
-  in
+  let start () = start_daemon ~state_dir:dir ~resume:true () in
   let d1 = start () in
   let p1 = Serve.port d1 in
   (* Create a session and drive two batches through it. *)
@@ -1055,12 +1072,12 @@ let test_e2e_restart () =
   Alcotest.(check int) "unknown session is 404" 404 status;
   let status, _ = request p1 "POST" "/v1/sessions/s1/tuples" "{not json" in
   Alcotest.(check int) "bad body is 400" 400 status;
-  Serve.stop d1;
+  stop_daemon d1;
   (* Restart over the same state directory: the session and its relation
      come back byte-identical (the checkpoint ran before each 200). *)
   let d2 = start () in
   Fun.protect
-    ~finally:(fun () -> Serve.stop d2)
+    ~finally:(fun () -> stop_daemon d2)
     (fun () ->
       let p2 = Serve.port d2 in
       let status, after = request p2 "GET" "/v1/sessions/s1/relation" "" in
@@ -1074,23 +1091,8 @@ let test_e2e_restart () =
 
 (* ---- serving telemetry ---------------------------------------------------- *)
 
-let start_daemon ?(limits = Serve.default_limits) ?state_dir ?(resume = false)
-    telemetry =
-  unwrap
-    (Serve.start { Serve.port = 0; state_dir; resume; telemetry; limits })
-
-let with_daemon ?limits ?state_dir ?resume telemetry f =
-  let d = start_daemon ?limits ?state_dir ?resume telemetry in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.stop d;
-      Dq_obs.Metrics.set_enabled false)
-    (fun () -> f (Serve.port d))
-
-let metrics_on = { Serve.metrics = true; slow_request_s = None }
-
 let test_request_ids () =
-  with_daemon metrics_on @@ fun p ->
+  with_daemon @@ fun p ->
   (* A client-supplied x-request-id is echoed in the response header and
      the envelope. *)
   let _, head, body =
@@ -1123,27 +1125,42 @@ let test_request_ids () =
   match member "id" (json_of body) with
   | Json.String id ->
     Alcotest.(check string) "envelope id equals header" generated id
-  | _ -> Alcotest.fail "no envelope id on a telemetry-on daemon"
+  | _ -> Alcotest.fail "no envelope id"
 
-let test_zero_overhead_no_id () =
-  with_daemon Serve.telemetry_off @@ fun p ->
-  let _, head, body = request_full p "GET" "/v1/sessions" "" in
-  Alcotest.(check (option string))
-    "no request-id header" None
-    (header_of head "x-request-id");
-  (match Json.member "id" (json_of body) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "telemetry-off envelope carries an id");
-  (* The metrics endpoint is not routed when metrics are off: it falls
-     through to the 404 unknown-endpoint error. *)
-  let status, body = request p "GET" "/v1/metrics" "" in
-  Alcotest.(check int) "metrics endpoint unrouted when off" 404 status;
+(* The daemon has one wire format.  Started with the default limits and
+   no log sink, it still stamps every response with the envelope's id,
+   serves /v1/metrics, and reports the breaker fields in every session
+   status. *)
+let test_one_wire_format () =
+  with_daemon @@ fun p ->
+  let envelope ~want meth path body =
+    let status, head, body = request_full p meth path body in
+    Alcotest.(check int) (meth ^ " " ^ path) want status;
+    let report = json_of body in
+    (match (header_of head "x-request-id", Json.member "id" report) with
+    | Some h, Some (Json.String id) ->
+      Alcotest.(check string) (path ^ ": header id equals envelope id") h id
+    | _ -> Alcotest.failf "%s %s: no request id: %s" meth path head);
+    report
+  in
+  ignore (envelope ~want:200 "GET" "/v1/health" "");
+  ignore (envelope ~want:404 "GET" "/v1/nowhere" "");
+  ignore (envelope ~want:404 "GET" "/v1/sessions/s9" "");
+  create_session p;
+  let status =
+    member "report" (envelope ~want:200 "GET" "/v1/sessions/s1" "")
+  in
   Alcotest.(check bool)
-    "unknown-endpoint error" true
-    (Helpers.contains body "no such endpoint")
+    "state active" true
+    (member "state" status = Json.String "active");
+  Alcotest.(check bool)
+    "no engine faults" true
+    (member "engine_faults" status = Json.Int 0);
+  let status, _ = request p "GET" "/v1/metrics" "" in
+  Alcotest.(check int) "metrics is 200" 200 status
 
 let test_health_fields () =
-  with_daemon Serve.telemetry_off @@ fun p ->
+  with_daemon @@ fun p ->
   let status, body = request p "GET" "/v1/health" "" in
   Alcotest.(check int) "health is 200" 200 status;
   let report = member "report" (json_of body) in
@@ -1165,7 +1182,7 @@ let test_health_fields () =
   | _ -> Alcotest.fail "state missing"
 
 let test_metrics_endpoint () =
-  with_daemon metrics_on @@ fun p ->
+  with_daemon @@ fun p ->
   let status, _ = request p "GET" "/v1/health" "" in
   Alcotest.(check int) "health is 200" 200 status;
   let status, head, text = request_full p "GET" "/v1/metrics" "" in
@@ -1213,13 +1230,12 @@ let test_access_log_schema () =
   Dq_obs.Log.set_sink (Some sink);
   Fun.protect ~finally:(fun () -> Dq_obs.Log.set_sink None) @@ fun () ->
   let envelope_id =
-    with_daemon Serve.telemetry_off @@ fun p ->
+    with_daemon @@ fun p ->
     let _, _, body = request_full p "GET" "/v1/health" "" in
-    (* A log sink alone activates request ids: the access-log line and
-       the envelope must correlate. *)
+    (* The access-log line and the envelope must correlate. *)
     match member "id" (json_of body) with
     | Json.String id -> id
-    | _ -> Alcotest.fail "log sink installed but envelope has no id"
+    | _ -> Alcotest.fail "envelope has no id"
   in
   let lines =
     String.split_on_char '\n' (read_file log_file)
@@ -1340,21 +1356,10 @@ let closed_by_peer c =
   | _ -> false
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
 
-let plain_rules = "p1: [A] -> [B]\n"
-
-let create_session p =
-  let status, _ =
-    request p "POST" "/v1/sessions"
-      (Printf.sprintf
-         {|{"schema":{"name":"r","attributes":["A","B"]},"rules":%s}|}
-         (Json.to_string ~minify:true (Json.String plain_rules)))
-  in
-  Alcotest.(check int) "session create is 201" 201 status
-
 (* An announced body over the daemon's limit answers 413 before any body
    bytes arrive. *)
 let test_oversized_body_413 () =
-  with_daemon Serve.telemetry_off @@ fun p ->
+  with_daemon @@ fun p ->
   let c = connect p in
   Fun.protect
     ~finally:(fun () -> close_client c)
@@ -1372,7 +1377,7 @@ let test_oversized_body_413 () =
    with keep-alive off the daemon closes after the first response. *)
 let test_keep_alive_pipelining () =
   let ka = { Serve.default_limits with keep_alive = true } in
-  with_daemon ~limits:ka Serve.telemetry_off (fun p ->
+  with_daemon ~limits:ka (fun p ->
       let c = connect p in
       Fun.protect
         ~finally:(fun () -> close_client c)
@@ -1397,7 +1402,7 @@ let test_keep_alive_pipelining () =
             (header_of h3 "connection" = Some "close");
           Alcotest.(check bool) "daemon closed" true (closed_by_peer c)));
   (* default framing: close after one response *)
-  with_daemon Serve.telemetry_off (fun p ->
+  with_daemon (fun p ->
       let c = connect p in
       Fun.protect
         ~finally:(fun () -> close_client c)
@@ -1414,7 +1419,7 @@ let test_keep_alive_pipelining () =
    batch is still repairing; the shed request commits nothing. *)
 let test_queue_full_429 () =
   let limits = { Serve.default_limits with queue_depth = 1 } in
-  with_daemon ~limits Serve.telemetry_off @@ fun p ->
+  with_daemon ~limits @@ fun p ->
   Fun.protect ~finally:Dq_fault.Fault.disarm @@ fun () ->
   create_session p;
   (match Dq_fault.Fault.parse_plan "serve.ingest@1:delay 400" with
@@ -1466,7 +1471,7 @@ let test_delete_races_ingest () =
       (fun f -> String.length f > 3 && String.sub f 0 3 = "s1.")
       (Array.to_list (Sys.readdir dir))
   in
-  with_daemon ~state_dir:dir Serve.telemetry_off (fun p ->
+  with_daemon ~state_dir:dir (fun p ->
       create_session p;
       with_fault_plan "serve.ingest@2:delay 1500" (fun () ->
           Alcotest.(check int) "first batch" 200
@@ -1484,7 +1489,7 @@ let test_delete_races_ingest () =
       Alcotest.(check int) "a later batch finds no session" 404
         (ingest p "[7,7]"));
   Alcotest.(check (list string)) "none after the daemon stops" [] (files ());
-  with_daemon ~state_dir:dir ~resume:true Serve.telemetry_off (fun p ->
+  with_daemon ~state_dir:dir ~resume:true (fun p ->
       Alcotest.(check int) "none after a restart" 404
         (fst (request p "GET" "/v1/sessions/s1" "")))
 
@@ -1494,13 +1499,13 @@ let test_drain_refuses_and_closes () =
   let limits =
     { Serve.default_limits with keep_alive = true; drain_timeout_s = 5. }
   in
-  let d = start_daemon ~limits Serve.telemetry_off in
+  let d = start_daemon ~limits () in
   let p = Serve.port d in
   let c = connect p in
   Fun.protect
     ~finally:(fun () ->
       close_client c;
-      Serve.stop d)
+      stop_daemon d)
     (fun () ->
       let health = "GET /v1/health HTTP/1.1\r\ncontent-length: 0\r\n\r\n" in
       send_raw c health;
@@ -1536,7 +1541,7 @@ let test_drain_refuses_and_closes () =
    closes it again. *)
 let test_breaker_quarantine_and_resume () =
   let limits = { Serve.default_limits with breaker_threshold = 2 } in
-  with_daemon ~limits Serve.telemetry_off @@ fun p ->
+  with_daemon ~limits @@ fun p ->
   Fun.protect ~finally:Dq_fault.Fault.disarm @@ fun () ->
   create_session p;
   let arm () =
@@ -1583,7 +1588,7 @@ let test_breaker_quarantine_and_resume () =
 let test_evict_and_reload () =
   with_tmp_dir @@ fun dir ->
   let limits = { Serve.default_limits with evict_idle_s = 0.2 } in
-  with_daemon ~limits ~state_dir:dir Serve.telemetry_off @@ fun p ->
+  with_daemon ~limits ~state_dir:dir @@ fun p ->
   create_session p;
   let status, _ =
     request p "POST" "/v1/sessions/s1/tuples" {|{"tuples":[[1,10],[2,20]]}|}
@@ -1601,10 +1606,21 @@ let test_evict_and_reload () =
       end
   in
   await_evict 100;
+  (* the live-sessions gauge counts resident sessions only *)
+  let live_gauge want =
+    let _, text = request p "GET" "/v1/metrics" "" in
+    Alcotest.(check bool)
+      (Printf.sprintf "sessions_live %d" want)
+      true
+      (Helpers.contains text
+         (Printf.sprintf "cfdclean_serve_sessions_live %d\n" want))
+  in
+  live_gauge 0;
   (* transparent reload on the next touch *)
   let status, after = request p "GET" "/v1/sessions/s1/relation" "" in
   Alcotest.(check int) "reloaded relation is 200" 200 status;
   Alcotest.(check string) "relation byte-identical after reload" before after;
+  live_gauge 1;
   let _, body = request p "GET" "/v1/sessions" "" in
   Alcotest.(check bool)
     "session live again" true
@@ -1633,7 +1649,7 @@ let test_failed_checkpoint_commits_nothing () =
         Alcotest.(check int) "a failed checkpoint answers 500" 500 (f ()))
   in
   let last =
-    with_daemon ~state_dir:dir Serve.telemetry_off @@ fun p ->
+    with_daemon ~state_dir:dir @@ fun p ->
     let created, _ =
       request p "POST" "/v1/sessions"
         (Printf.sprintf
@@ -1702,7 +1718,7 @@ let test_failed_checkpoint_commits_nothing () =
    A retry commits exactly one session. *)
 let test_failed_create_commits_nothing () =
   with_tmp_dir @@ fun dir ->
-  with_daemon ~state_dir:dir Serve.telemetry_off @@ fun p ->
+  with_daemon ~state_dir:dir @@ fun p ->
   let create () =
     fst
       (request p "POST" "/v1/sessions"
@@ -1816,9 +1832,9 @@ let prop_concurrent_sessions_equal_sequential =
       List.for_all
         (fun ingest_workers ->
           let limits = { Serve.default_limits with ingest_workers } in
-          let d = start_daemon ~limits Serve.telemetry_off in
+          let d = start_daemon ~limits () in
           Fun.protect
-            ~finally:(fun () -> Serve.stop d)
+            ~finally:(fun () -> stop_daemon d)
             (fun () ->
               let p = Serve.port d in
               List.iter
@@ -1883,8 +1899,8 @@ let suite =
       test_e2e_restart;
     Alcotest.test_case "telemetry: request ids echo, sanitize, generate" `Quick
       test_request_ids;
-    Alcotest.test_case "telemetry: off means no ids, no metrics route" `Quick
-      test_zero_overhead_no_id;
+    Alcotest.test_case "telemetry: one wire format: ids, metrics, breaker fields"
+      `Quick test_one_wire_format;
     Alcotest.test_case "telemetry: health reports version and uptime" `Quick
       test_health_fields;
     Alcotest.test_case "telemetry: /v1/metrics Prometheus exposition" `Quick
