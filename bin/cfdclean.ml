@@ -93,8 +93,7 @@ let with_inputs ?(force = false) ?(analyze_gate = false) data_path cfd_path k =
     | exception Invalid_argument msg -> Error (Dq_error.Invalid_input msg)
     | sigma -> (
       match
-        if analyze_gate then
-          (Interaction.analyze schema sigma).Interaction.termination
+        if analyze_gate then Interaction.termination schema sigma
         else Interaction.Terminating
       with
       | Interaction.Terminating -> k rel sigma
@@ -170,17 +169,16 @@ let arm_fault plan =
 
 (* The uniform tail of every subcommand: print either the text output or
    the JSON envelope, dump the metrics/trace snapshots when asked, and map
-   errors to the standard exit codes.  Metrics, trace and progress
-   collection are switched on before the command body runs, so engine
-   instrumentation is live.  Trace and progress never touch stdout: the
-   trace goes to its own file, progress lines to stderr.
+   errors to the standard exit codes.  Metrics always record; trace and
+   progress collection are switched on before the command body runs, so
+   engine instrumentation is live.  Trace and progress never touch
+   stdout: the trace goes to its own file, progress lines to stderr.
 
    The body runs under a catch-all for the structured failure modes of
    the fault-tolerance layer: an injected fault, an escaped deadline and
    plain I/O failures all map to Dq_error values (and hence stable
    messages and exit codes), never to a backtrace. *)
 let run_command ~command ~format ~metrics ~trace ~progress ~fault k =
-  if metrics <> None then Metrics.set_enabled true;
   if trace <> None then begin
     Trace.clear ();
     Trace.set_enabled true
@@ -282,8 +280,8 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "Enable metrics collection and write the counter/timer snapshot \
-           to $(docv) as JSON on exit.")
+          "Write the metrics snapshot (counters, timers, gauges and \
+           histograms) to $(docv) as JSON on exit.")
 
 let trace_arg =
   Arg.(
@@ -697,12 +695,7 @@ let lint cfd_path data_path errors_only explain format metrics trace progress
            "a CONSTRAINTS.cfd argument is required (or use --explain CODE)")
   in
   let* source =
-    match
-      let ic = open_in_bin cfd_path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
+    match In_channel.with_open_bin cfd_path In_channel.input_all with
     | s -> Ok s
     | exception Sys_error msg -> Error (Dq_error.Io msg)
   in

@@ -126,6 +126,40 @@ let cycle_to_string schema sigma cycle =
     String.concat "" (List.map step_str cycle.steps)
     ^ Schema.attribute schema first_src
 
+(* ---- termination verdict ---------------------------------------------- *)
+
+(* The dependency edges, the attribute SCCs (reverse topological ids) and
+   the verdict with one certificate per cyclic SCC, by smallest member:
+   everything the gates need, and nothing of the pairwise analyses. *)
+let dependency schema sigma =
+  Array.iter
+    (fun c ->
+      if not (Schema.equal (Cfd.schema c) schema) then
+        invalid_arg "Interaction: clause schema mismatch")
+    sigma;
+  let arity = Schema.arity schema in
+  let edges = dependency_edges arity sigma in
+  let comp =
+    Depgraph.scc ~n:arity ~edges:(List.map (fun e -> (e.src, e.dst)) edges)
+  in
+  (* SCC members, per component, ascending — components in id order. *)
+  let n_comps = Array.fold_left (fun acc c -> max acc (c + 1)) 0 comp in
+  let members = Array.make n_comps [] in
+  for a = arity - 1 downto 0 do
+    members.(comp.(a)) <- a :: members.(comp.(a))
+  done;
+  let cycles =
+    Array.to_list members
+    |> List.filter (fun ms -> List.length ms > 1)
+    |> List.map (cycle_of_component edges)
+    |> List.sort (fun (c1 : cycle) (c2 : cycle) -> compare c1.attrs c2.attrs)
+  in
+  (edges, comp, if cycles = [] then Terminating else May_oscillate cycles)
+
+let termination schema sigma =
+  let _, _, verdict = dependency schema sigma in
+  verdict
+
 (* ---- oscillation pairs ------------------------------------------------ *)
 
 let patterns_compatible p q =
@@ -344,32 +378,10 @@ let clause_costs sigma tuples =
 (* ---- entry point ------------------------------------------------------ *)
 
 let analyze ?data ?(sample = 2000) schema sigma =
-  Array.iter
-    (fun c ->
-      if not (Schema.equal (Cfd.schema c) schema) then
-        invalid_arg "Interaction.analyze: clause schema mismatch")
-    sigma;
   let arity = Schema.arity schema in
-  let edges = dependency_edges arity sigma in
-  let comp =
-    Depgraph.scc ~n:arity
-      ~edges:(List.map (fun e -> (e.src, e.dst)) edges)
-  in
-  (* SCC members, per component, ascending — components in id order. *)
-  let n_comps = Array.fold_left (fun acc c -> max acc (c + 1)) 0 comp in
-  let members = Array.make n_comps [] in
-  for a = arity - 1 downto 0 do
-    members.(comp.(a)) <- a :: members.(comp.(a))
-  done;
-  let cyclic =
-    Array.to_list members |> List.filter (fun ms -> List.length ms > 1)
-  in
-  let cycles = List.map (cycle_of_component edges) cyclic in
+  let edges, comp, termination = dependency schema sigma in
   let cycles =
-    List.sort (fun (c1 : cycle) (c2 : cycle) -> compare c1.attrs c2.attrs) cycles
-  in
-  let termination =
-    if cycles = [] then Terminating else May_oscillate cycles
+    match termination with Terminating -> [] | May_oscillate cs -> cs
   in
   let oscillations = oscillation_pairs sigma in
   let partition = shard_partition arity sigma in

@@ -11,8 +11,11 @@
 
     Everything here is pure data, rendered by the [cfdclean analyze]
     subcommand.  The termination verdict also gates: [--analyze-gate],
-    serve's session creation and opt-fd's fragment check read it.  No
-    engine reads the shard plan. *)
+    serve's session creation and opt-fd's fragment check call
+    {!termination}, which builds only the dependency graph, its SCCs and
+    the cycle certificates, not the pairwise oscillation scan or the
+    shard plan; lint's W004 reads its components from the same verdict.
+    No engine reads the shard plan. *)
 
 open Dq_relation
 open Dq_cfd
@@ -87,6 +90,12 @@ type t = {
   oscillations : oscillation list;  (** ascending by (a, b) *)
   costs : clause_cost list option;  (** [Some _] iff [analyze] got [?data] *)
 }
+
+val termination : Schema.t -> Cfd.t array -> termination
+(** The termination verdict alone: the dependency graph's cyclic SCCs,
+    one certificate each, ascending by smallest attribute — the same
+    value as [(analyze schema sigma).termination].
+    @raise Invalid_argument if a clause's schema disagrees with [schema]. *)
 
 val analyze : ?data:Relation.t -> ?sample:int -> Schema.t -> Cfd.t array -> t
 (** [analyze schema sigma] runs every static analysis; with [?data] also

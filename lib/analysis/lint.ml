@@ -389,62 +389,44 @@ let run ?(node_budget = 200_000) ?(errors_only = false) ?schema
             Hashtbl.replace all_trivial i ())
         tabs;
       (* W004: attribute SCCs of size > 1 in the dependency graph — the
-         cyclic interaction behind Example 4.1's oscillation hazard. *)
-      if n > 0 then begin
-        let arity = Schema.arity schema in
-        let edges =
-          Array.to_list sigma
-          |> List.concat_map (fun c ->
-                 let rhs = Cfd.rhs c in
-                 Array.to_list (Cfd.lhs c)
-                 |> List.filter_map (fun b ->
-                        if b = rhs then None else Some (b, rhs)))
-        in
-        let comp = Depgraph.scc ~n:arity ~edges in
-        let members = Hashtbl.create 8 in
-        Array.iteri
-          (fun pos c ->
-            Hashtbl.replace members c
-              (pos :: Option.value ~default:[] (Hashtbl.find_opt members c)))
-          comp;
-        Hashtbl.iter
-          (fun _ positions ->
-            let positions = List.sort Int.compare positions in
-            if List.length positions > 1 then begin
-              let in_comp pos = List.mem pos positions in
-              let involved =
-                Array.to_list
-                  (Array.mapi
-                     (fun i c ->
-                       if
-                         in_comp (Cfd.rhs c)
-                         && Array.exists in_comp (Cfd.lhs c)
-                       then Some i
-                       else None)
-                     sigma)
-                |> List.filter_map Fun.id
+         cyclic interaction behind Example 4.1's oscillation hazard — read
+         from the termination verdict, in position order. *)
+      (match Interaction.termination schema sigma with
+      | Interaction.Terminating -> ()
+      | Interaction.May_oscillate cycles ->
+        List.iter
+          (fun (cycle : Interaction.cycle) ->
+            let positions = cycle.attrs in
+            let in_comp pos = List.mem pos positions in
+            let involved =
+              Array.to_list
+                (Array.mapi
+                   (fun i c ->
+                     if in_comp (Cfd.rhs c) && Array.exists in_comp (Cfd.lhs c)
+                     then Some i
+                     else None)
+                   sigma)
+              |> List.filter_map Fun.id
+            in
+            match involved with
+            | [] -> ()
+            | first :: _ ->
+              let names =
+                List.fold_left
+                  (fun acc i ->
+                    let nm = origins.(i).name in
+                    if List.mem nm acc then acc else acc @ [ nm ])
+                  [] involved
               in
-              match involved with
-              | [] -> ()
-              | first :: _ ->
-                let names =
-                  List.fold_left
-                    (fun acc i ->
-                      let nm = origins.(i).name in
-                      if List.mem nm acc then acc else acc @ [ nm ])
-                    [] involved
-                in
-                emit ~span:origins.(first).name_span
-                  ~clause:origins.(first).name Diagnostic.W004
-                  "attributes %s form a dependency cycle through %s: \
-                   repairing one clause can re-violate another (the \
-                   Example 4.1 oscillation hazard)"
-                  (String.concat ", "
-                     (List.map (Schema.attribute schema) positions))
-                  (String.concat ", " names)
-            end)
-          members
-      end;
+              emit ~span:origins.(first).name_span
+                ~clause:origins.(first).name Diagnostic.W004
+                "attributes %s form a dependency cycle through %s: \
+                 repairing one clause can re-violate another (the \
+                 Example 4.1 oscillation hazard)"
+                (String.concat ", "
+                   (List.map (Schema.attribute schema) positions))
+                (String.concat ", " names))
+          cycles);
       (* W001: a pattern row all of whose clauses are implied by the rest of
          Σ is dead weight (Dq_core.Implication's refutation search). *)
       if satisfiable && n > 1 then

@@ -297,11 +297,7 @@ let parse_string_located text =
 let parse_string text =
   Result.map Located.strip_all (parse_string_located text)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let parse_file_located path = parse_string_located (read_file path)
 

@@ -10,9 +10,8 @@ let scan_args rel sigma () =
     ("clauses", Dq_obs.Json.Int (Array.length sigma));
   ]
 
-(* Detection instruments (no-ops unless metrics collection is enabled):
-   scans made, violations surfaced, and time per entry point (recorded by
-   the entry point's span). *)
+(* Detection instruments: scans made, violations surfaced, and time per
+   entry point (recorded by the entry point's span). *)
 let m_scans = Metrics.counter "violation.scans"
 
 let m_found = Metrics.counter "violation.found"
@@ -292,7 +291,7 @@ let find_all ?pool rel sigma =
       (wild_clauses sigma)
   in
   let all = List.concat (singles @ pairs) in
-  if Metrics.enabled () then Metrics.add m_found (List.length all);
+  Metrics.add m_found (List.length all);
   all
 
 (* vio(t) for every tuple at once, as an array aligned with [tuples].
@@ -324,7 +323,7 @@ let vio_counts ?pool ?deadline rel sigma =
   Metrics.incr m_scans;
   let tuples = Relation.tuples rel in
   let counts = counts_array ?pool ?deadline rel sigma tuples in
-  if Metrics.enabled () then Metrics.add m_found (Array.fold_left ( + ) 0 counts);
+  Metrics.add m_found (Array.fold_left ( + ) 0 counts);
   (* Materialised in relation order, so the table's internal layout (and
      hence any fold over it) is identical at every job count. *)
   let out = Hashtbl.create 256 in
@@ -340,9 +339,9 @@ let violating_tids rel sigma =
     [] rel
   |> List.rev
 
-let total ?pool rel sigma =
+let total rel sigma =
   let tuples = Relation.tuples rel in
-  Array.fold_left ( + ) 0 (counts_array ?pool rel sigma tuples)
+  Array.fold_left ( + ) 0 (counts_array rel sigma tuples)
 
 let vio_tuple rel sigma t =
   let vio = ref 0 in
@@ -370,28 +369,24 @@ let vio_tuple rel sigma t =
     sigma;
   !vio
 
-let satisfies ?pool rel sigma =
+let satisfies rel sigma =
   Trace.span ~cat:"violation" ~args:(scan_args rel sigma) ~timer:m_satisfies
     "satisfies"
   @@ fun () ->
   Metrics.incr m_scans;
   let tuples = Relation.tuples rel in
-  let n = Array.length tuples in
   let idx = const_index sigma in
-  let found = Atomic.make false in
-  Pool.for_chunks ~label:"satisfies.chunk" pool ~n (fun lo hi ->
-      let i = ref lo in
-      while (not (Atomic.get found)) && !i < hi do
-        let t = tuples.(!i) in
-        (try
-           Anchor_index.iter idx (Tuple.get t) (fun cfd ->
-               if violates_constant cfd t then raise Exit)
-         with Exit -> Atomic.set found true);
-        incr i
-      done);
-  (not (Atomic.get found))
+  let violates_some t =
+    match
+      Anchor_index.iter idx (Tuple.get t) (fun cfd ->
+          if violates_constant cfd t then raise Exit)
+    with
+    | () -> false
+    | exception Exit -> true
+  in
+  (not (Array.exists violates_some tuples))
   &&
-  let column = interner rel tuples and ws = workspace n in
+  let column = interner rel tuples and ws = workspace (Array.length tuples) in
   not
     (List.exists
        (fun cfd ->

@@ -21,13 +21,14 @@
     [t]'s own RHS code.  The work is linear in the relation per clause,
     with no pair listing.
 
-    {b Parallelism.}  The functions below accept an optional domain pool.
-    The constant-clause scan partitions the tuple snapshot into chunks,
-    each probing a read-only {!Anchor_index} of the constant clauses,
-    with chunk results merged in chunk-index order.  The wildcard-clause kernel runs sequentially in
-    the calling domain, one clause at a time in Σ order.  Results are
-    {e byte-identical at any job count}, and the sequential path (no
-    [pool]) runs the very same code on a single chunk. *)
+    {b Parallelism.}  {!find_all} and {!vio_counts} accept an optional
+    domain pool.  Their constant-clause scan partitions the tuple
+    snapshot into chunks, each probing a read-only {!Anchor_index} of
+    the constant clauses, with chunk results merged in chunk-index order.
+    The wildcard-clause kernel runs sequentially in the calling domain,
+    one clause at a time in Σ order.  Results are {e byte-identical at
+    any job count}, and the sequential path (no [pool]) runs the very
+    same code on a single chunk. *)
 
 open Dq_relation
 
@@ -80,9 +81,9 @@ val vio_counts :
     chunk boundaries of the constant-clause scan and before each
     wildcard clause). *)
 
-val total : ?pool:Dq_parallel.Pool.t -> Relation.t -> Cfd.t array -> int
+val total : Relation.t -> Cfd.t array -> int
 (** [vio(D)]: sum of [vio(t)] over all tuples. *)
 
-val satisfies : ?pool:Dq_parallel.Pool.t -> Relation.t -> Cfd.t array -> bool
-(** [D |= Σ] — no violation of any clause, with early exit (cooperative
-    across chunks when parallel). *)
+val satisfies : Relation.t -> Cfd.t array -> bool
+(** [D |= Σ] — no violation of any clause, with early exit at the first
+    violating tuple. *)

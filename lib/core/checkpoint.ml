@@ -293,12 +293,7 @@ let save path cp =
   Dq_fault.Atomic_io.write_file path (Json.to_string ~minify:true (to_json cp))
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | text -> (
     match Json.parse text with

@@ -227,20 +227,18 @@ let insert ?(ordering = By_violations) ?(deadline = Deadline.never) env delta =
 
 (* The CLI's entry points: one fresh relation, one environment over it,
    then the same loop a serve session runs batch by batch. *)
-let repair_fresh ~started ~phases ?pool ?k ?max_candidates ?use_cluster_index
+let repair_fresh ~started ~phases ?pool ?k ?use_cluster_index
     ?(ordering = By_violations) ?(deadline = Deadline.never) repr delta sigma =
-  let env =
-    Tuple_resolve.make_env ?k ?max_candidates ?use_cluster_index repr sigma
-  in
+  let env = Tuple_resolve.make_env ?k ?use_cluster_index repr sigma in
   run ~started ~phases ?pool ~ordering ~deadline env delta
   |> Result.map (fun (stats, report) -> ((repr, stats), report))
 
-let repair_inserts ?pool ?k ?max_candidates ?use_cluster_index ?ordering
-    ?deadline base delta sigma =
+let repair_inserts ?pool ?k ?use_cluster_index ?ordering ?deadline base delta
+    sigma =
   let started = Clock.now () in
   span base delta sigma @@ fun () ->
-  repair_fresh ~started ~phases:(ref []) ?pool ?k ?max_candidates
-    ?use_cluster_index ?ordering ?deadline (Relation.copy base) delta sigma
+  repair_fresh ~started ~phases:(ref []) ?pool ?k ?use_cluster_index ?ordering
+    ?deadline (Relation.copy base) delta sigma
 
 let consistent_core ?pool ?deadline rel sigma =
   let counts = Violation.vio_counts ?pool ?deadline rel sigma in
@@ -250,8 +248,7 @@ let consistent_core ?pool ?deadline rel sigma =
     [] rel
   |> List.rev
 
-let repair_dirty ?pool ?k ?max_candidates ?use_cluster_index ?ordering
-    ?deadline rel sigma =
+let repair_dirty ?pool ?k ?use_cluster_index ?ordering ?deadline rel sigma =
   let started = Clock.now () in
   let phases = ref [] in
   match
@@ -272,5 +269,5 @@ let repair_dirty ?pool ?k ?max_candidates ?use_cluster_index ?ordering
       rel;
     let delta = List.rev !delta in
     span base delta sigma @@ fun () ->
-    repair_fresh ~started ~phases ?pool ?k ?max_candidates ?use_cluster_index
-      ?ordering ?deadline base delta sigma
+    repair_fresh ~started ~phases ?pool ?k ?use_cluster_index ?ordering
+      ?deadline base delta sigma

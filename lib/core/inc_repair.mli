@@ -71,7 +71,6 @@ val insert :
 val repair_inserts :
   ?pool:Dq_parallel.Pool.t ->
   ?k:int ->
-  ?max_candidates:int ->
   ?use_cluster_index:bool ->
   ?ordering:ordering ->
   ?deadline:Dq_fault.Deadline.t ->
@@ -112,7 +111,6 @@ val consistent_core :
 val repair_dirty :
   ?pool:Dq_parallel.Pool.t ->
   ?k:int ->
-  ?max_candidates:int ->
   ?use_cluster_index:bool ->
   ?ordering:ordering ->
   ?deadline:Dq_fault.Deadline.t ->

@@ -10,14 +10,15 @@ type env = {
          built at *)
   use_cluster_index : bool;
   k : int;
-  max_candidates : int;
   arity : int;
   clause_attrs : int list array; (* clause id -> attributes it mentions *)
   rhs_clauses : int list array; (* attr -> clauses with this RHS *)
 }
 
-let make_env ?(k = 2) ?(max_candidates = 6) ?(use_cluster_index = true) repr
-    sigma =
+(* Candidate values kept per attribute by {!candidates}. *)
+let max_candidates = 6
+
+let make_env ?(k = 2) ?(use_cluster_index = true) repr sigma =
   if k < 1 then invalid_arg "Tuple_resolve.make_env: k must be >= 1";
   let arity = Schema.arity (Relation.schema repr) in
   let rhs_clauses = Array.make arity [] in
@@ -33,7 +34,6 @@ let make_env ?(k = 2) ?(max_candidates = 6) ?(use_cluster_index = true) repr
     clusters = Array.make arity None;
     use_cluster_index;
     k;
-    max_candidates;
     arity;
     clause_attrs = Array.map Cfd.attrs sigma;
     rhs_clauses;
@@ -107,7 +107,7 @@ let candidates env rt pos =
   let push v =
     if not (List.exists (Value.equal v) !seen) then begin
       seen := v :: !seen;
-      if List.length !out < env.max_candidates then out := v :: !out
+      if List.length !out < max_candidates then out := v :: !out
     end
   in
   let current = Tuple.get rt pos in

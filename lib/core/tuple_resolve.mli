@@ -38,15 +38,14 @@ type env
 
 val make_env :
   ?k:int ->
-  ?max_candidates:int ->
   ?use_cluster_index:bool ->
   Relation.t ->
   Dq_cfd.Cfd.t array ->
   env
 (** [make_env repr sigma] builds the environment.  [k] (default 2) is the
-    number of attributes fixed per greedy step; [max_candidates] (default
-    6) caps candidate values per attribute; [use_cluster_index] (default
-    true) toggles the cost-based index (the ablation of DESIGN.md §5.2).
+    number of attributes fixed per greedy step; candidate values are
+    capped at six per attribute; [use_cluster_index] (default true)
+    toggles the cost-based index (the ablation of DESIGN.md §5.2).
     The environment keeps [repr] by reference and changes it through
     {!add} and {!delete}. *)
 

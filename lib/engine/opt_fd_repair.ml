@@ -43,10 +43,7 @@ let fragment schema sigma =
           pattern rows) are supported"
          (Cfd.name c))
   | None -> (
-    match
-      (Dq_analysis.Interaction.analyze schema sigma)
-        .Dq_analysis.Interaction.termination
-    with
+    match Dq_analysis.Interaction.termination schema sigma with
     | Dq_analysis.Interaction.Terminating -> Ok ()
     | Dq_analysis.Interaction.May_oscillate cycles ->
       Error

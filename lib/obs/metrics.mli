@@ -1,11 +1,10 @@
 (** Named monotonic counters, duration timers, gauges and log-bucketed
     histograms.
 
-    A process-wide registry, disabled by default: every recording
-    operation first reads one atomic flag and returns immediately when
-    collection is off, so instrumented hot paths pay (almost) nothing
-    unless the user asked for metrics ([--metrics FILE] in the CLI,
-    the serve daemon, or {!set_enabled} in a library embedding).
+    One process-wide registry that always records: the engines, the
+    pool and the serve daemon count into it whether or not anyone reads
+    it.  [--metrics FILE] in the CLI only names the file {!snapshot} is
+    written to; the daemon exposes {!to_prometheus} at [/v1/metrics].
 
     Handles are created once — at module-initialisation time by the
     instrumented modules themselves ([let m = Metrics.counter "x.y"] at
@@ -13,9 +12,11 @@
     registers one [serve.requests] counter per (route, status) pair as
     traffic arrives).  Creating a handle registers the name, so
     {!snapshot} and {!to_prometheus} report every instrument the process
-    carries even when its value is zero.  Recording is domain-safe:
-    counters are atomics, everything else takes a per-handle mutex —
-    both are touched by {!Dq_parallel.Pool} workers.
+    carries even when its value is zero.  A name with its labels names
+    one instrument of one kind: registering it again as another kind
+    raises [Invalid_argument].  Recording is domain-safe: counters are
+    atomics, everything else takes a per-handle mutex — both are touched
+    by {!Dq_parallel.Pool} workers.
 
     Labels: instruments of the same name with different label sets are
     different instruments of one {e family}; label order is
@@ -24,7 +25,8 @@
 
     Metrics are {e observability, not results}: they are cumulative per
     process, timing dependent, and deliberately excluded from report
-    equality (see {!Report}). *)
+    equality (see {!Report}).  A test that asserts a value calls
+    {!reset} first or compares before and after. *)
 
 type counter
 
@@ -34,23 +36,11 @@ type gauge
 
 type histogram
 
-val set_enabled : bool -> unit
-(** Turn collection on or off (off initially). *)
-
-val enabled : unit -> bool
-
-val set_strict : bool -> unit
-(** In strict mode (the test suite, debug builds) a negative {!add}
-    raises [Invalid_argument]; otherwise it is clamped to a no-op —
-    counters are monotonic either way.  Off initially. *)
-
 val counter : ?labels:(string * string) list -> string -> counter
 (** Register (or retrieve) the named monotonic counter. *)
 
 val add : counter -> int -> unit
-(** No-op when disabled.  [n] must be non-negative (counters are
-    monotonic): a negative [n] raises [Invalid_argument] under
-    {!set_strict}, and is ignored otherwise. *)
+(** Counters are monotonic: a negative [n] is ignored. *)
 
 val incr : counter -> unit
 
@@ -60,26 +50,25 @@ val timer : ?labels:(string * string) list -> string -> timer
 (** Register (or retrieve) the named duration timer. *)
 
 val record : timer -> float -> unit
-(** Record one duration, in seconds.  No-op when disabled. *)
+(** Record one duration, in seconds. *)
 
 val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, recording its duration on {!Dq_fault.Clock} when
-    enabled (also on exceptional exit).  When disabled the thunk is
-    called directly — no clock reads.  A region that is also a span is
-    timed by [Trace.span ~timer] instead, which reads the clock once for
-    the span and the timer; [time] is for regions with no span: the
-    pool's utilisation timers and the daemon's checkpoint writes. *)
+(** Run the thunk, recording its duration on {!Dq_fault.Clock} (also on
+    exceptional exit, which re-raises with the thunk's backtrace).  A
+    region that is also a span is timed by [Trace.span ~timer] instead,
+    which reads the clock once for the span and the timer; [time] is for
+    regions with no span: the pool's utilisation timers and the daemon's
+    checkpoint writes. *)
 
 val gauge : ?labels:(string * string) list -> string -> gauge
 (** Register (or retrieve) the named gauge — a value that can go up and
     down (live sessions, quarantine depth, GC words). *)
 
 val set_gauge : gauge -> float -> unit
-(** Overwrite the gauge.  No-op when disabled. *)
+(** Overwrite the gauge. *)
 
 val add_gauge : gauge -> float -> unit
-(** Adjust the gauge by a (possibly negative) delta.  No-op when
-    disabled. *)
+(** Adjust the gauge by a (possibly negative) delta. *)
 
 val gauge_value : gauge -> float
 
@@ -98,7 +87,7 @@ val histogram :
     {!latency_buckets}. *)
 
 val observe : histogram -> float -> unit
-(** Record one observation.  No-op when disabled. *)
+(** Record one observation. *)
 
 val histogram_count : histogram -> int
 

@@ -86,8 +86,7 @@ let open_span ~cat ~args name t0 =
 
 let span ?(cat = "span") ?args ?timer ?phases name f =
   let tracing = enabled () in
-  let timed = Option.is_some timer && Metrics.enabled () in
-  if not (tracing || timed || Option.is_some phases) then f ()
+  if not (tracing || Option.is_some timer || Option.is_some phases) then f ()
   else begin
     let args = match args with Some thunk when tracing -> thunk () | _ -> [] in
     let t0 = Clock.now () in

@@ -17,13 +17,12 @@
 
     {!span} reads {!Dq_fault.Clock.now} once on entry and once on exit.
     That one duration goes to the B/E events when tracing is on, to a
-    {!Metrics.timer} ([?timer]) when metrics are on, and to a report's
-    phase list ([?phases]) when one is passed, so a phase's seconds,
-    its timer's total and its trace interval are the same number.  With
-    tracing off, metrics off (or no timer) and no [?phases], a span is
-    a read of the tracing flag (and of the metrics flag when a timer is
-    passed) and a direct call.  Tracing is switched on by [--trace FILE]
-    in the CLI and the bench harness.
+    {!Metrics.timer} when [?timer] is passed, and to a report's phase
+    list when [?phases] is, so a phase's seconds, its timer's total and
+    its trace interval are the same number.  With tracing off and
+    neither [?timer] nor [?phases], a span is a read of the tracing flag
+    and a direct call.  Tracing is switched on by [--trace FILE] in the
+    CLI and the bench harness.
 
     {2 Lanes}
 

@@ -114,14 +114,9 @@ let run ?(deadline = Deadline.never) pool tasks =
           f ())
         tasks
   in
-  let tasks =
-    if not (Metrics.enabled ()) then tasks
-    else begin
-      Metrics.incr m_batches;
-      Metrics.add m_tasks n;
-      Array.map (fun f -> fun () -> Metrics.time m_task_busy f) tasks
-    end
-  in
+  Metrics.incr m_batches;
+  Metrics.add m_tasks n;
+  let tasks = Array.map (fun f () -> Metrics.time m_task_busy f) tasks in
   (* Tasks inherit the submitter's span stack: a chunk span's logical
      parent is the span that submitted the batch, whichever thread (lane)
      ends up executing it. *)

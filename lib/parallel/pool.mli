@@ -34,12 +34,10 @@
     must be read-only or chunk-private — the intended style is: map
     chunk-private state, then merge sequentially.
 
-    When {!Dq_obs.Metrics} collection is enabled, every {!run} batch
-    records the instruments [pool.batches], [pool.tasks],
-    [pool.batch_wall] (wall seconds per batch) and [pool.task_busy]
-    (per-task busy seconds summed across domains) — utilization over a
-    window is [busy / (wall * jobs)].  With metrics disabled (the
-    default) the pool takes one atomic read per batch and nothing else.
+    Every {!run} batch records the {!Dq_obs.Metrics} instruments
+    [pool.batches], [pool.tasks], [pool.batch_wall] (wall seconds per
+    batch) and [pool.task_busy] (per-task busy seconds summed across
+    domains) — utilization over a window is [busy / (wall * jobs)].
     {!exec} jobs record none of these and pass no fault site. *)
 
 type t

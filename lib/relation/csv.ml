@@ -218,11 +218,9 @@ let load_string ?name text =
   | Ok rel -> rel
   | Error e -> failwith ("Csv.load_string: " ^ error_to_string e)
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Read to end of file rather than sizing it first, so a pipe
+   ([/dev/stdin]) reads like a regular file. *)
+let read_whole_file path = In_channel.with_open_bin path In_channel.input_all
 
 let default_name path = Filename.remove_extension (Filename.basename path)
 

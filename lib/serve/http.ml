@@ -287,24 +287,3 @@ let respond fd ~status ?(content_type = "application/json") ?(headers = [])
        (headers @ [ ("content-length", string_of_int (String.length body)) ]));
   send fd body
 
-(* Chunked response: [produce] is handed a writer it may call any number
-   of times — the relation endpoint streams row groups through it
-   without materialising the whole CSV.  Returns the number of body bytes
-   streamed, for the access log. *)
-let respond_stream fd ~status ~content_type ?(headers = []) ?keep_alive
-    produce =
-  send fd
-    (head ~status ~content_type ?keep_alive
-       (headers @ [ ("transfer-encoding", "chunked") ]));
-  let bytes = ref 0 in
-  let write chunk =
-    if String.length chunk > 0 then begin
-      bytes := !bytes + String.length chunk;
-      send fd (Printf.sprintf "%x\r\n" (String.length chunk));
-      send fd chunk;
-      send fd "\r\n"
-    end
-  in
-  produce write;
-  send fd "0\r\n\r\n";
-  !bytes

@@ -2,8 +2,8 @@
 
     Just enough protocol for a local request/response API:
     [content-length] bodies on the way in (a [transfer-encoding] is
-    refused), fixed-length or chunked bodies on the way out.  Connections close after one response unless
-    the caller passes [keep_alive]; a {!reader} carries pipelined
+    refused) and on the way out.  Connections close after one response
+    unless the caller passes [keep_alive]; a {!reader} carries pipelined
     leftover bytes between requests on the same connection.  Parsing is
     split from socket I/O so the framing rules are unit-testable on
     plain strings ({!parse}). *)
@@ -73,15 +73,3 @@ val respond :
     is [application/json]; [headers] are emitted before the framing
     headers; [keep_alive] (default false) selects the [connection]
     header.  @raise Closed *)
-
-val respond_stream :
-  Unix.file_descr ->
-  status:int ->
-  content_type:string ->
-  ?headers:(string * string) list ->
-  ?keep_alive:bool ->
-  ((string -> unit) -> unit) ->
-  int
-(** Chunked response: the callback receives a writer it may call any
-    number of times; the terminating zero-chunk is appended after it
-    returns.  Returns the number of body bytes streamed.  @raise Closed *)

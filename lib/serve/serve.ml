@@ -164,13 +164,11 @@ let request_name (r : Http.request) =
    one central path ({!send_response}) stamps every response with its
    request-id header, counts the bytes, records the route metrics and
    emits the access-log line — error paths included. *)
-type body = Fixed of string | Stream of ((string -> unit) -> unit)
-
 type response = {
   status : int;
   content_type : string;
   headers : (string * string) list;
-  body : body;
+  body : string;
 }
 
 let json_response ?(headers = []) ~status j =
@@ -178,7 +176,7 @@ let json_response ?(headers = []) ~status j =
     status;
     content_type = "application/json";
     headers;
-    body = Fixed (Json.to_string j);
+    body = Json.to_string j;
   }
 
 let ok_response ?(status = 200) ~request ~id report =
@@ -544,7 +542,7 @@ let handle_metrics d =
     status = 200;
     content_type = "text/plain; version=0.0.4";
     headers = [];
-    body = Fixed (Metrics.to_prometheus ());
+    body = Metrics.to_prometheus ();
   }
 
 let handle_create d ~request ~id:rid (r : Http.request) =
@@ -761,28 +759,11 @@ let handle_ingest d ~request ~id:rid (r : Http.request) sid =
 let handle_relation d ~request ~id sid =
   match
     with_session d sid (fun s ->
-        (* Snapshot under the lock, stream outside it. *)
+        (* Render under the lock, send outside it. *)
         Ok (Session.with_lock s (fun () -> Csv.save_string s.Session.relation)))
   with
   | Error e -> err_response ~request ~id e
-  | Ok csv ->
-    {
-      status = 200;
-      content_type = "text/csv";
-      headers = [];
-      body =
-        Stream
-          (fun write ->
-            let chunk = 64 * 1024 in
-            let n = String.length csv in
-            let rec go off =
-              if off < n then begin
-                write (String.sub csv off (min chunk (n - off)));
-                go (off + chunk)
-              end
-            in
-            go 0);
-    }
+  | Ok csv -> { status = 200; content_type = "text/csv"; headers = []; body = csv }
 
 let handle_quarantine d ~request ~id sid =
   match
@@ -906,14 +887,9 @@ let send_response d fd ~meth ~route ~session ~id ~keep_alive ~t0 resp =
   let headers = resp.headers @ [ ("x-request-id", id) ] in
   let bytes =
     try
-      match resp.body with
-      | Fixed body ->
-        Http.respond fd ~status:resp.status ~content_type:resp.content_type
-          ~headers ~keep_alive body;
-        String.length body
-      | Stream produce ->
-        Http.respond_stream fd ~status:resp.status
-          ~content_type:resp.content_type ~headers ~keep_alive produce
+      Http.respond fd ~status:resp.status ~content_type:resp.content_type
+        ~headers ~keep_alive resp.body;
+      String.length resp.body
     with Http.Closed -> 0
   in
   let dt = Clock.now () -. t0 in
@@ -1257,7 +1233,6 @@ let start config =
     let bound_port =
       match addr with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> 0
     in
-    Metrics.set_enabled true;
     let instruments = register_instruments () in
     let started = Clock.now () in
     let d =

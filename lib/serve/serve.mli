@@ -15,8 +15,7 @@
       tuples are quarantined, not failed (see {!Session});
     - [POST /v1/sessions/ID/resume] — close a session's circuit
       breaker after repeated engine faults quarantined it;
-    - [GET /v1/sessions/ID/relation] — the clean relation as chunked
-      CSV;
+    - [GET /v1/sessions/ID/relation] — the clean relation as CSV;
     - [GET /v1/sessions/ID/quarantine],
       [POST /v1/sessions/ID/quarantine/TID/resolve].
 
@@ -32,10 +31,10 @@
     mutation is checkpointed ({!Store}) {e before} the 200 goes out, so
     [kill -9] + restart with [resume] serves byte-identical relations.
 
-    The daemon has one wire format.  {!start} turns on the process-wide
-    {!Dq_obs.Metrics} gate and registers its instruments (request
-    counters and latency histograms per route, session, quarantine and
-    GC gauges, checkpoint and ingest histograms).  Every response carries
+    The daemon has one wire format.  {!start} registers its instruments
+    in the process-wide {!Dq_obs.Metrics} registry (request counters and
+    latency histograms per route, session, quarantine and GC gauges,
+    checkpoint and ingest histograms).  Every response carries
     an [x-request-id] header, equal to the envelope's [id]: the client's
     own, sanitised, or a generated one.  Every session status carries
     [state] and [engine_faults].  Structured logging goes through
@@ -110,8 +109,9 @@ type t
 (** A running daemon. *)
 
 val start : config -> (t, Dq_error.t) result
-(** Bind [127.0.0.1], load checkpointed sessions when [resume], turn
-    metrics on, and begin accepting in a background thread.  Invalid
+(** Bind [127.0.0.1], load checkpointed sessions when [resume],
+    register the daemon's instruments, and begin accepting in a
+    background thread.  Invalid
     limits (negative values, idle eviction without a state directory)
     are refused. *)
 

@@ -221,7 +221,7 @@ let create ~id ~schema_name ~attributes ~rules ~engine ?(force = false) () =
   let* () =
     if force then Ok ()
     else
-      match (Interaction.analyze schema sigma).Interaction.termination with
+      match Interaction.termination schema sigma with
       | Interaction.Terminating -> Ok ()
       | Interaction.May_oscillate cycles ->
         Error

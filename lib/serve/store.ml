@@ -378,12 +378,7 @@ let delete ~dir id =
     [ file; journal_of file ]
 
 let read_file file =
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin file In_channel.input_all with
   | s -> Ok s
   | exception Sys_error msg -> Error msg
 

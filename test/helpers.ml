@@ -135,9 +135,6 @@ end
 let rescans_during f =
   let module Metrics = Dq_obs.Metrics in
   let c = Metrics.counter "batch.rescans" in
-  let was = Metrics.enabled () in
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
   let before = Metrics.counter_value c in
   ignore (f ());
   Metrics.counter_value c - before

@@ -36,18 +36,8 @@ let test_json_render () =
 
 (* ---- Metrics ----------------------------------------------------------- *)
 
-let test_metrics_disabled_noop () =
-  Metrics.set_enabled false;
-  Metrics.reset ();
-  let c = Metrics.counter "test.obs.counter" in
-  Metrics.incr c;
-  Metrics.add c 5;
-  Alcotest.(check int) "disabled counter stays zero" 0 (Metrics.counter_value c)
-
 let test_metrics_enabled () =
   Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
   let c = Metrics.counter "test.obs.counter" in
   Metrics.incr c;
   Metrics.add c 4;
@@ -77,48 +67,32 @@ let test_metrics_enabled () =
       names
   | _ -> Alcotest.fail "snapshot is not {counters; timers; gauges; histograms}"
 
-(* Counters are monotonic: a negative increment is clamped to a no-op by
-   default (a daemon must not die on a bad delta) and raises under
-   strict mode (the test suite, debug builds). *)
+(* Counters are monotonic: a negative increment is clamped to a no-op
+   (a daemon must not die on a bad delta). *)
 let test_metrics_negative_add () =
   Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_strict false;
-      Metrics.set_enabled false)
-  @@ fun () ->
   let c = Metrics.counter "test.obs.neg" in
   Metrics.add c 3;
   Metrics.add c (-2);
   Alcotest.(check int) "negative add clamps to a no-op" 3
-    (Metrics.counter_value c);
-  Metrics.set_strict true;
-  (match Metrics.add c (-1) with
-  | () -> Alcotest.fail "strict negative add did not raise"
+    (Metrics.counter_value c)
+
+(* One registry: a name with its labels is one instrument of one kind,
+   and asking for it as another kind is refused. *)
+let test_metrics_one_kind_per_name () =
+  let c = Metrics.counter "test.obs.kind" in
+  Alcotest.(check bool) "same handle on re-registration" true
+    (c == Metrics.counter "test.obs.kind");
+  match Metrics.gauge "test.obs.kind" with
+  | _ -> Alcotest.fail "a counter's name was handed back as a gauge"
   | exception Invalid_argument msg ->
     Alcotest.(check bool)
-      "error names the counter" true
-      (Helpers.contains msg "test.obs.neg"));
-  Alcotest.(check int) "value unchanged after the strict raise" 3
-    (Metrics.counter_value c);
-  (* The contract is checked even with collection off: a negative delta
-     is a caller bug regardless of whether anyone is recording. *)
-  Metrics.set_enabled false;
-  match Metrics.add c (-1) with
-  | () -> Alcotest.fail "strict negative add ignored while disabled"
-  | exception Invalid_argument _ -> ()
+      "error names the instrument" true
+      (Helpers.contains msg "test.obs.kind")
 
 let test_gauge_semantics () =
   Metrics.reset ();
-  Metrics.set_enabled false;
   let g = Metrics.gauge "test.obs.gauge" in
-  Metrics.set_gauge g 5.;
-  Metrics.add_gauge g 1.;
-  Alcotest.(check (float 0.)) "disabled gauge stays zero" 0.
-    (Metrics.gauge_value g);
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
   Metrics.set_gauge g 5.;
   Metrics.add_gauge g 2.5;
   Metrics.add_gauge g (-1.5);
@@ -138,8 +112,6 @@ let test_gauge_semantics () =
 
 let test_histogram_buckets () =
   Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
   let h = Metrics.histogram ~buckets:[| 1.; 10.; 100. |] "test.obs.hist" in
   List.iter (Metrics.observe h) [ 0.5; 1.0; 5.; 1000. ];
   Alcotest.(check int) "observation count" 4 (Metrics.histogram_count h);
@@ -163,8 +135,6 @@ let test_histogram_buckets () =
    the rest of the process registry stays out of the comparison. *)
 let test_prometheus_exposition () =
   Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
   let c =
     Metrics.counter
       ~labels:[ ("status", "200"); ("route", "GET /x") ]
@@ -505,12 +475,10 @@ let test_trace_thread_lanes () =
        events);
   check_well_formed events
 
-(* One span, three consumers: with metrics and tracing on, the phase
-   entry, the timer's total and the trace interval are one duration. *)
+(* One span, three consumers: with tracing on, the phase entry, the
+   timer's total and the trace interval are one duration. *)
 let test_span_fan_out () =
   Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
   let timer = Metrics.timer "test.obs.span" in
   let phases = ref [] in
   let _, events =
@@ -665,11 +633,11 @@ let suite =
     Alcotest.test_case "trace paths stable under --jobs (fig1)" `Quick
       test_trace_paths_jobs_independent;
     QCheck_alcotest.to_alcotest prop_trace_paths_jobs_independent;
-    Alcotest.test_case "metrics disabled is a no-op" `Quick
-      test_metrics_disabled_noop;
     Alcotest.test_case "metrics enabled" `Quick test_metrics_enabled;
-    Alcotest.test_case "metrics: negative add clamps or raises" `Quick
+    Alcotest.test_case "metrics: negative add clamps" `Quick
       test_metrics_negative_add;
+    Alcotest.test_case "metrics: one kind per name" `Quick
+      test_metrics_one_kind_per_name;
     Alcotest.test_case "metrics: gauge semantics (jobs 1 and 4)" `Quick
       test_gauge_semantics;
     Alcotest.test_case "metrics: histogram buckets" `Quick

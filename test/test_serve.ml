@@ -935,23 +935,8 @@ let rec index_sub s off sub =
   else if String.sub s off n = sub then Some off
   else index_sub s (off + 1) sub
 
-let decode_chunked body =
-  let out = Buffer.create (String.length body) in
-  let rec go off =
-    match String.index_from_opt body off '\n' with
-    | None -> ()
-    | Some nl -> (
-      match int_of_string_opt ("0x" ^ String.trim (String.sub body off (nl - off))) with
-      | None | Some 0 -> ()
-      | Some len ->
-        Buffer.add_string out (String.sub body (nl + 1) len);
-        go (nl + 1 + len + 2))
-  in
-  go 0;
-  Buffer.contents out
-
 (* A one-shot HTTP client against the in-process daemon: returns status,
-   the raw response head and the (de-chunked) body. *)
+   the raw response head and the body. *)
 let request_full ?(headers = []) port meth path body =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -976,11 +961,6 @@ let request_full ?(headers = []) port meth path body =
           ( String.sub raw 0 i,
             String.sub raw (i + 4) (String.length raw - i - 4) )
         | None -> (raw, "")
-      in
-      let payload =
-        if Helpers.contains (String.lowercase_ascii head) "transfer-encoding: chunked"
-        then decode_chunked payload
-        else payload
       in
       (status, head, payload))
 
@@ -1019,21 +999,15 @@ let create_session p =
   in
   Alcotest.(check int) "session create is 201" 201 status
 
-(* Every daemon turns the process-wide metrics gate on; the suites share
-   one runner, so stopping one turns the gate back off. *)
 let start_daemon ?(limits = Serve.default_limits) ?state_dir ?(resume = false)
     () =
   unwrap
     (Serve.start
        { Serve.port = 0; state_dir; resume; slow_request_s = None; limits })
 
-let stop_daemon d =
-  Serve.stop d;
-  Dq_obs.Metrics.set_enabled false
-
 let with_daemon ?limits ?state_dir ?resume f =
   let d = start_daemon ?limits ?state_dir ?resume () in
-  Fun.protect ~finally:(fun () -> stop_daemon d) (fun () -> f (Serve.port d))
+  Fun.protect ~finally:(fun () -> Serve.stop d) (fun () -> f (Serve.port d))
 
 let test_e2e_restart () =
   with_tmp_dir @@ fun dir ->
@@ -1062,8 +1036,17 @@ let test_e2e_restart () =
     request p1 "POST" "/v1/sessions/s1/tuples" {|{"tuples":[[610,"c","PHI"]]}|}
   in
   Alcotest.(check int) "batch 2 is 200" 200 status;
-  let status, before = request p1 "GET" "/v1/sessions/s1/relation" "" in
+  let status, head, before =
+    request_full p1 "GET" "/v1/sessions/s1/relation" ""
+  in
   Alcotest.(check int) "relation is 200" 200 status;
+  Alcotest.(check (option string))
+    "relation is one content-length body"
+    (Some (string_of_int (String.length before)))
+    (header_of head "content-length");
+  Alcotest.(check (option string))
+    "relation has no transfer-encoding" None
+    (header_of head "transfer-encoding");
   Alcotest.(check bool)
     "violating tuple was repaired" true
     (Helpers.contains before "212,b,NYC");
@@ -1072,12 +1055,12 @@ let test_e2e_restart () =
   Alcotest.(check int) "unknown session is 404" 404 status;
   let status, _ = request p1 "POST" "/v1/sessions/s1/tuples" "{not json" in
   Alcotest.(check int) "bad body is 400" 400 status;
-  stop_daemon d1;
+  Serve.stop d1;
   (* Restart over the same state directory: the session and its relation
      come back byte-identical (the checkpoint ran before each 200). *)
   let d2 = start () in
   Fun.protect
-    ~finally:(fun () -> stop_daemon d2)
+    ~finally:(fun () -> Serve.stop d2)
     (fun () ->
       let p2 = Serve.port d2 in
       let status, after = request p2 "GET" "/v1/sessions/s1/relation" "" in
@@ -1505,7 +1488,7 @@ let test_drain_refuses_and_closes () =
   Fun.protect
     ~finally:(fun () ->
       close_client c;
-      stop_daemon d)
+      Serve.stop d)
     (fun () ->
       let health = "GET /v1/health HTTP/1.1\r\ncontent-length: 0\r\n\r\n" in
       send_raw c health;
@@ -1834,7 +1817,7 @@ let prop_concurrent_sessions_equal_sequential =
           let limits = { Serve.default_limits with ingest_workers } in
           let d = start_daemon ~limits () in
           Fun.protect
-            ~finally:(fun () -> stop_daemon d)
+            ~finally:(fun () -> Serve.stop d)
             (fun () ->
               let p = Serve.port d in
               List.iter

@@ -173,8 +173,8 @@ let scan pool rel sigma =
   ( Array.map
       (fun t -> Option.value ~default:0 (Hashtbl.find_opt counts (Tuple.tid t)))
       tuples,
-    Violation.total ~pool rel sigma,
-    Violation.satisfies ~pool rel sigma,
+    Violation.total rel sigma,
+    Violation.satisfies rel sigma,
     List.map (Fmt.str "%a" Violation.pp) (Violation.find_all ~pool rel sigma) )
 
 let prop_kernel_oracle =

@@ -36,8 +36,6 @@ let allowlist =
     (* active-domain fold feeds a sort *)
     "metrics.ml";
     (* snapshot sorts by name; reset is per-binding *)
-    "lint.ml";
-    (* W004/W005 sites sort diagnostics afterwards *)
     "discovery.ml";
     (* candidate fold feeds a sort; the group walk counts and collects
        rows that are sorted afterwards *)
