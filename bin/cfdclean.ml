@@ -110,6 +110,13 @@ let with_inputs ?(force = false) ?(analyze_gate = false) data_path cfd_path k =
                    cfd_path;
              }))
 
+(* [with_inputs] for the commands that repair: an unsatisfiable Σ has no
+   repair, so even --force refuses it. *)
+let with_repairable_inputs ~force ~analyze_gate data_path cfd_path k =
+  with_inputs ~force ~analyze_gate data_path cfd_path @@ fun rel sigma ->
+  if Satisfiability.is_satisfiable (Relation.schema rel) sigma then k rel sigma
+  else Error Dq_error.Unsatisfiable
+
 (* A numeric option out of its range is a usage error (exit 2), caught
    here before the library's own precondition would raise. *)
 let require ok fmt =
@@ -437,56 +444,54 @@ let repair data_path cfd_path output in_place explain engine force analyze_gate
   run_command ~command:"repair" ~format ~metrics ~trace ~progress ~fault
   @@ fun () ->
   let* (module E : Engine.ENGINE) = Engine.find engine in
-  with_inputs ~force ~analyze_gate data_path cfd_path @@ fun rel sigma ->
-  if not (Satisfiability.is_satisfiable (Relation.schema rel) sigma) then
-    Error Dq_error.Unsatisfiable
-  else
-    let* () = Engine.check_fragment (module E) (Relation.schema rel) sigma in
-    let* out = resolve_output ~data_path ~output ~in_place in
-    let* deadline = resolve_deadline2 deadline deadline_passes in
-    let* resume =
-      match resume with
-      | None -> Ok None
-      | Some path -> (
-        match Checkpoint.load path with
-        | Ok cp -> Ok (Some cp)
-        | Error msg -> Error (Dq_error.Invalid_input (path ^ ": " ^ msg)))
-    in
-    let* () =
-      if (checkpoint <> None || resume <> None) && not E.supports_checkpoint
-      then
-        Error
-          (Dq_error.Invalid_input
-             (Fmt.str
-                "--checkpoint/--resume are not supported by the %s engine \
-                 (use --engine batch or --engine opt-fd)"
-                E.name))
-      else Ok ()
-    in
-    with_jobs jobs @@ fun pool ->
-    let ctx = Engine.ctx ~pool ~deadline ?checkpoint ?resume rel sigma in
-    let* (repaired, stats_line), report = E.run ctx in
-    let* () =
-      match out with Some path -> save_csv repaired path | None -> Ok ()
-    in
-    succeed report (fun () ->
-        Fmt.epr "%s@." stats_line;
-        Fmt.epr "repair cost: %.3f; dif: %d cells@."
-          (Cost.repair_cost ~original:rel ~repair:repaired)
-          (Relation.dif rel repaired);
-        (match report.Report.degraded with
-        | Some d ->
-          Fmt.epr "cfdclean: warning: %s — partial repair (progress %.0f%%)@."
-            d.Report.reason
-            (100. *. d.Report.progress)
-        | None -> ());
-        (* With the CSV going to stdout the explain table moves to stderr
-           so the repair stays machine-readable. *)
-        if explain then
-          print_explain (if out = None then Fmt.stderr else Fmt.stdout) report;
-        match out with
-        | None -> print_string (Csv.save_string repaired)
-        | Some _ -> ())
+  with_repairable_inputs ~force ~analyze_gate data_path cfd_path
+  @@ fun rel sigma ->
+  let* () = Engine.check_fragment (module E) (Relation.schema rel) sigma in
+  let* out = resolve_output ~data_path ~output ~in_place in
+  let* deadline = resolve_deadline2 deadline deadline_passes in
+  let* resume =
+    match resume with
+    | None -> Ok None
+    | Some path -> (
+      match Checkpoint.load path with
+      | Ok cp -> Ok (Some cp)
+      | Error msg -> Error (Dq_error.Invalid_input (path ^ ": " ^ msg)))
+  in
+  let* () =
+    if (checkpoint <> None || resume <> None) && not E.supports_checkpoint
+    then
+      Error
+        (Dq_error.Invalid_input
+           (Fmt.str
+              "--checkpoint/--resume are not supported by the %s engine \
+               (use --engine batch or --engine opt-fd)"
+              E.name))
+    else Ok ()
+  in
+  with_jobs jobs @@ fun pool ->
+  let ctx = Engine.ctx ~pool ~deadline ?checkpoint ?resume rel sigma in
+  let* (repaired, stats_line), report = E.run ctx in
+  let* () =
+    match out with Some path -> save_csv repaired path | None -> Ok ()
+  in
+  succeed report (fun () ->
+      Fmt.epr "%s@." stats_line;
+      Fmt.epr "repair cost: %.3f; dif: %d cells@."
+        (Cost.repair_cost ~original:rel ~repair:repaired)
+        (Relation.dif rel repaired);
+      (match report.Report.degraded with
+      | Some d ->
+        Fmt.epr "cfdclean: warning: %s — partial repair (progress %.0f%%)@."
+          d.Report.reason
+          (100. *. d.Report.progress)
+      | None -> ());
+      (* With the CSV going to stdout the explain table moves to stderr
+         so the repair stays machine-readable. *)
+      if explain then
+        print_explain (if out = None then Fmt.stderr else Fmt.stdout) report;
+      match out with
+      | None -> print_string (Csv.save_string repaired)
+      | Some _ -> ())
 
 let repair_cmd =
   let data =
@@ -627,32 +632,6 @@ let check_cmd =
 
 (* ---- lint ---- *)
 
-let diagnostic_to_json d =
-  let base =
-    [
-      ("code", Json.String (Diagnostic.code_to_string d.Diagnostic.code));
-      ( "severity",
-        Json.String (Diagnostic.severity_to_string (Diagnostic.severity d)) );
-      ("message", Json.String d.Diagnostic.message);
-    ]
-  in
-  let clause =
-    match d.Diagnostic.clause with
-    | Some c -> [ ("clause", Json.String c) ]
-    | None -> []
-  in
-  let span =
-    match d.Diagnostic.span with
-    | Some s ->
-      [
-        ("line", Json.Int s.Cfd_parser.line);
-        ("col", Json.Int s.Cfd_parser.col_start);
-        ("end_col", Json.Int s.Cfd_parser.col_end);
-      ]
-    | None -> []
-  in
-  Json.Obj (base @ clause @ span)
-
 (* `lint --explain CODE` prints the diagnostic catalog entry and ignores
    any ruleset argument — same text docs/ANALYSIS.md is built from. *)
 let lint_explain code_str =
@@ -735,7 +714,7 @@ let lint cfd_path data_path errors_only explain format metrics trace progress
   in
   succeed
     ~code:(if errors > 0 then Dq_error.Exit.dirty else Dq_error.Exit.ok)
-    ~diagnostics:(List.map diagnostic_to_json diags) report (fun () ->
+    ~diagnostics:(List.map Diagnostic.to_json diags) report (fun () ->
       List.iter
         (fun d -> Fmt.pr "@[<v>%a@]@." (Render.pp_text ~path:cfd_path ~source) d)
         diags;
@@ -934,7 +913,7 @@ let analyze cfd_path data_path sample_cap format metrics trace progress fault =
     in
     succeed
       ~code:(if terminating then Dq_error.Exit.ok else Dq_error.Exit.dirty)
-      ~diagnostics:(List.map diagnostic_to_json diags) report
+      ~diagnostics:(List.map Diagnostic.to_json diags) report
       (fun () ->
         Fmt.pr "%s: %d clauses over %d attributes@." cfd_path
           (Array.length sigma) (Schema.arity schema);
@@ -1046,7 +1025,8 @@ let sample data_path cfd_path truth_path epsilon confidence sample_size force
     analyze_gate format metrics trace progress fault deadline =
   run_command ~command:"sample" ~format ~metrics ~trace ~progress ~fault
   @@ fun () ->
-  with_inputs ~force ~analyze_gate data_path cfd_path @@ fun rel sigma ->
+  with_repairable_inputs ~force ~analyze_gate data_path cfd_path
+  @@ fun rel sigma ->
   let* truth = load_csv truth_path in
   let* deadline = resolve_deadline deadline in
   let* (repaired, _stats), _repair_report =

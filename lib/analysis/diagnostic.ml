@@ -198,3 +198,27 @@ let pp ppf t =
   Format.fprintf ppf "%s[%s]: %s"
     (severity_to_string (severity t))
     (code_to_string t.code) t.message
+
+let to_json d =
+  let module Json = Dq_obs.Json in
+  let base =
+    [
+      ("code", Json.String (code_to_string d.code));
+      ("severity", Json.String (severity_to_string (severity d)));
+      ("message", Json.String d.message);
+    ]
+  in
+  let clause =
+    match d.clause with Some c -> [ ("clause", Json.String c) ] | None -> []
+  in
+  let span =
+    match d.span with
+    | Some s ->
+      [
+        ("line", Json.Int s.Dq_cfd.Cfd_parser.line);
+        ("col", Json.Int s.Dq_cfd.Cfd_parser.col_start);
+        ("end_col", Json.Int s.Dq_cfd.Cfd_parser.col_end);
+      ]
+    | None -> []
+  in
+  Json.Obj (base @ clause @ span)

@@ -5,7 +5,7 @@
     interaction findings), a severity, a human-readable message and, when
     known, the source span of the offending construct and the name of the
     CFD it belongs to.  Codes are stable so CI pipelines can match on them
-    ({!Render.to_json} emits them verbatim). *)
+    ({!to_json} emits them verbatim). *)
 
 type severity = Error | Warning | Info
 
@@ -65,3 +65,8 @@ val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** One line, no source excerpt: ["error[E001]: …"]. *)
+
+val to_json : t -> Dq_obs.Json.t
+(** [{"code", "severity", "message"}], then ["clause"] when known and
+    ["line"], ["col"], ["end_col"] when the diagnostic has a span: one
+    entry of a [--format json] envelope's [diagnostics]. *)

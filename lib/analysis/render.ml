@@ -31,63 +31,3 @@ let summary diags =
   let plural n = if n = 1 then "" else "s" in
   Printf.sprintf "%d error%s, %d warning%s" errors (plural errors) warnings
     (plural warnings)
-
-(* JSON -------------------------------------------------------------- *)
-
-let escape_json s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json ?path diags =
-  let b = Buffer.create 1024 in
-  let field_str k v = Printf.sprintf "\"%s\": \"%s\"" k (escape_json v) in
-  let field_int k v = Printf.sprintf "\"%s\": %d" k v in
-  Buffer.add_string b "{\n";
-  (match path with
-  | Some p -> Buffer.add_string b ("  " ^ field_str "path" p ^ ",\n")
-  | None -> ());
-  let errors = List.length (List.filter Diagnostic.is_error diags) in
-  Buffer.add_string b ("  " ^ field_int "errors" errors ^ ",\n");
-  Buffer.add_string b
-    ("  " ^ field_int "warnings" (List.length diags - errors) ^ ",\n");
-  Buffer.add_string b "  \"diagnostics\": [";
-  List.iteri
-    (fun i (d : Diagnostic.t) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    { ";
-      let fields =
-        [
-          field_str "code" (Diagnostic.code_to_string d.code);
-          field_str "severity"
-            (Diagnostic.severity_to_string (Diagnostic.severity d));
-          field_str "message" d.message;
-        ]
-        @ (match d.clause with Some c -> [ field_str "clause" c ] | None -> [])
-        @
-        match d.span with
-        | Some s ->
-          [
-            field_int "line" s.P.line;
-            field_int "col" s.P.col_start;
-            field_int "end_col" s.P.col_end;
-          ]
-        | None -> []
-      in
-      Buffer.add_string b (String.concat ", " fields);
-      Buffer.add_string b " }")
-    diags;
-  if diags <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "]\n}\n";
-  Buffer.contents b

@@ -1,5 +1,6 @@
-(** Presentation of lint diagnostics: compiler-style text with a source
-    excerpt and caret, and a machine-readable JSON document for CI. *)
+(** Text presentation of lint diagnostics: compiler-style lines with a
+    source excerpt and caret.  Their JSON form is {!Diagnostic.to_json},
+    inside the CLI's [--format json] envelope. *)
 
 val pp_text :
   ?path:string -> ?source:string -> Format.formatter -> Diagnostic.t -> unit
@@ -14,14 +15,3 @@ val pp_text :
 
 val summary : Diagnostic.t list -> string
 (** E.g. ["2 errors, 1 warning"]. *)
-
-val to_json : ?path:string -> Diagnostic.t list -> string
-(** A JSON document:
-    {v
-    { "path": "orders.cfd",
-      "errors": 1, "warnings": 2,
-      "diagnostics": [
-        { "code": "E001", "severity": "error", "message": "...",
-          "clause": "phi1", "line": 4, "col": 1, "end_col": 5 } ] }
-    v}
-    [clause] and the position fields are omitted when unknown. *)

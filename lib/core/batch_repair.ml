@@ -855,20 +855,11 @@ let repair ?(use_dependency_graph = true) ?(deadline = Deadline.never)
     if checkpoint = None && resume = None then 0
     else Checkpoint.fingerprint db sigma ~use_dependency_graph
   in
-  match resume with
-  | Some cp when cp.Checkpoint.kind <> Checkpoint.batch_kind ->
-    Error
-      (Dq_error.Invalid_input
-         (Printf.sprintf
-            "checkpoint kind %S was written by a different engine \
-             (this engine reads %S)"
-            cp.Checkpoint.kind Checkpoint.batch_kind))
-  | Some cp when cp.Checkpoint.fingerprint <> fp ->
-    Error
-      (Dq_error.Invalid_input
-         "checkpoint does not match this input (data, ruleset or \
-          configuration changed)")
-  | _ -> (
+  match
+    Checkpoint.check_resume ~kind:Checkpoint.batch_kind ~fingerprint:fp resume
+  with
+  | Error _ as e -> e
+  | Ok () -> (
     let rel = Relation.copy db in
     let eq =
       Option.map

@@ -52,30 +52,36 @@ let fingerprint rel sigma ~use_dependency_graph =
   mix (Bool.to_int use_dependency_graph);
   !h
 
+let check_resume ~kind ~fingerprint = function
+  | Some cp when cp.kind <> kind ->
+    Error
+      (Dq_error.Invalid_input
+         (Printf.sprintf
+            "checkpoint kind %S was written by a different engine (this \
+             engine reads %S)"
+            cp.kind kind))
+  | Some cp when cp.fingerprint <> fingerprint ->
+    Error
+      (Dq_error.Invalid_input
+         "checkpoint does not match this input (data, ruleset or \
+          configuration changed)")
+  | _ -> Ok ()
+
 (* ---- exact value round-trips ------------------------------------------ *)
 
-(* Json renders floats with "%.12g", which is lossy.  Checkpoints encode
-   floats as C99 hex literals instead: [float_of_string] reads them back
-   bit-for-bit, so resumed cost arithmetic is identical. *)
-let float_to_json f = Json.String (Printf.sprintf "%h" f)
-
-let float_of_json = function
-  | Json.String s -> (
-    match float_of_string_opt s with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "bad float %S" s))
-  | _ -> Error "expected a float (hex string)"
-
+(* Floats are hex literals ({!Json.hex_float}), so resumed cost
+   arithmetic is identical. *)
 let value_to_json = function
   | Value.Null -> Json.Null
   | Value.Int i -> Json.Obj [ ("i", Json.Int i) ]
-  | Value.Float f -> Json.Obj [ ("f", float_to_json f) ]
+  | Value.Float f -> Json.Obj [ ("f", Json.hex_float f) ]
   | Value.String s -> Json.Obj [ ("s", Json.String s) ]
 
 let value_of_json = function
   | Json.Null -> Ok Value.Null
   | Json.Obj [ ("i", Json.Int i) ] -> Ok (Value.Int i)
-  | Json.Obj [ ("f", f) ] -> Result.map (fun f -> Value.Float f) (float_of_json f)
+  | Json.Obj [ ("f", f) ] ->
+    Result.map (fun f -> Value.Float f) (Json.hex_float_of f)
   | Json.Obj [ ("s", Json.String s) ] -> Ok (Value.String s)
   | _ -> Error "expected a value"
 
@@ -91,39 +97,7 @@ let target_of_json = function
     Result.map (fun v -> Eqclass.Const v) (value_of_json v)
   | _ -> Error "expected a target"
 
-(* ---- (de)serialisation helpers ---------------------------------------- *)
-
 let ( let* ) = Result.bind
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let field name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field name json =
-  match Json.member name json with
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let bool_field name json =
-  match Json.member name json with
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %S must be a boolean" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let list_field name json =
-  match Json.member name json with
-  | Some (Json.List l) -> Ok l
-  | Some _ -> Error (Printf.sprintf "field %S must be a list" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
 
 (* ---- eq snapshot ------------------------------------------------------ *)
 
@@ -142,15 +116,15 @@ let class_to_json (c : Eqclass.class_state) =
     ]
 
 let class_of_json json =
-  let* cls_root = int_field "root" json in
-  let* target = field "target" json in
+  let* cls_root = Json.int_field "root" json in
+  let* target = Json.field "target" json in
   let* cls_target = target_of_json target in
-  let* repr = field "repr" json in
+  let* repr = Json.field "repr" json in
   let* cls_repr = value_of_json repr in
-  let* cls_rank = int_field "rank" json in
-  let* members = list_field "members" json in
+  let* cls_rank = Json.int_field "rank" json in
+  let* members = Json.list_field "members" json in
   let* cls_members =
-    map_result
+    Json.map_result
       (function
         | Json.List [ Json.Int tid; Json.Int attr ] -> Ok (tid, attr)
         | _ -> Error "expected a [tid, attr] pair")
@@ -176,9 +150,9 @@ let class_in_range arity (c : Eqclass.class_state) =
        c.cls_members
 
 let eq_of_json json =
-  let* snap_arity = int_field "arity" json in
-  let* classes = list_field "classes" json in
-  let* snap_classes = map_result class_of_json classes in
+  let* snap_arity = Json.int_field "arity" json in
+  let* classes = Json.list_field "classes" json in
+  let* snap_classes = Json.map_result class_of_json classes in
   if snap_arity > 0 && List.for_all (class_in_range snap_arity) snap_classes
   then Ok { Eqclass.snap_arity; snap_classes }
   else Error "equivalence class cells out of range"
@@ -195,21 +169,17 @@ let entry_to_json (e : Provenance.entry) =
       ("new", value_to_json e.new_value);
       ( "clause",
         match e.clause with None -> Json.Null | Some c -> Json.String c );
-      ("cost", float_to_json e.cost_delta);
+      ("cost", Json.hex_float e.cost_delta);
       ("pass", Json.Int e.pass);
     ]
 
 let entry_of_json json =
-  let* tid = int_field "tid" json in
-  let* attr = int_field "attr" json in
-  let* attr_name =
-    match Json.member "attr_name" json with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error "field \"attr_name\" must be a string"
-  in
-  let* old_v = field "old" json in
+  let* tid = Json.int_field "tid" json in
+  let* attr = Json.int_field "attr" json in
+  let* attr_name = Json.string_field "attr_name" json in
+  let* old_v = Json.field "old" json in
   let* old_value = value_of_json old_v in
-  let* new_v = field "new" json in
+  let* new_v = Json.field "new" json in
   let* new_value = value_of_json new_v in
   let* clause =
     match Json.member "clause" json with
@@ -217,9 +187,9 @@ let entry_of_json json =
     | Some (Json.String c) -> Ok (Some c)
     | _ -> Error "field \"clause\" must be a string or null"
   in
-  let* cost = field "cost" json in
-  let* cost_delta = float_of_json cost in
-  let* pass = int_field "pass" json in
+  let* cost = Json.field "cost" json in
+  let* cost_delta = Json.hex_float_of cost in
+  let* pass = Json.int_field "pass" json in
   Ok { Provenance.tid; attr; attr_name; old_value; new_value; clause; cost_delta; pass }
 
 (* ---- whole checkpoint ------------------------------------------------- *)
@@ -243,33 +213,29 @@ let to_json cp =
     ]
 
 let of_json json =
-  let* v = int_field "version" json in
+  let* v = Json.int_field "version" json in
   if v <> version then
     Error
       (Printf.sprintf "unsupported checkpoint version %d (this build reads %d)"
          v version)
   else
-    let* kind =
-      match Json.member "kind" json with
-      | Some (Json.String s) -> Ok s
-      | _ -> Error "missing field \"kind\""
-    in
+    let* kind = Json.string_field "kind" json in
     if not (List.mem kind known_kinds) then
       Error (Printf.sprintf "unsupported checkpoint kind %S" kind)
     else
-      let* fingerprint = int_field "fingerprint" json in
-      let* use_dependency_graph = bool_field "use_dependency_graph" json in
-      let* pass = int_field "pass" json in
-      let* steps = int_field "steps" json in
-      let* rescans = int_field "rescans" json in
-      let* merges = int_field "merges" json in
-      let* rhs_fixes = int_field "rhs_fixes" json in
-      let* lhs_fixes = int_field "lhs_fixes" json in
-      let* nulls_introduced = int_field "nulls_introduced" json in
-      let* eq_json = field "eq" json in
+      let* fingerprint = Json.int_field "fingerprint" json in
+      let* use_dependency_graph = Json.bool_field "use_dependency_graph" json in
+      let* pass = Json.int_field "pass" json in
+      let* steps = Json.int_field "steps" json in
+      let* rescans = Json.int_field "rescans" json in
+      let* merges = Json.int_field "merges" json in
+      let* rhs_fixes = Json.int_field "rhs_fixes" json in
+      let* lhs_fixes = Json.int_field "lhs_fixes" json in
+      let* nulls_introduced = Json.int_field "nulls_introduced" json in
+      let* eq_json = Json.field "eq" json in
       let* eq = eq_of_json eq_json in
-      let* trail_json = list_field "trail" json in
-      let* trail = map_result entry_of_json trail_json in
+      let* trail_json = Json.list_field "trail" json in
+      let* trail = Json.map_result entry_of_json trail_json in
       Ok
         {
           kind;

@@ -48,7 +48,7 @@ val opt_fd_kind : string
 
 val known_kinds : string list
 (** Kinds {!of_json} accepts.  An engine must additionally check that a
-    resumed checkpoint's [kind] is its own. *)
+    resumed checkpoint's [kind] is its own ({!check_resume}). *)
 
 val fingerprint :
   Dq_relation.Relation.t ->
@@ -58,6 +58,13 @@ val fingerprint :
 (** A structural hash of the dirty relation, the ruleset and the
     configuration.  Resume refuses a checkpoint whose fingerprint does
     not match the current invocation. *)
+
+val check_resume :
+  kind:string -> fingerprint:int -> t option -> (unit, Dq_error.t) result
+(** The check every engine makes before it resumes: [Ok ()] without a
+    checkpoint, and [Invalid_input] for one another engine wrote (its
+    [kind] is not [kind]) or one whose fingerprint is not [fingerprint],
+    the current invocation's. *)
 
 val to_json : t -> Dq_obs.Json.t
 

@@ -119,8 +119,6 @@ let dl_distances p ts =
   else if m > max_pattern then Array.map (dl_distance p) ts
   else with_masks p (fun masks -> Array.map (scan masks m) ts)
 
-let value_distance v v' = dl_distance (Value.to_string v) (Value.to_string v')
-
 let similarity v v' =
   let s = Value.to_string v and s' = Value.to_string v' in
   let longer = max (String.length s) (String.length s') in

@@ -32,9 +32,6 @@ val dl_distances : string -> string array -> int array
 (** [dl_distances p ts] is [Array.map (dl_distance p) ts], with [p]'s
     match masks set up once for the whole array. *)
 
-val value_distance : Value.t -> Value.t -> int
-(** [dl_distance] on {!Value.to_string} renderings. *)
-
 val similarity : Value.t -> Value.t -> float
 (** [dis(v,v') / max(|v|,|v'|)], in [0,1]; [0] when both are empty/null. *)
 

@@ -75,20 +75,12 @@ let repair ?(deadline = Deadline.never) ?checkpoint ?resume db sigma =
         Checkpoint.fingerprint db sigma ~use_dependency_graph:false
       else 0
     in
-    match resume with
-    | Some cp when cp.Checkpoint.kind <> Checkpoint.opt_fd_kind ->
-      Error
-        (Dq_error.Invalid_input
-           (Printf.sprintf
-              "checkpoint kind %S was written by a different engine (this \
-               engine reads %S)"
-              cp.Checkpoint.kind Checkpoint.opt_fd_kind))
-    | Some cp when cp.Checkpoint.fingerprint <> fp ->
-      Error
-        (Dq_error.Invalid_input
-           "checkpoint does not match this input (data, ruleset or \
-            configuration changed)")
-    | _ ->
+    match
+      Checkpoint.check_resume ~kind:Checkpoint.opt_fd_kind ~fingerprint:fp
+        resume
+    with
+    | Error _ as e -> e
+    | Ok () ->
       let rel = Relation.copy db in
       let arity = Schema.arity schema in
       let phases = ref [] in

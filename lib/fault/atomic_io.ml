@@ -6,7 +6,7 @@ let default_perm () =
   ignore (Unix.umask mask);
   0o666 land lnot mask
 
-let write_file ?(fsync = true) path contents =
+let write_file path contents =
   let dir = Filename.dirname path in
   let base = Filename.basename path in
   let tmp =
@@ -19,7 +19,7 @@ let write_file ?(fsync = true) path contents =
     (try
        output_string oc contents;
        flush oc;
-       if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
+       Unix.fsync (Unix.descr_of_out_channel oc);
        close_out oc
      with e ->
        close_out_noerr oc;
@@ -58,8 +58,3 @@ let append_file path contents =
         Unix.fsync fd)
   with Unix.Unix_error (err, _, _) ->
     raise (Sys_error (path ^ ": " ^ Unix.error_message err))
-
-let with_out ?fsync path f =
-  let buf = Buffer.create 4096 in
-  f buf;
-  write_file ?fsync path (Buffer.contents buf)

@@ -14,9 +14,8 @@
 (** [write_file path contents] atomically replaces [path].  The temp
     file is removed on any failure.  Raises [Sys_error] on I/O errors
     (OS errors are normalised to [Sys_error]) and [Fault.Injected]
-    when the ["io.write"] site is armed.  [fsync] (default true) can
-    be disabled for tests on slow filesystems. *)
-val write_file : ?fsync:bool -> string -> string -> unit
+    when the ["io.write"] site is armed. *)
+val write_file : string -> string -> unit
 
 (** [append_file path contents] appends to [path] (created if missing)
     and fsyncs before returning, so the bytes are durable once it does.
@@ -27,8 +26,3 @@ val write_file : ?fsync:bool -> string -> string -> unit
     is written.  Raises [Sys_error] on I/O errors and [Fault.Injected]
     when the site is armed. *)
 val append_file : string -> string -> unit
-
-(** [with_out path f] builds the contents with a formatter-style
-    writer: [f] receives a [Buffer.t], and the buffer is then written
-    via {!write_file}. *)
-val with_out : ?fsync:bool -> string -> (Buffer.t -> unit) -> unit

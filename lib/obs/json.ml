@@ -267,3 +267,41 @@ let parse s =
   with
   | v -> Ok v
   | exception Bad (msg, at) -> Error (Printf.sprintf "%s at offset %d" msg at)
+
+(* ---- decoding --------------------------------------------------------- *)
+
+let field name json =
+  match member name json with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let typed what read name json =
+  Result.bind (field name json) (fun v ->
+      match read v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "field %S: expected %s" name what))
+
+let int_field = typed "an integer" (function Int i -> Some i | _ -> None)
+
+let bool_field = typed "a boolean" (function Bool b -> Some b | _ -> None)
+
+let string_field = typed "a string" (function String s -> Some s | _ -> None)
+
+let list_field = typed "a list" (function List l -> Some l | _ -> None)
+
+let map_result f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+  in
+  go [] l
+
+let hex_float f = String (Printf.sprintf "%h" f)
+
+let hex_float_of = function
+  | String s -> (
+    match float_of_string_opt s with
+    | Some f -> Ok f
+    | None -> Error (Printf.sprintf "bad float literal %S" s))
+  | _ -> Error "expected a float literal (a string)"

@@ -36,9 +36,38 @@ val equal : t -> t -> bool
 val member : string -> t -> t option
 (** First field of that name, when the value is an object. *)
 
+(** {1 Decoding}
+
+    Checkpoints, serve session files and journals, and serve request
+    bodies are all read back through {!parse} and the readers below.
+    A field reader's error names the field: [missing field "x"], or
+    [field "x": expected an integer] when it holds another kind of
+    value. *)
+
 val parse : string -> (t, string) result
 (** Parse one JSON document (the inverse of {!to_string}).  Numbers
     without a fraction or exponent load as {!Int}, everything else as
     {!Float}; [\u] escapes decode to UTF-8.  Errors carry a byte
-    offset.  Used by [bench --compare] to read [BENCH_*.json] files
-    back, and by the test suite to check emitted traces. *)
+    offset. *)
+
+val field : string -> t -> (t, string) result
+(** The field's value, whatever its kind. *)
+
+val int_field : string -> t -> (int, string) result
+
+val bool_field : string -> t -> (bool, string) result
+
+val string_field : string -> t -> (string, string) result
+
+val list_field : string -> t -> (t list, string) result
+
+val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+(** [List.map] that stops at the first [Error]. *)
+
+val hex_float : float -> t
+(** A {!String} holding the float as a C99 [%h] literal.  {!to_string}
+    renders {!Float} with ["%.12g"], which is lossy; the persisted
+    formats store floats this way so they read back bit for bit. *)
+
+val hex_float_of : t -> (float, string) result
+(** The inverse of {!hex_float}. *)

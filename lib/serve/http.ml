@@ -12,6 +12,7 @@ type request = {
   target : string;
   path : string list;
   headers : (string * string) list;
+  persistent : bool;
   body : string;
 }
 
@@ -60,6 +61,23 @@ let trim_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
+(* RFC 9112 §9.3: an HTTP/1.1 connection persists unless the client
+   sends the [close] option, an HTTP/1.0 one only when it sends
+   [keep-alive]. *)
+let persistent ~version headers =
+  let options =
+    List.concat_map
+      (fun (k, v) ->
+        if k = "connection" then
+          List.map
+            (fun o -> String.lowercase_ascii (String.trim o))
+            (String.split_on_char ',' v)
+        else [])
+      headers
+  in
+  if version = "HTTP/1.0" then List.mem "keep-alive" options
+  else not (List.mem "close" options)
+
 (* Parse the head: request line plus header lines (no blank line). *)
 let parse_head head =
   match String.split_on_char '\n' head with
@@ -86,7 +104,14 @@ let parse_head head =
       in
       Result.map
         (fun headers ->
-          { meth; target; path = split_target target; headers; body = "" })
+          {
+            meth;
+            target;
+            path = split_target target;
+            headers;
+            persistent = persistent ~version headers;
+            body = "";
+          })
         (headers [] header_lines)
     | _ ->
       err 400 (Printf.sprintf "malformed request line %S" (trim_cr request_line)))

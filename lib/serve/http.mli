@@ -13,6 +13,11 @@ type request = {
   target : string;  (** the raw request target *)
   path : string list;  (** target split on [/], query string dropped *)
   headers : (string * string) list;  (** names lowercased, values trimmed *)
+  persistent : bool;
+      (** whether the client lets the connection carry another request
+          (RFC 9112 §9.3): on HTTP/1.1 unless [close] is among the
+          [connection] header's comma-separated options, on HTTP/1.0
+          only when [keep-alive] is; options match case-insensitively *)
   body : string;
 }
 

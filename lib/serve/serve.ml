@@ -227,36 +227,12 @@ let parse_body (r : Http.request) =
   | Ok j -> Ok j
   | Error msg -> Error (Dq_error.Invalid_input ("request body: " ^ msg))
 
-let field ?default name j =
-  match (Json.member name j, default) with
-  | Some v, _ -> Ok v
-  | None, Some d -> Ok d
-  | None, None ->
-    Error (Dq_error.Invalid_input (Printf.sprintf "missing field %S" name))
-
-let string_field ?default name j =
-  let* v = field ?default:(Option.map (fun s -> Json.String s) default) name j in
-  match v with
-  | Json.String s -> Ok s
-  | _ ->
-    Error (Dq_error.Invalid_input (Printf.sprintf "field %S: expected a string" name))
-
-let bool_field ~default name j =
-  match Json.member name j with
-  | None -> Ok default
-  | Some (Json.Bool b) -> Ok b
-  | Some _ ->
-    Error
-      (Dq_error.Invalid_input (Printf.sprintf "field %S: expected a boolean" name))
-
-let map_m f l =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) l
-  |> Result.map List.rev
+(* A body field through one of [Json]'s readers, its message as
+   [Invalid_input]; an absent field takes [default] when there is one. *)
+let body_field ?default read name j =
+  match (default, Json.member name j) with
+  | Some d, None -> Ok d
+  | _ -> Result.map_error (fun msg -> Dq_error.Invalid_input msg) (read name j)
 
 (* A relation value in a request body: a plain JSON scalar. *)
 let value_of_json = function
@@ -271,23 +247,23 @@ let value_of_json = function
          ^ String.trim (Json.to_string ~minify:true j)))
 
 let values_of_json l =
-  let* vs = map_m value_of_json l in
+  let* vs = Json.map_result value_of_json l in
   Ok (Array.of_list vs)
 
 let weights_of_json j =
-  match j with
+  match Json.member "weights" j with
   | None -> Ok None
-  | Some (Json.List l) ->
+  | Some _ ->
+    let* ws = body_field Json.list_field "weights" j in
     let* ws =
-      map_m
+      Json.map_result
         (function
           | Json.Int n -> Ok (float_of_int n)
           | Json.Float f -> Ok f
           | _ -> Error (Dq_error.Invalid_input "weights must be numbers"))
-        l
+        ws
     in
     Ok (Some (Array.of_list ws))
-  | Some _ -> Error (Dq_error.Invalid_input "field \"weights\": expected a list")
 
 (* One submitted tuple: either a bare array of values, or an object
    [{"values": [...], "weights": [...]}] carrying per-attribute
@@ -297,13 +273,9 @@ let row_of_json = function
     let* values = values_of_json l in
     Ok (values, None)
   | Json.Obj _ as j ->
-    let* values = field "values" j in
-    let* values =
-      match values with
-      | Json.List l -> values_of_json l
-      | _ -> Error (Dq_error.Invalid_input "field \"values\": expected a list")
-    in
-    let* weights = weights_of_json (Json.member "weights" j) in
+    let* values = body_field Json.list_field "values" j in
+    let* values = values_of_json values in
+    let* weights = weights_of_json j in
     Ok (values, weights)
   | _ ->
     Error
@@ -548,29 +520,24 @@ let handle_metrics d =
 let handle_create d ~request ~id:rid (r : Http.request) =
   let result =
     let* body = parse_body r in
-    let* schema = field "schema" body in
-    let* schema_name = string_field "name" schema in
-    let* attributes = field "attributes" schema in
+    let* schema = body_field Json.field "schema" body in
+    let* schema_name = body_field Json.string_field "name" schema in
+    let* attributes = body_field Json.list_field "attributes" schema in
     let* attributes =
-      match attributes with
-      | Json.List l ->
-        map_m
-          (function
-            | Json.String a -> Ok a
-            | _ ->
-              Error
-                (Dq_error.Invalid_input
-                   "field \"attributes\": expected strings"))
-          l
-      | _ ->
-        Error (Dq_error.Invalid_input "field \"attributes\": expected a list")
+      Json.map_result
+        (function
+          | Json.String a -> Ok a
+          | _ ->
+            Error
+              (Dq_error.Invalid_input "field \"attributes\": expected strings"))
+        attributes
     in
-    let* rules = string_field "rules" body in
+    let* rules = body_field Json.string_field "rules" body in
     (* l-inc is the default session engine: its linear tuple ordering
        makes batch-split ingest equal one-shot ingest (the determinism
        property the test suite checks). *)
-    let* engine = string_field ~default:"l-inc" "engine" body in
-    let* force = bool_field ~default:false "force" body in
+    let* engine = body_field ~default:"l-inc" Json.string_field "engine" body in
+    let* force = body_field ~default:false Json.bool_field "force" body in
     let* s =
       Mutex.protect d.registry (fun () ->
           let id = Printf.sprintf "s%d" d.next_id in
@@ -723,13 +690,8 @@ let handle_ingest d ~request ~id:rid (r : Http.request) sid =
         let* () = check_breaker s in
         let* deadline = deadline_of_request r in
         let* body = parse_body r in
-        let* rows = field "tuples" body in
-        let* rows =
-          match rows with
-          | Json.List l -> map_m row_of_json l
-          | _ ->
-            Error (Dq_error.Invalid_input "field \"tuples\": expected a list")
-        in
+        let* rows = body_field Json.list_field "tuples" body in
+        let* rows = Json.map_result row_of_json rows in
         Metrics.observe d.instruments.ingest_batch
           (float_of_int (List.length rows));
         run_engine_job d s (fun () ->
@@ -800,7 +762,7 @@ let handle_resolve d ~request ~id:rid (r : Http.request) sid tid_str =
           | Some (Json.String "discard"), None -> Ok Session.Discard
           | (None | Some (Json.String "replace")), Some (Json.List l) ->
             let* values = values_of_json l in
-            let* weights = weights_of_json (Json.member "weights" body) in
+            let* weights = weights_of_json body in
             Ok (Session.Replace (values, weights))
           | _ ->
             Error
@@ -1015,14 +977,8 @@ let handle_connection d tok fd =
           match Http.read_request ?idle_timeout ?read_timeout rd with
           | Ok None -> ()
           | Ok (Some r) ->
-            let want_keep =
-              d.limits.keep_alive
-              && (match Http.header r "connection" with
-                 | Some c ->
-                   String.lowercase_ascii (String.trim c) <> "close"
-                 | None -> true)
-            in
-            if serve_request d fd ~keep_alive:want_keep ~last_id r then
+            let keep_alive = d.limits.keep_alive && r.Http.persistent in
+            if serve_request d fd ~keep_alive ~last_id r then
               loop ~first:false
           | Error fe ->
             let t0 = Clock.now () in

@@ -9,33 +9,23 @@ let kind = "serve-session"
 
 (* ---- exact value encoding ---------------------------------------------- *)
 
-(* Mirrors lib/core/checkpoint.ml: floats as C99 hex literals so resumed
-   relations render byte-identically, ints tagged so they cannot be
-   confused with a float of the same magnitude on the way back in. *)
+(* Floats are hex literals ({!Json.hex_float}) so resumed relations
+   render byte-identically; ints are tagged so they cannot be confused
+   with a float of the same magnitude on the way back in.  Strings are
+   bare, unlike a checkpoint's tagged ones. *)
 let value_to_json = function
   | Value.Null -> Json.Null
   | Value.String s -> Json.String s
   | Value.Int n -> Json.Obj [ ("i", Json.Int n) ]
-  | Value.Float f -> Json.Obj [ ("f", Json.String (Printf.sprintf "%h" f)) ]
+  | Value.Float f -> Json.Obj [ ("f", Json.hex_float f) ]
 
 let value_of_json = function
   | Json.Null -> Ok Value.Null
   | Json.String s -> Ok (Value.String s)
   | Json.Obj [ ("i", Json.Int n) ] -> Ok (Value.Int n)
-  | Json.Obj [ ("f", Json.String h) ] -> (
-    match float_of_string_opt h with
-    | Some f -> Ok (Value.Float f)
-    | None -> Error (Printf.sprintf "bad float literal %S" h))
+  | Json.Obj [ ("f", h) ] ->
+    Result.map (fun f -> Value.Float f) (Json.hex_float_of h)
   | j -> Error ("unexpected value encoding: " ^ Json.to_string ~minify:true j)
-
-let weight_to_json w = Json.String (Printf.sprintf "%h" w)
-
-let weight_of_json = function
-  | Json.String h -> (
-    match float_of_string_opt h with
-    | Some w -> Ok w
-    | None -> Error (Printf.sprintf "bad weight literal %S" h))
-  | j -> Error ("unexpected weight encoding: " ^ Json.to_string ~minify:true j)
 
 (* All-1 weight vectors — the default — are omitted from tuple rows. *)
 let tuple_to_json t =
@@ -53,61 +43,27 @@ let tuple_to_json t =
   if List.for_all (fun w -> w = 1.) weights then Json.Obj base
   else
     Json.Obj
-      (base @ [ ("weights", Json.List (List.map weight_to_json weights)) ])
-
-(* ---- json plumbing ----------------------------------------------------- *)
-
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Int n -> Ok n
-  | _ -> Error (Printf.sprintf "field %S: expected an integer" name)
-
-let string_field name j =
-  let* v = field name j in
-  match v with
-  | Json.String s -> Ok s
-  | _ -> Error (Printf.sprintf "field %S: expected a string" name)
-
-let list_field name j =
-  let* v = field name j in
-  match v with
-  | Json.List l -> Ok l
-  | _ -> Error (Printf.sprintf "field %S: expected a list" name)
-
-let map_m f l =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) l
-  |> Result.map List.rev
+      (base @ [ ("weights", Json.List (List.map Json.hex_float weights)) ])
 
 let int_list_field name j =
-  let* l = list_field name j in
-  map_m
+  let* l = Json.list_field name j in
+  Json.map_result
     (function
       | Json.Int n -> Ok n
       | _ -> Error (Printf.sprintf "field %S: expected integers" name))
     l
 
 let tuple_of_json j =
-  let* tid = int_field "tid" j in
-  let* values = list_field "values" j in
-  let* values = map_m value_of_json values in
+  let* tid = Json.int_field "tid" j in
+  let* values = Json.list_field "values" j in
+  let* values = Json.map_result value_of_json values in
   let* weights =
     match Json.member "weights" j with
     | None -> Ok None
-    | Some (Json.List l) ->
-      let* ws = map_m weight_of_json l in
+    | Some _ ->
+      let* ws = Json.list_field "weights" j in
+      let* ws = Json.map_result Json.hex_float_of ws in
       Ok (Some (Array.of_list ws))
-    | Some _ -> Error "field \"weights\": expected a list"
   in
   match Tuple.create ?weights ~tid (Array.of_list values) with
   | t -> Ok t
@@ -130,7 +86,7 @@ let quarantined_to_json (q : Session.quarantined) =
 let quarantined_of_json j =
   let* tuple = tuple_of_json j in
   let* attrs = int_list_field "attrs" j in
-  let* batch = int_field "batch" j in
+  let* batch = Json.int_field "batch" j in
   Ok { Session.tuple; attrs; batch }
 
 (* The counters every snapshot and journal record carries. *)
@@ -194,15 +150,15 @@ let record_to_json (s : Session.t) (j : Session.journal) =
 (* ---- loading ------------------------------------------------------------ *)
 
 let counters_of_json j =
-  let* next_tid = int_field "next_tid" j in
-  let* batches = int_field "batches" j in
-  let* repaired = int_field "repaired" j in
-  let* quarantined_total = int_field "quarantined_total" j in
-  let* resolved = int_field "resolved" j in
+  let* next_tid = Json.int_field "next_tid" j in
+  let* batches = Json.int_field "batches" j in
+  let* repaired = Json.int_field "repaired" j in
+  let* quarantined_total = Json.int_field "quarantined_total" j in
+  let* resolved = Json.int_field "resolved" j in
   Ok (next_tid, batches, repaired, quarantined_total, resolved)
 
 let add_rows rel rows =
-  let* tuples = map_m tuple_of_json rows in
+  let* tuples = Json.map_result tuple_of_json rows in
   match List.iter (Relation.add rel) tuples with
   | () -> Ok ()
   | exception Invalid_argument msg -> Error msg
@@ -210,37 +166,37 @@ let add_rows rel rows =
 (* The session a snapshot holds; {!load} replays the journal onto it and
    then sets its checkpoint state. *)
 let of_json j =
-  let* v = int_field "v" j in
+  let* v = Json.int_field "v" j in
   let* () =
     (* version 1 predates the journal: no "seq", nothing to replay *)
     if v = 1 || v = version then Ok ()
     else Error (Printf.sprintf "unsupported session file version %d" v)
   in
-  let* k = string_field "kind" j in
+  let* k = Json.string_field "kind" j in
   let* () =
     if String.equal k kind then Ok ()
     else Error (Printf.sprintf "not a session file (kind %S)" k)
   in
-  let* id = string_field "id" j in
-  let* schema = field "schema" j in
-  let* schema_name = string_field "name" schema in
-  let* attributes = list_field "attributes" schema in
+  let* id = Json.string_field "id" j in
+  let* schema = Json.field "schema" j in
+  let* schema_name = Json.string_field "name" schema in
+  let* attributes = Json.list_field "attributes" schema in
   let* attributes =
-    map_m
+    Json.map_result
       (function
         | Json.String a -> Ok a
         | _ -> Error "field \"attributes\": expected strings")
       attributes
   in
-  let* engine = string_field "engine" j in
-  let* rules = string_field "rules" j in
-  let* seq = if v = 1 then Ok 0 else int_field "seq" j in
+  let* engine = Json.string_field "engine" j in
+  let* rules = Json.string_field "rules" j in
+  let* seq = if v = 1 then Ok 0 else Json.int_field "seq" j in
   let* next_tid, batches, repaired, quarantined_total, resolved =
     counters_of_json j
   in
-  let* rows = list_field "relation" j in
-  let* quarantine = list_field "quarantine" j in
-  let* quarantine = map_m quarantined_of_json quarantine in
+  let* rows = Json.list_field "relation" j in
+  let* quarantine = Json.list_field "quarantine" j in
+  let* quarantine = Json.map_result quarantined_of_json quarantine in
   let* relation =
     match Schema.make ~name:schema_name attributes with
     | schema ->
@@ -258,17 +214,17 @@ let of_json j =
    already covers are skipped: a crash between a compaction's rename and
    the journal's removal leaves them behind. *)
 let replay (s : Session.t) j =
-  let* from = int_field "from" j in
-  let* seq = int_field "seq" j in
+  let* from = Json.int_field "from" j in
+  let* seq = Json.int_field "seq" j in
   if seq <= s.Session.seq then Ok ()
   else if from <> s.Session.seq then
     Error
       (Printf.sprintf "record of mutations %d to %d does not follow mutation %d"
          (from + 1) seq s.Session.seq)
   else
-    let* rows = list_field "rows" j in
-    let* queued = list_field "quarantined" j in
-    let* queued = map_m quarantined_of_json queued in
+    let* rows = Json.list_field "rows" j in
+    let* queued = Json.list_field "quarantined" j in
+    let* queued = Json.map_result quarantined_of_json queued in
     let* dropped = int_list_field "dropped" j in
     let* next_tid, batches, repaired, quarantined_total, resolved =
       counters_of_json j
@@ -419,7 +375,7 @@ let load_dir dir =
     Array.sort String.compare files;
     Array.to_list files
     |> List.filter (fun f -> Filename.check_suffix f ".json")
-    |> map_m (fun f ->
+    |> Json.map_result (fun f ->
            let* s = load (Filename.concat dir f) in
            Ok (f, s))
   | exception Sys_error msg -> Error msg

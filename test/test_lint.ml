@@ -149,7 +149,9 @@ let test_renderings () =
         (Printf.sprintf "%s in text output of %s" code_str file)
         true
         (contains ~sub:(Printf.sprintf "[%s]" code_str) text);
-      let json = Render.to_json ~path:file diags in
+      let json =
+        Dq_obs.Json.(to_string (List (List.map Diagnostic.to_json diags)))
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s in json output of %s" code_str file)
         true
@@ -172,7 +174,7 @@ let test_text_render_caret () =
 
 let test_json_escaping () =
   let d = Diagnostic.make Diagnostic.E000 "a \"quoted\"\nmessage" in
-  let json = Render.to_json [ d ] in
+  let json = Dq_obs.Json.to_string (Diagnostic.to_json d) in
   Alcotest.(check bool) "escapes quotes and newlines" true
     (contains ~sub:{|a \"quoted\"\nmessage|} json)
 

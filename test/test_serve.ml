@@ -88,6 +88,26 @@ let test_http_parse_errors () =
       "body limit reason" true
       (Helpers.contains e.Http.reason "exceeds")
 
+(* RFC 9112 §9.3: HTTP/1.1 persists unless the client sends the close
+   option, HTTP/1.0 only when it sends keep-alive; options are a
+   case-insensitive comma-separated list. *)
+let test_http_persistence () =
+  List.iter
+    (fun (name, raw, want) ->
+      match Http.parse raw with
+      | Ok r -> Alcotest.(check bool) name want r.Http.persistent
+      | Error e -> Alcotest.failf "%s: %s" name e.Http.reason)
+    [
+      ("1.1 persists", "GET / HTTP/1.1\r\n\r\n", true);
+      ( "1.1 with close",
+        "GET / HTTP/1.1\r\nConnection: Upgrade, Close\r\n\r\n",
+        false );
+      ("1.0 closes", "GET / HTTP/1.0\r\n\r\n", false);
+      ( "1.0 with keep-alive",
+        "GET / HTTP/1.0\r\nconnection: foo, Keep-Alive\r\n\r\n",
+        true );
+    ]
+
 (* ---- sessions ----------------------------------------------------------- *)
 
 let ab_schema = ("r", [ "A"; "B" ])
@@ -1398,6 +1418,46 @@ let test_keep_alive_pipelining () =
             (header_of h "connection" = Some "close");
           Alcotest.(check bool) "daemon closed" true (closed_by_peer c)))
 
+(* On a keep-alive daemon an HTTP/1.0 request without the keep-alive
+   option is answered with connection: close and the socket closes at
+   once, not when the 5 s idle timeout fires (a read waits 1 s at most);
+   with the option a second request answers on the same socket. *)
+let test_http10_keep_alive () =
+  let ka = { Serve.default_limits with keep_alive = true } in
+  with_daemon ~limits:ka @@ fun p ->
+  let client () =
+    let c = connect p in
+    Unix.setsockopt_float c.cfd Unix.SO_RCVTIMEO 1.;
+    c
+  in
+  let c = client () in
+  Fun.protect
+    ~finally:(fun () -> close_client c)
+    (fun () ->
+      send_raw c "GET /v1/health HTTP/1.0\r\n\r\n";
+      let s, h, _ = recv c in
+      Alcotest.(check int) "1.0 response" 200 s;
+      Alcotest.(check (option string))
+        "1.0 close announced" (Some "close")
+        (header_of h "connection");
+      Alcotest.(check bool) "daemon closed" true (closed_by_peer c));
+  let c = client () in
+  Fun.protect
+    ~finally:(fun () -> close_client c)
+    (fun () ->
+      let health =
+        "GET /v1/health HTTP/1.0\r\nconnection: keep-alive\r\n\r\n"
+      in
+      send_raw c health;
+      let s1, h1, _ = recv c in
+      Alcotest.(check int) "first response" 200 s1;
+      Alcotest.(check (option string))
+        "keep-alive announced" (Some "keep-alive")
+        (header_of h1 "connection");
+      send_raw c health;
+      let s2, _, _ = recv c in
+      Alcotest.(check int) "second response on the same socket" 200 s2)
+
 (* A full session lane sheds with 429 + retry-after while the first
    batch is still repairing; the shed request commits nothing. *)
 let test_queue_full_429 () =
@@ -1932,3 +1992,9 @@ let suite =
         prop_concurrent_sessions_equal_sequential;
         prop_kept_env_equals_reference;
       ]
+  @ [
+      Alcotest.test_case "http: persistence follows version and options"
+        `Quick test_http_persistence;
+      Alcotest.test_case "overload: HTTP/1.0 closes unless it asks keep-alive"
+        `Quick test_http10_keep_alive;
+    ]
